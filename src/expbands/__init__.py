@@ -5,8 +5,13 @@ from .calibration import (
     CalibrationCache,
     CalibrationKey,
     CalibrationResult,
+    band_level,
     calibrate_cp,
     calibrate_dp,
+    exact_cp,
+    exact_dp,
+    exact_p_of_tau,
+    ks_cdf,
     p_of_tau,
     tau_of_p,
 )

@@ -1,11 +1,17 @@
 """Data-independent calibration constants.
 
-Monte-Carlo quantiles of the two pivotal statistics (the log-likelihood
-pivot behind the minimum-area region and the sup-distance statistic behind
-the KS-type bands), the closed-form exact level of the minimum-area band,
-and its numeric inverse. Every Monte-Carlo result carries a sectioning
-standard error and a provenance key; a JSON-lines cache makes repeated runs
-cheap and auditable.
+Exact calibration: the log-likelihood pivot behind the minimum-area region
+has a closed-form tail, so its quantile c_p, the exact level of the induced
+band and the inverse of that level are one-dimensional root finds; the
+sup-distance pivot behind the KS-type bands has a cdf that is a smooth
+one-dimensional integral over the scale ratio, so its quantile d_p is a
+root find over a panel quadrature.
+
+Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
+level inversion along one draw set. Every Monte-Carlo result carries a
+sectioning standard error and a provenance key; a JSON-lines cache makes
+repeated runs cheap and auditable. These samplers are the independent
+oracle for the exact kernels.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheIntegrityError, CalibrationError, DomainError
-from .regions import lambert_interval
+from .numerics import brent_root, integrate_panels
+from .regions import c4_scale_limits, cp_supremum, lambert_interval, lower_slope, upper_slope
 from .special import check_probability, gamma_cdf
 from .streams import replicate_batches
 
@@ -53,11 +60,19 @@ class CalibrationResult:
     extra: dict | None = None
 
 
+def _order_index(n: int, q: float) -> int:
+    return min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
+
+
 def empirical_quantile(sorted_draws: np.ndarray, q: float) -> float:
     """Order statistic at index ceil(q * N): no interpolation."""
-    n = sorted_draws.shape[0]
-    idx = min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
-    return float(sorted_draws[idx])
+    return float(sorted_draws[_order_index(sorted_draws.shape[0], q)])
+
+
+def _draw_quantile(draws: np.ndarray, q: float) -> float:
+    """empirical_quantile of unsorted draws, by selection instead of a sort."""
+    idx = _order_index(draws.shape[0], q)
+    return float(np.partition(draws, idx)[idx])
 
 
 def _section_std_error(draws: np.ndarray, q: float) -> float:
@@ -68,8 +83,8 @@ def _section_std_error(draws: np.ndarray, q: float) -> float:
     size = n // k
     if size < 2:
         return float("nan")
-    sections = draws[:k * size].reshape(k, size)
-    qs = np.sort(sections, axis=1)[:, min(max(int(math.ceil(q * size)) - 1, 0), size - 1)]
+    idx = _order_index(size, q)
+    qs = np.partition(draws[:k * size].reshape(k, size), idx, axis=1)[:, idx]
     return float(np.std(qs, ddof=1) / math.sqrt(k))
 
 
@@ -113,7 +128,7 @@ def calibrate_cp(m: int, p: float, reps: int, seed: int) -> CalibrationResult:
     p = check_probability(p, "p", open_interval=True)
     raw = draw_cp_statistic(m, reps, seed)
     se = _section_std_error(raw, p)
-    value = empirical_quantile(np.sort(raw), p)
+    value = _draw_quantile(raw, p)
     key = CalibrationKey("c_p", m=m, n=0, level=p, reps=reps, seed=seed)
     return CalibrationResult(value=value, mc_std_error=se, key=key)
 
@@ -123,22 +138,135 @@ def calibrate_dp(m: int, n: int, p: float, reps: int, seed: int) -> CalibrationR
     p = check_probability(p, "p", open_interval=True)
     raw = draw_ks_statistic(m, n, reps, seed)
     se = _section_std_error(raw, 1.0 - p)
-    value = empirical_quantile(np.sort(raw), 1.0 - p)
+    value = _draw_quantile(raw, 1.0 - p)
     key = CalibrationKey("d_p", m=m, n=n, level=p, reps=reps, seed=seed)
     return CalibrationResult(value=value, mc_std_error=se, key=key)
+
+
+def _inverse_square_gap(m: int, c: float, a: float, b: float) -> float:
+    """e^c m^(m+1) / (2 Gamma(m-1)) (a^-2 - b^-2), the v^-3 integral shared
+    by the region's tail and the hull notch; the factorial-scale factor is
+    evaluated in log space."""
+    log_lead = c + (m + 1) * math.log(m) - math.lgamma(m - 1) - math.log(2.0)
+    return math.exp(log_lead - 2.0 * math.log(a)) - math.exp(log_lead - 2.0 * math.log(b))
+
+
+def _hull_notch(m: int, c: float) -> float:
+    """Probability of the notch between the minimum-area region with
+    constant c and its comprehensive convex hull, in closed form."""
+    _, _, y, z = lambert_interval(m, c)
+    term1 = _inverse_square_gap(m, c, y, z)
+    term2 = (z / (m + 1)) ** (m - 1) * (gamma_cdf(m - 1, (m + 1) * y / z)
+                                        - gamma_cdf(m - 1, m + 1.0))
+    return term1 + term2
 
 
 def tau_of_p(m: int, p: float, c_p: float) -> float:
     """Exact level of the minimum-area band when its region has level 1-p
     with constant c_p: 1-p plus the probability of the hull notch, in closed
-    form. The factorial-scale factor is evaluated in log space."""
+    form."""
     p = check_probability(p, "p")
-    _, _, y, z = lambert_interval(m, c_p)
-    log_lead = c_p + (m + 1) * math.log(m) - math.lgamma(m - 1) - math.log(2.0)
-    term1 = math.exp(log_lead) * (1.0 / y**2 - 1.0 / z**2)
-    term2 = (z / (m + 1)) ** (m - 1) * (gamma_cdf(m - 1, (m + 1) * y / z)
-                                        - gamma_cdf(m - 1, m + 1.0))
-    return 1.0 - p + term1 + term2
+    return 1.0 - p + _hull_notch(m, c_p)
+
+
+# ---------------------------------------------------------------------------
+# exact calibration
+# ---------------------------------------------------------------------------
+
+def cp_tail(m: int, c: float) -> float:
+    """P(W >= c) for the log-likelihood pivot W = (m+1) ln(V/m) - V - Z,
+    V ~ Gamma(m-1) and Z standard exponential, independent: the level of
+    the minimum-area region with constant c.
+
+    With v- < v+ the roots of (m+1) ln(v/m) - v = c (the two Lambert W
+    branches of `lambert_interval`), integrating out Z gives
+    G(v+) - G(v-) - e^c m^(m+1) / (2 Gamma(m-1)) (v-^-2 - v+^-2), G the
+    Gamma(m-1) cdf; 0 at and above the pivot's supremum.
+    """
+    if m < 2:
+        raise DomainError("need m >= 2")
+    if not c < cp_supremum(m):
+        return 0.0
+    w0, wm1, _, _ = lambert_interval(m, c)
+    v_lo, v_hi = -(m + 1.0) * w0, -(m + 1.0) * wm1
+    return (gamma_cdf(m - 1, v_hi) - gamma_cdf(m - 1, v_lo)
+            - _inverse_square_gap(m, c, v_lo, v_hi))
+
+
+def band_level(m: int, c: float) -> float:
+    """Exact level of the minimum-area band with constant c: the region's
+    level P(W >= c) plus the hull notch (tau_of_p at the exact p)."""
+    if not c < cp_supremum(m):
+        return 0.0
+    return cp_tail(m, c) + _hull_notch(m, c)
+
+
+def _solve_level(level_at, target: float, m: int) -> float:
+    """The constant c at which a level that falls from 1 (c -> -inf) to 0
+    (c at the pivot's supremum) equals target: Brent's method on a bracket
+    widened downward from the supremum."""
+    hi = cp_supremum(m)
+    step = m + 1.0
+    lo = hi - step
+    while level_at(lo) < target:
+        step *= 2.0
+        lo = hi - step
+        if lo < -700.0 * (m + 1):   # e^(c/(m+1)) would underflow
+            raise CalibrationError(f"no constant attains level {target} at m={m}")
+    return brent_root(lambda c: level_at(c) - target, lo, hi, xtol=1e-12)
+
+
+def exact_cp(m: int, p: float) -> float:
+    """p-quantile of the log-likelihood pivot: the root of P(W >= c) = 1-p."""
+    p = check_probability(p, "p", open_interval=True)
+    return _solve_level(lambda c: cp_tail(m, c), 1.0 - p, m)
+
+
+def exact_p_of_tau(m: int, tau: float) -> tuple[float, float]:
+    """Region level and constant that give the minimum-area band exact
+    level tau: one root find in c, then p = 1 - P(W >= c). Returns (p, c)."""
+    tau = check_probability(tau, "tau", open_interval=True)
+    c = _solve_level(lambda c: band_level(m, c), tau, m)
+    return 1.0 - cp_tail(m, c), c
+
+
+def ks_cdf(m: int, n: float, d: float) -> float:
+    """P(pivot <= d) for the sup-distance pivot, 0 < d < 1.
+
+    The pivot is within d exactly when (S, T) = ((mu_hat-mu)/sigma,
+    sigma_hat/sigma) lies in the sup-distance region, whose location range
+    at scale ratio t is [l(t), o(t)] (`lower_slope`, `upper_slope`). With S
+    exponential of mean 1/n and T ~ Gamma(m-1)/m independent, this is the
+    integral over t of f_T(t) (e^{-n max(l,0)} - e^{-n o})_+. The
+    integrand vanishes outside [t1, t_zero_upper], where o < max(l, 0), and
+    is smooth between the kinks t_zero_lower, 1-d, 1 and 1/(1-d). Those
+    and the powers of two in between are the panel edges, so no panel is
+    wide enough for the Gamma density to hide between its nodes.
+    """
+    if m < 2 or n < m:
+        raise DomainError("need m >= 2 and n >= m")
+    t1, t_zero_lower, _, t_zero_upper = c4_scale_limits(d)
+    kinks = [t1, t_zero_lower, 1.0 - d, 1.0, 1.0 / (1.0 - d), t_zero_upper]
+    powers = [2.0**k for k in range(-60, 61) if t1 < 2.0**k < t_zero_upper]
+    log_norm = math.log(m) - math.lgamma(m - 1)
+
+    def integrand(t):
+        lo = np.maximum(lower_slope(t, d), 0.0)
+        density = np.exp(log_norm + (m - 2) * np.log(m * t) - m * t)
+        return density * np.maximum(np.exp(-n * lo) - np.exp(-n * upper_slope(t, d)), 0.0)
+
+    value, _ = integrate_panels(integrand, sorted(set(kinks + powers)), abs_tol=1e-12)
+    return value
+
+
+def exact_dp(m: int, n: float, p: float) -> float:
+    """(1-p)-quantile of the sup-distance pivot: the root of
+    ks_cdf(d) = 1-p by Brent's method on 0 < d < 1."""
+    p = check_probability(p, "p", open_interval=True)
+    lo, hi = 1e-9, 1.0 - 1e-9
+    if ks_cdf(m, n, hi) < 1.0 - p:
+        raise CalibrationError(f"no d below {hi} attains level {1.0 - p} at m={m}, n={n}")
+    return brent_root(lambda d: ks_cdf(m, n, d) - (1.0 - p), lo, hi, xtol=1e-12)
 
 
 def p_of_tau(m: int, tau: float, reps: int, seed: int) -> CalibrationResult:
@@ -163,7 +291,7 @@ def invert_level_on_draws(m: int, tau: float, sorted_draws: np.ndarray) -> tuple
 
     def level_at(p: float) -> float:
         c = empirical_quantile(sorted_draws, p)
-        if c >= -m:
+        if c >= cp_supremum(m):
             return 0.0  # beyond feasibility the band level is vacuous
         return tau_of_p(m, p, c)
 

@@ -399,6 +399,7 @@ def cmd_reproduce(args, cfg) -> int:
         "metadata": _metadata(cfg, "reproduce-paper"),
         "all_passed": report.all_passed,
         "checks": [dataclasses.asdict(r) for r in report.rows],
+        "mc_crosscheck": report.crosscheck,
         "d_grid_audit": report.table3})
     print(f"wrote {outdir / 'report.md'}: {'PASS' if report.all_passed else 'FAIL'}")
     return EXIT_OK if report.all_passed else EXIT_NUMERIC

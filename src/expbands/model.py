@@ -164,6 +164,8 @@ class ProgressiveSample:
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        if not all(math.isfinite(v) for v in self.x):
+            raise DomainError(f"failure times must be finite, got {self.x}")
         if len(self.x) != self.scheme.m:
             raise DomainError(
                 f"sample has {len(self.x)} observations, scheme expects m={self.scheme.m}")
@@ -309,6 +311,9 @@ def read_sample_csv(path: str | Path) -> ProgressiveSample:
                     removed.append(int(row["removed"]))
                 except (TypeError, ValueError) as exc:
                     raise ParseError(f"{path}:{lineno}: bad row {row!r}") from exc
+                if not math.isfinite(times[-1]):
+                    raise ParseError(f"{path}:{lineno}: failure time must be finite, "
+                                     f"got {row['time']!r}")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if len(times) < 2:

@@ -3,7 +3,8 @@ golden-section search, and bracketed root finding.
 
 Quadrature bisects the interval with the largest error estimate until the
 requested absolute tolerance is met; non-convergence raises NumericError
-with diagnostics instead of returning a silently bad value.
+with diagnostics instead of returning a silently bad value. The same holds
+for the root finders: they meet their bracket tolerance or raise.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import heapq
 import math
 from typing import Callable
+
+import numpy as np
 
 from .errors import NumericError
 
@@ -36,6 +39,7 @@ _WG = (
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
 )
+_EPS = 2.220446049250313e-16
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -51,6 +55,45 @@ def _kronrod_panel(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     gauss *= half
     err = (200.0 * abs(kron - gauss)) ** 1.5
     return kron, err
+
+
+def integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges,
+                     abs_tol: float = 1e-11, max_panels: int = 4096) -> tuple[float, float]:
+    """Integrate a vectorized f over [edges[0], edges[-1]] with one G7/K15
+    rule per panel between consecutive edges; returns (value, error
+    estimate).
+
+    Every round evaluates f once, on the nodes of all live panels together,
+    accepts each panel whose error estimate is within its share of abs_tol
+    (the share halves with each split, so the accepted estimates sum to at
+    most abs_tol) and halves the rest. Place the edges at the integrand's
+    kinks so that each panel is smooth. Raises NumericError once more than
+    `max_panels` panels are live.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges.size < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) < 0):
+        raise NumericError(f"need at least two finite, nondecreasing edges, got {edges}")
+    lo, hi = edges[:-1], edges[1:]
+    nodes, wk, wg = np.asarray(_NODES), np.asarray(_WK), np.asarray(_WG)
+    share = abs_tol / lo.size
+    value = error = 0.0
+    while lo.size:
+        if lo.size > max_panels:
+            raise NumericError(
+                f"panel quadrature did not converge on [{edges[0]}, {edges[-1]}]: "
+                f"{lo.size} panels above tolerance (tol {abs_tol:.1e})")
+        half = 0.5 * (hi - lo)
+        fx = f((0.5 * (lo + hi))[:, None] + half[:, None] * nodes)
+        kron = half * (fx @ wk)
+        err = (200.0 * np.abs(kron - half * (fx @ wg))) ** 1.5
+        done = err <= share
+        value += float(kron[done].sum())
+        error += float(err[done].sum())
+        lo, hi = lo[~done], hi[~done]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        share *= 0.5
+    return value, error
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
@@ -119,7 +162,11 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
 
 def bisect_root(f: Callable[[float], float], a: float, b: float,
                 tol: float = 1e-13, max_iter: int = 200) -> float:
-    """Root of f on a bracketing interval [a, b] by plain bisection."""
+    """Root of f on a bracketing interval [a, b] by plain bisection.
+
+    Stops once the bracket is within tol relative to max(1, |a| + |b|);
+    raises NumericError if `max_iter` halvings do not get there.
+    """
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -136,4 +183,60 @@ def bisect_root(f: Callable[[float], float], a: float, b: float,
             b, fb = mid, fm
         else:
             a, fa = mid, fm
-    return 0.5 * (a + b)
+    raise NumericError(
+        f"bisection did not converge: bracket [{a}, {b}] after {max_iter} halvings "
+        f"(tol {tol:.1e})")
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float,
+               xtol: float = 1e-13, max_iter: int = 100) -> float:
+    """Root of f on a bracketing interval [a, b] by Brent's method (inverse
+    quadratic interpolation and secant steps, safeguarded by bisection).
+
+    Stops once the bracket is within xtol plus a few ulps of the iterate;
+    raises NumericError if the root is not bracketed or `max_iter`
+    evaluations do not get there.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if fa * fb > 0:
+        raise NumericError(f"root not bracketed on [{a}, {b}]: f(a)={fa:.3e}, f(b)={fb:.3e}")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(max_iter):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 4.0 * _EPS * abs(b) + 0.5 * xtol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        fb = f(b)
+    raise NumericError(
+        f"Brent iteration did not converge: bracket [{b}, {c}] after {max_iter} "
+        f"evaluations (xtol {xtol:.1e})")

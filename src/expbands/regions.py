@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
 from .model import LocScale, MleEstimate, Scheme
-from .numerics import bisect_root, integrate
+from .numerics import brent_root, integrate
 from .special import (
     chi2_quantile,
     check_probability,
@@ -82,7 +82,7 @@ def h_curve(t, d_p):
     """The transcendental boundary function of the sup-distance region:
     h(t) = ln(d_p/|1-t|)(t-1) + t ln(t) for t > 0, with h(1) = 0."""
     t = np.asarray(t, dtype=float)
-    one = np.isclose(t, 1.0, rtol=0.0, atol=1e-300)
+    one = t == 1.0
     safe = np.where(one, 2.0, t)
     val = np.log(d_p / np.abs(1.0 - safe)) * (safe - 1.0) + safe * np.log(safe)
     out = np.where(one, 0.0, val)
@@ -101,6 +101,11 @@ def upper_slope(t, d_p):
     t = np.asarray(t, dtype=float)
     out = np.where(t <= 1.0 / (1.0 - d_p), -math.log(1.0 - d_p), h_curve(t, d_p))
     return out if out.ndim else float(out)
+
+
+def _h_scalar(t: float, d_p: float) -> float:
+    # h_curve for one float t != 1, in math-module arithmetic for the root solves
+    return math.log(d_p / abs(1.0 - t)) * (t - 1.0) + t * math.log(t)
 
 
 def _h_deriv(t: float, d_p: float) -> float:
@@ -319,13 +324,24 @@ def build_c2(est: MleEstimate, scheme: Scheme, p: float) -> TrapezoidRegionC2:
         chi2_q1=chi2_quantile(q1, 2 * m), chi2_q2=chi2_quantile(q2, 2 * m))
 
 
+def cp_supremum(m: int) -> float:
+    """Supremum (m+1)(ln((m+1)/m) - 1) of the log-likelihood pivot
+    (m+1) ln(V/m) - V, attained at V = m+1. The minimum-area region is
+    nonempty, and the Lambert W argument of its scale range at least -1/e,
+    exactly for constants c_p below it."""
+    return (m + 1.0) * (math.log((m + 1.0) / m) - 1.0)
+
+
 def lambert_interval(m: int, c_p: float) -> tuple[float, float, float, float]:
     """Roots and pivot constants of the minimum-area boundary: returns
     (w0, wm1, y, z) where w0/wm1 are the Lambert W values at the shared
-    argument, y = -(m+1) w0, and z = m exp(1 + c_p/(m+1))."""
-    if not c_p < -m:
+    argument, y = -(m+1) w0, and z = m exp(1 + c_p/(m+1)). The pivot range
+    of the region runs between the roots y and -(m+1) wm1 of
+    (m+1) ln(V/m) - V = c_p."""
+    if not c_p < cp_supremum(m):
         raise InfeasibleLevelError(
-            f"need c_p < -m for a nonempty region, got c_p={c_p} at m={m}")
+            f"need c_p < {cp_supremum(m):.6g} (the pivot's supremum) for a nonempty "
+            f"region, got c_p={c_p} at m={m}")
     arg = -(m / (m + 1.0)) * math.exp(c_p / (m + 1.0))
     w0 = lambert_w0(arg)
     wm1 = lambert_wm1(arg)
@@ -343,22 +359,43 @@ def build_c3(est: MleEstimate, scheme: Scheme, c_p: float) -> MinAreaRegionC3:
         c_p=c_p, z_lo=-scale / wm1, z_hi=-scale / w0, y=y, z=z)
 
 
+def c4_scale_limits(d_p: float) -> tuple[float, float, float, float]:
+    """Scale ratios t = sigma_hat/sigma that delimit the sup-distance region
+    for 0 < d_p < 1: returns (t1, t_zero_lower, t2, t_zero_upper), where
+    t1 < t2 are the ends of its scale range (the lower and upper slopes
+    meet there; t1 = 0 for d_p >= 0.5, and t2 = inf where the range is
+    unbounded or ends beyond 1e12), and the lower slope on (0, 1) and the
+    upper slope on (1, inf) cross zero at t_zero_lower and t_zero_upper."""
+    ln1md = math.log(1.0 - d_p)
+    hi = 1.0 / (1.0 - d_p)
+
+    def h(t):
+        return _h_scalar(t, d_p)
+
+    def root_above(g):
+        # root of g beyond hi, where g > 0, bracketed by doubling; inf past 1e12
+        ceiling = 2.0 * hi
+        while g(ceiling) > 0:
+            ceiling *= 2.0
+            if ceiling > 1e12:
+                return math.inf
+        return brent_root(g, hi, ceiling)
+
+    t1 = brent_root(lambda t: h(t) + ln1md, 1e-14, 1.0 - d_p) if d_p < 0.5 else 0.0
+    t2 = root_above(lambda t: h(t) - t * ln1md) if d_p < 0.5 else math.inf
+    t_zero_lower = brent_root(h, max(t1, 1e-14), 1.0 - d_p)
+    t_zero_upper = root_above(h)
+    return t1, t_zero_lower, t2, t_zero_upper
+
+
 def build_c4(est: MleEstimate, d_p: float, trimmed: bool = False) -> KsRegionC4:
     d_p = check_probability(d_p, "d_p", open_interval=True)
     if d_p >= 0.5:
         raise UnsupportedCaseError(
             f"d_p={d_p} >= 0.5 yields an unbounded region; not supported")
-    ln1md = math.log(1.0 - d_p)
-    t1 = bisect_root(lambda t: h_curve(t, d_p) + ln1md, 1e-14, 1.0 - d_p)
-    t_zero_lower = bisect_root(lambda t: h_curve(t, d_p), t1, 1.0 - d_p)
-    hi = 1.0 / (1.0 - d_p)
-    ceiling = hi * 2.0
-    while h_curve(ceiling, d_p) - ceiling * ln1md > 0:
-        ceiling *= 2.0
-        if ceiling > 1e12:
-            raise InfeasibleLevelError(f"no finite scale range for d_p={d_p}")
-    t2 = bisect_root(lambda t: h_curve(t, d_p) - t * ln1md, hi, ceiling)
-    t_zero_upper = bisect_root(lambda t: h_curve(t, d_p), hi, t2)
+    t1, t_zero_lower, t2, t_zero_upper = c4_scale_limits(d_p)
+    if math.isinf(t2):
+        raise InfeasibleLevelError(f"no finite scale range for d_p={d_p}")
     t_hi = t_zero_upper if trimmed else t2
     return KsRegionC4(mu_hat=est.mu_hat, sigma_hat=est.sigma_hat, d_p=d_p,
                       trimmed=trimmed, t_lo=t1, t_hi=t_hi,

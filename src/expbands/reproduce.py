@@ -2,11 +2,15 @@
 published calibration tables.
 
 Produces a deterministic markdown report of expected-versus-computed values
-with one pass/fail line per hard check. The d-constant grid section is
-informational only: recomputing it from the sup-distance representation
-gives values far from the printed table (while the same sampler reproduces
-the worked example's constant), so the discrepancy is documented rather
-than forced to agree; see the README.
+with one pass/fail line per hard check. Every calibration constant is exact:
+c_p, the band's exact level and its inverse come from the closed-form tail
+of the log-likelihood pivot, and d_p from the quadrature cdf of the
+sup-distance pivot. The Monte-Carlo size and seed feed only an
+informational cross-check of the worked example's d and c against the
+samplers. The d-constant grid section is informational too: recomputing it
+from the sup-distance representation gives values far from the printed
+table (while the same cdf reproduces the worked example's constant), so
+the discrepancy is documented rather than forced to agree; see the README.
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import bands as _bands
 from . import metrics as _metrics
 from .calibration import (
+    calibrate_cp,
     calibrate_dp,
-    draw_cp_statistic,
-    empirical_quantile,
-    invert_level_on_draws,
+    exact_cp,
+    exact_dp,
+    exact_p_of_tau,
     tau_of_p,
 )
 from .model import ProgressiveSample, load_insulating_fluid, mle
@@ -72,6 +75,7 @@ class ReproduceReport:
     seed: int
     rows: list[CheckRow] = field(default_factory=list)
     table3: list[dict] = field(default_factory=list)
+    crosscheck: list[dict] = field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
@@ -87,41 +91,59 @@ class ReproduceReport:
 
     def markdown(self) -> str:
         lines = ["# Reproduction report", "",
-                 f"Monte-Carlo size: {self.reps}; base seed: {self.seed}.", "",
+                 "Calibration constants are exact: closed-form c_p and band levels,",
+                 f"quadrature d_p. Monte-Carlo size {self.reps} and base seed {self.seed}",
+                 "feed only the cross-check section.", "",
                  "## Checks", "",
                  "| check | expected | computed | tolerance | status |",
                  "|---|---|---|---|---|"]
         for r in self.rows:
             lines.append(f"| {r.name} | {r.expected:.6g} | {r.computed:.6g} "
                          f"| {r.tolerance:.3g} | {'PASS' if r.passed else 'FAIL'} |")
-        lines += ["", "## d-constant grid audit (informational)", "",
-                  "Recomputed (1-p)-quantiles of the sup-distance pivot at level 90%",
-                  "versus the published grid. The recomputed values are consistent",
-                  "with the worked example's constant and with the band's empirical",
-                  "coverage; the published grid is not. Not a pass/fail item.", "",
-                  "| m | n | published | computed | std error |",
+        lines += ["", "## Monte-Carlo cross-check (informational)", "",
+                  "Exact constants of the worked example (m=8, n=19, band level 90.25%)",
+                  "versus the Monte-Carlo quantile of the same pivot at the same",
+                  "probability, with its sectioning standard error. Not a pass/fail item.", "",
+                  "| constant | exact | Monte Carlo | std error | z |",
                   "|---|---|---|---|---|"]
+        for row in self.crosscheck:
+            lines.append(f"| {row['constant']} | {row['exact']:.6f} | {row['monte_carlo']:.6f} "
+                         f"| {row['std_error']:.2e} | {row['z']:+.2f} |")
+        lines += ["", "## d-constant grid audit (informational)", "",
+                  "Exact (1-p)-quantiles of the sup-distance pivot at level 90%, from",
+                  "the quadrature of its cdf, versus the published grid. The computed",
+                  "values are consistent with the worked example's constant and with",
+                  "the band's empirical coverage; the published grid is not. Not a",
+                  "pass/fail item.", "",
+                  "| m | n | published | computed |",
+                  "|---|---|---|---|"]
         for row in self.table3:
             pub = "-" if row["published"] is None else f"{row['published']:.3f}"
-            lines.append(f"| {row['m']} | {row['n']} | {pub} "
-                         f"| {row['computed']:.4f} | {row['std_error']:.5f} |")
+            lines.append(f"| {row['m']} | {row['n']} | {pub} | {row['computed']:.4f} |")
         lines += ["", f"Overall: {'PASS' if self.all_passed else 'FAIL'}", ""]
         return "\n".join(lines)
+
+
+def _crosscheck(report: ReproduceReport, name: str, exact: float, mc) -> None:
+    report.crosscheck.append({"constant": name, "exact": exact, "monte_carlo": mc.value,
+                              "std_error": mc.mc_std_error,
+                              "z": (mc.value - exact) / mc.mc_std_error})
 
 
 def _check_table5(report: ReproduceReport, sample: ProgressiveSample,
                   reps: int, seed: int) -> None:
     est = mle(sample)
     scheme = sample.scheme
+    m, n = scheme.m, scheme.n
     level = 0.9025
-    d_res = calibrate_dp(scheme.m, scheme.n, 1.0 - level, reps, substream(seed, "dp-9025"))
-    draws = np.sort(draw_cp_statistic(scheme.m, reps, substream(seed, "cp-m8")))
-    p_star, c_star = invert_level_on_draws(scheme.m, level, draws)
+    d = exact_dp(m, n, 1.0 - level)
+    p_star, c_star = exact_p_of_tau(m, level)
+    _crosscheck(report, "d", d, calibrate_dp(m, n, 1.0 - level, reps, substream(seed, "dp-9025")))
+    _crosscheck(report, "c", c_star, calibrate_cp(m, p_star, reps, substream(seed, "cp-m8")))
 
     report.check("fit mu_hat", 0.19, est.mu_hat, 1e-12)
     report.check("fit sigma_hat", 8.635, est.sigma_hat, 1e-12)
-    report.check("d at level 90.25%", 0.249, d_res.value,
-                 max(0.005, 5 * d_res.mc_std_error))
+    report.check("d at level 90.25%", 0.249, d, 0.005)
     report.check("region level for band level 90.25% (pct)", 87.3,
                  100 * (1 - p_star), 0.3)
     report.check("constant c at band level 90.25%", -11.587, c_star, 0.1)
@@ -130,9 +152,9 @@ def _check_table5(report: ReproduceReport, sample: ProgressiveSample,
         "b1": _bands.band_b1(est, scheme, 1 - level),
         "b2": _bands.band_b2(est, scheme, 1 - level),
         "b3": _bands.band_b3(est, scheme, c_star, nominal_p=p_star),
-        "b4": _bands.band_b4(est, d_res.value, level=level),
-        "b4p": _bands.band_b4_trimmed(est, d_res.value, trimmed=False, level=level),
-        "b4pp": _bands.band_b4_trimmed(est, d_res.value, trimmed=True, level=level),
+        "b4": _bands.band_b4(est, d, level=level),
+        "b4p": _bands.band_b4_trimmed(est, d, trimmed=False, level=level),
+        "b4pp": _bands.band_b4_trimmed(est, d, trimmed=True, level=level),
     }
     widths, areas = {}, {}
     for kind, band in built.items():
@@ -155,37 +177,36 @@ def _check_table5(report: ReproduceReport, sample: ProgressiveSample,
         note=" <= ".join(a_order))
 
 
-def _check_tables_1_2(report: ReproduceReport, reps: int, seed: int) -> None:
+def _check_tables_1_2(report: ReproduceReport) -> None:
     for i, m in enumerate(_TABLE_M):
-        draws = np.sort(draw_cp_statistic(m, reps, substream(seed, f"cp-m{m}")))
         for level, taus in _TABLE1.items():
             p = 1.0 - level
-            c = empirical_quantile(draws, p)
             report.check(f"band exact level, m={m}, region level {level:.0%} (pct)",
-                         taus[i], 100 * tau_of_p(m, p, c), 0.1)
+                         taus[i], 100 * tau_of_p(m, p, exact_cp(m, p)), 0.1)
         for tau_target, (one_minus_p, cs) in _TABLE2.items():
-            p_star, c_star = invert_level_on_draws(m, tau_target, draws)
+            p_star, c_star = exact_p_of_tau(m, tau_target)
             report.check(f"region level for band level {tau_target:.0%}, m={m} (pct)",
                          one_minus_p[i], 100 * (1 - p_star), 0.3)
             report.check(f"constant c for band level {tau_target:.0%}, m={m}",
                          cs[i], c_star, 0.15)
 
 
-def _audit_table3(report: ReproduceReport, reps: int, seed: int) -> None:
+def _audit_table3(report: ReproduceReport) -> None:
     for m, row in _TABLE3.items():
         for n, published in zip(_TABLE3_NS, row):
             if n < m:
                 continue
-            res = calibrate_dp(m, n, 0.10, reps, substream(seed, f"dp-{m}-{n}"))
             report.table3.append({"m": m, "n": n, "published": published,
-                                  "computed": res.value, "std_error": res.mc_std_error})
+                                  "computed": exact_dp(m, n, 0.10)})
 
 
 def reproduce_paper(reps: int = 1_000_000, seed: int = 20201222) -> ReproduceReport:
     """Run the full data-example pipeline plus the analytic table checks and
-    the d-constant grid recomputation; deterministic in (reps, seed)."""
+    the d-constant grid recomputation, all on exact constants; (reps, seed)
+    size and seed the Monte-Carlo cross-check alone. Deterministic in
+    (reps, seed)."""
     report = ReproduceReport(reps=reps, seed=seed)
     _check_table5(report, load_insulating_fluid(), reps, seed)
-    _check_tables_1_2(report, reps, seed)
-    _audit_table3(report, reps, seed)
+    _check_tables_1_2(report)
+    _audit_table3(report)
     return report

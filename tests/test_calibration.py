@@ -6,14 +6,23 @@ import pytest
 from expbands.calibration import (
     CalibrationCache,
     CalibrationKey,
+    band_level,
     calibrate_cp,
     calibrate_dp,
+    cp_tail,
     draw_cp_statistic,
     empirical_quantile,
+    exact_cp,
+    exact_dp,
+    exact_p_of_tau,
+    ks_cdf,
     p_of_tau,
     tau_of_p,
 )
 from expbands.errors import CacheIntegrityError, CalibrationError, DomainError
+from expbands.numerics import integrate
+from expbands.regions import c4_scale_limits, cp_supremum, h_curve
+from expbands.special import gamma_cdf, gamma_logpdf
 
 
 class TestCpQuantile:
@@ -156,3 +165,154 @@ class TestCache:
         res = cache.get_or_compute(key)
         assert res.extra is not None and res.extra["c"] < -8
         assert cache.get(key) == res
+
+
+# ---------------------------------------------------------------------------
+# exact calibration against the Monte-Carlo oracles
+# ---------------------------------------------------------------------------
+
+ORACLE_REPS = 200_000
+# (m, n) grid over m in {2, 8, 100} and n in {m, 19, 50} with n >= m
+KS_GRID = [(2, 2), (2, 19), (2, 50), (8, 8), (8, 19), (8, 50), (100, 100)]
+TABLE_M = (2, 3, 4, 5, 10, 25, 50, 100)
+
+
+def _oracle_seed(*parts) -> int:
+    return int(np.random.SeedSequence([7321, *(int(round(1000 * x)) for x in parts)])
+               .generate_state(1)[0])
+
+
+class TestExactCp:
+    @pytest.mark.parametrize("m", (2, 8, 100))
+    @pytest.mark.parametrize("p", (0.05, 0.127, 0.5))
+    def test_within_4se_of_monte_carlo(self, m, p):
+        mc = calibrate_cp(m, p, reps=ORACLE_REPS, seed=_oracle_seed(m, p))
+        assert abs(exact_cp(m, p) - mc.value) <= 4 * mc.mc_std_error
+
+    @pytest.mark.parametrize("m", (2, 8, 100, 400))
+    def test_tail_at_quantile(self, m):
+        for p in (1e-4, 0.1, 0.9):
+            assert cp_tail(m, exact_cp(m, p)) == pytest.approx(1.0 - p, abs=1e-12)
+
+    def test_paper_constant(self):
+        assert exact_cp(8, 0.127) == pytest.approx(-11.587, abs=2e-3)
+
+    def test_tail_limits(self):
+        for m in (2, 8, 100):
+            assert cp_tail(m, cp_supremum(m)) == 0.0
+            assert cp_tail(m, cp_supremum(m) - 1e-6) < 1e-6
+            assert cp_tail(m, -700.0 * (m + 1)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tail_decreasing(self):
+        cs = np.linspace(-30.0, cp_supremum(8) - 1e-9, 200)
+        tails = [cp_tail(8, c) for c in cs]
+        assert all(b < a for a, b in zip(tails, tails[1:]))
+
+
+class TestExactPOfTau:
+    @pytest.mark.parametrize("m", (2, 8, 100))
+    @pytest.mark.parametrize("tau", (0.90, 0.95))
+    def test_within_4se_of_monte_carlo(self, m, tau):
+        seed = _oracle_seed(m, tau)
+        mc = p_of_tau(m, tau, reps=ORACLE_REPS, seed=seed)
+        p, c = exact_p_of_tau(m, tau)
+        assert abs(c - mc.extra["c"]) <= 4 * mc.extra["c_std_error"]
+        # the exact region level is the share of pivot draws at or below c
+        draws = draw_cp_statistic(m, ORACLE_REPS, seed)
+        share = float(np.mean(draws <= c))
+        assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / ORACLE_REPS)
+
+    @pytest.mark.parametrize("m", TABLE_M)
+    def test_fixed_point(self, m):
+        for tau in (0.5, 0.90, 0.9025, 0.99):
+            p, c = exact_p_of_tau(m, tau)
+            assert band_level(m, c) == pytest.approx(tau, abs=1e-12)
+            assert tau_of_p(m, p, c) == pytest.approx(tau, abs=1e-12)
+            assert exact_cp(m, p) == pytest.approx(c, abs=1e-9)
+
+    def test_worked_example(self):
+        p, c = exact_p_of_tau(8, 0.9025)
+        assert 1.0 - p == pytest.approx(0.873, abs=5e-4)
+        assert c == pytest.approx(-11.587, abs=2e-3)
+
+
+class TestExactTables:
+    # exact level (pct) of the band whose region has level 90% / 95%
+    TABLE1 = {0.90: (91.1, 91.7, 92.0, 92.2, 92.5, 92.6, 92.6, 92.5),
+              0.95: (95.6, 95.9, 96.1, 96.2, 96.5, 96.5, 96.5, 96.4)}
+    # region level (pct) and constant that give the band exact level tau
+    TABLE2 = {0.90: ((88.8, 88.0, 87.6, 87.4, 86.9, 86.8, 86.9, 87.0),
+                     (-9.784, -8.372, -8.542, -9.116, -13.385, -28.025, -52.924, -102.878)),
+              0.95: ((94.4, 93.9, 93.6, 93.4, 93.1, 93.0, 93.1, 93.1),
+                     (-11.906, -9.807, -9.737, -10.191, -14.272, -28.806, -53.684, -103.614))}
+
+    def test_table1_to_its_rounding(self):
+        for level, taus in self.TABLE1.items():
+            for m, expected in zip(TABLE_M, taus):
+                p = 1.0 - level
+                tau = tau_of_p(m, p, exact_cp(m, p))
+                assert tau == pytest.approx(band_level(m, exact_cp(m, p)), abs=1e-12)
+                assert abs(100 * tau - expected) <= 0.05 + 1e-9, (m, level)
+
+    def test_table2_to_its_rounding(self):
+        # the region levels match to the printed digit; the printed constants
+        # carry the simulation error of the paper's own calibration
+        for tau, (levels, cs) in self.TABLE2.items():
+            for m, level, c_paper in zip(TABLE_M, levels, cs):
+                p, c = exact_p_of_tau(m, tau)
+                assert abs(100 * (1.0 - p) - level) <= 0.05 + 1e-9, (m, tau)
+                assert abs(c - c_paper) <= 0.03, (m, tau)
+
+
+def _ks_cdf_by_pieces(m: int, n: int, d: float) -> float:
+    """P(pivot <= d) split by hand: on [t_zero_lower, 1/(1-d)] the location
+    range is [0, -ln(1-d)] (a Gamma-cdf difference), and the two curved
+    pieces are integrated by the scalar adaptive quadrature."""
+    t1, tzl, _, tzu = c4_scale_limits(d)
+    top = 1.0 / (1.0 - d)
+    inside = 1.0 - (1.0 - d) ** n
+
+    def dens(t):
+        return m * math.exp(gamma_logpdf(m - 1, m * t))
+
+    middle = inside * (gamma_cdf(m - 1, m * top) - gamma_cdf(m - 1, m * tzl))
+    left, _ = integrate(lambda t: dens(t) * (math.exp(-n * h_curve(t, d)) - (1.0 - d) ** n),
+                        t1, tzl, abs_tol=1e-13)
+    right, _ = integrate(lambda t: dens(t) * (1.0 - math.exp(-n * h_curve(t, d))),
+                         top, tzu, abs_tol=1e-13)
+    return middle + left + right
+
+
+class TestExactDp:
+    @pytest.mark.parametrize("m, n", KS_GRID)
+    @pytest.mark.parametrize("p", (0.05, 0.10))
+    def test_within_4se_of_monte_carlo(self, m, n, p):
+        mc = calibrate_dp(m, n, p, reps=ORACLE_REPS, seed=_oracle_seed(m, n, p))
+        assert abs(exact_dp(m, n, p) - mc.value) <= 4 * mc.mc_std_error
+
+    @pytest.mark.parametrize("m, n", KS_GRID)
+    def test_cdf_against_piecewise_quadrature(self, m, n):
+        for d in (0.05, 0.249, 0.45, 0.5, 0.7):
+            assert ks_cdf(m, n, d) == pytest.approx(_ks_cdf_by_pieces(m, n, d), abs=1e-10)
+
+    def test_cdf_at_quantile(self):
+        for m, n in KS_GRID:
+            for p in (0.01, 0.10, 0.5):
+                assert ks_cdf(m, n, exact_dp(m, n, p)) == pytest.approx(1.0 - p, abs=1e-11)
+
+    def test_cdf_increasing(self):
+        ds = np.linspace(0.01, 0.95, 60)
+        values = [ks_cdf(8, 19, d) for d in ds]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert 0.0 < values[0] and values[-1] < 1.0
+
+    def test_worked_example(self):
+        assert exact_dp(8, 19, 0.0975) == pytest.approx(0.249231, abs=1e-6)
+
+    def test_domain_checks(self):
+        with pytest.raises(DomainError):
+            exact_dp(1, 5, 0.10)
+        with pytest.raises(DomainError):
+            exact_dp(8, 5, 0.10)
+        with pytest.raises(DomainError):
+            exact_dp(8, 19, 1.0)

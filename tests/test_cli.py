@@ -37,6 +37,15 @@ class TestFit:
         out = capsys.readouterr().out
         assert "0.19" in out
 
+    @pytest.mark.parametrize("bad", ("inf", "nan"))
+    def test_non_finite_time_rejected(self, tmp_path, bad):
+        # a non-finite time used to give exit 0 and "sigma_hat": Infinity
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,removed\n0.19,0\n{bad},0\n")
+        out = tmp_path / "out"
+        assert _run("fit", "--data", path, "--output-dir", out) != 0
+        assert not (out / "fit.json").exists()
+
     def test_metadata_fields(self, data_csv, tmp_path):
         _run("fit", "--data", data_csv, "--output-dir", tmp_path, "--seed", "7")
         meta = _load(tmp_path / "fit.json")["metadata"]
@@ -264,3 +273,15 @@ class TestReproduceCommand:
         checks = {c["name"] for c in doc["checks"]}
         assert "fit mu_hat" in checks and "width ordering" in checks
         assert len(doc["d_grid_audit"]) == 28
+
+    def test_report_cross_checks_exact_constants(self, tmp_path):
+        assert _run("reproduce-paper", "--reps", "200000", "--seed", "5",
+                    "--output-dir", tmp_path) == 0
+        doc = _load(tmp_path / "report.json")
+        rows = {row["constant"]: row for row in doc["mc_crosscheck"]}
+        assert set(rows) == {"d", "c"}
+        assert rows["d"]["exact"] == pytest.approx(0.249231, abs=1e-6)
+        assert all(abs(row["z"]) < 5 for row in rows.values())
+        # the audit grid is deterministic: no Monte-Carlo error column
+        assert all(set(row) == {"m", "n", "published", "computed"}
+                   for row in doc["d_grid_audit"])

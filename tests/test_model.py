@@ -257,3 +257,16 @@ class TestCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             read_sample_csv(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize("bad", ("inf", "-inf", "nan"))
+    def test_non_finite_time(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,removed\n1.0,0\n{bad},0\n")
+        with pytest.raises(ParseError):
+            read_sample_csv(path)
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_sample_rejects_non_finite_times(bad):
+    with pytest.raises(DomainError):
+        ProgressiveSample(CensoringScheme.complete(2), (1.0, bad))

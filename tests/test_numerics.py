@@ -1,0 +1,78 @@
+import math
+
+import numpy as np
+import pytest
+
+from expbands.errors import NumericError
+from expbands.numerics import bisect_root, brent_root, integrate, integrate_panels
+
+
+class TestBisectRoot:
+    def test_converges(self):
+        assert bisect_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+    def test_raises_when_iterations_run_out(self):
+        # regression: three halvings used to return the midpoint 0.3125 silently
+        with pytest.raises(NumericError):
+            bisect_root(lambda x: x - 0.3, 0.0, 1.0, tol=0.0, max_iter=3)
+
+    def test_unbracketed(self):
+        with pytest.raises(NumericError):
+            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+class TestBrentRoot:
+    @pytest.mark.parametrize("f, a, b, root", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0, 0.7390851332151607),
+        (lambda x: x**3 - 2.0, 0.0, 2.0, 2.0 ** (1.0 / 3.0)),
+        (lambda x: math.exp(x) - 1e-8, -40.0, 5.0, math.log(1e-8)),
+    ])
+    def test_converges(self, f, a, b, root):
+        assert brent_root(f, a, b, xtol=1e-14) == pytest.approx(root, abs=1e-12)
+
+    def test_endpoint_root(self):
+        assert brent_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+    def test_unbracketed(self):
+        with pytest.raises(NumericError):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_raises_when_iterations_run_out(self):
+        with pytest.raises(NumericError):
+            brent_root(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=0.0, max_iter=3)
+
+
+class TestIntegratePanels:
+    def test_smooth(self):
+        value, err = integrate_panels(np.sin, [0.0, math.pi])
+        assert value == pytest.approx(2.0, abs=1e-12) and err <= 1e-11
+
+    def test_kink_at_edge_is_exact(self):
+        value, _ = integrate_panels(lambda x: np.abs(x - 0.3), [0.0, 0.3, 1.0], abs_tol=1e-14)
+        assert value == pytest.approx(0.045 + 0.245, abs=1e-14)
+
+    def test_refines_narrow_peak(self):
+        # a bump far narrower than the single panel is found by refinement
+        f = lambda x: np.exp(-0.5 * ((x - 0.37) / 0.01) ** 2)
+        value, _ = integrate_panels(f, [0.0, 1.0], abs_tol=1e-12)
+        assert value == pytest.approx(0.01 * math.sqrt(2.0 * math.pi), abs=1e-11)
+
+    def test_agrees_with_scalar_integrate(self):
+        f = lambda x: math.exp(-x) * math.log1p(x)
+        scalar, _ = integrate(f, 0.0, 5.0, abs_tol=1e-13)
+        vector, _ = integrate_panels(lambda x: np.exp(-x) * np.log1p(x), [0.0, 2.0, 5.0],
+                                     abs_tol=1e-13)
+        assert vector == pytest.approx(scalar, abs=1e-12)
+
+    def test_raises_when_panels_run_out(self):
+        with pytest.raises(NumericError):
+            integrate_panels(lambda x: 1.0 / np.sqrt(x), [0.0, 1.0], abs_tol=1e-14,
+                             max_panels=8)
+
+    def test_bad_edges(self):
+        with pytest.raises(NumericError):
+            integrate_panels(np.sin, [1.0, 0.0])
+        with pytest.raises(NumericError):
+            integrate_panels(np.sin, [0.0, math.inf])
+        with pytest.raises(NumericError):
+            integrate_panels(np.sin, [0.0])

@@ -14,7 +14,9 @@ from expbands.regions import (
     build_c3,
     build_c4,
     comprehensive_convex_hull_delta_prob,
+    cp_supremum,
     h_curve,
+    lambert_interval,
     region_from_dict,
     region_membership,
     region_to_dict,
@@ -226,6 +228,31 @@ class TestHullProbability:
         cp = calibrate_cp(2, 0.10, reps=400_000, seed=3).value
         excess = comprehensive_convex_hull_delta_prob(2, cp)
         assert excess == pytest.approx(0.011, abs=0.002)
+
+
+class TestFeasibilityBound:
+    """The region is nonempty for every c_p below the pivot's supremum
+    (m+1)(ln((m+1)/m) - 1), about -7.94 at m=8, not only below -m."""
+
+    def test_supremum_value(self):
+        assert cp_supremum(8) == pytest.approx(9 * (math.log(9 / 8) - 1))
+        assert -8.0 < cp_supremum(8) < -7.9
+
+    def test_between_minus_m_and_supremum(self, fluid_est, fluid_scheme):
+        closed = tau_of_p(8, 0.0, -7.97) - 1.0
+        quad = comprehensive_convex_hull_delta_prob(8, -7.97)
+        assert quad == pytest.approx(closed, abs=1e-6)
+        region = build_c3(fluid_est, fluid_scheme, -7.97)
+        assert region.z_lo < region.z_hi
+        # the pivot's mode V = m+1 sits at sigma = m sigma_hat/(m+1)
+        assert region.contains(fluid_est.mu_hat, fluid_est.sigma_hat * 8 / 9)
+
+    @pytest.mark.parametrize("m", (2, 8, 100))
+    def test_just_above_supremum_raises(self, m):
+        for c in (cp_supremum(m), cp_supremum(m) + 1e-9, -m + 0.5):
+            with pytest.raises(InfeasibleLevelError):
+                lambert_interval(m, c)
+        lambert_interval(m, cp_supremum(m) - 1e-9)
 
 
 class TestEquivarianceAndExport:
