@@ -60,19 +60,11 @@ class CalibrationResult:
     extra: dict | None = None
 
 
-def _order_index(n: int, q: float) -> int:
-    return min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
-
-
 def empirical_quantile(sorted_draws: np.ndarray, q: float) -> float:
     """Order statistic at index ceil(q * N): no interpolation."""
-    return float(sorted_draws[_order_index(sorted_draws.shape[0], q)])
-
-
-def _draw_quantile(draws: np.ndarray, q: float) -> float:
-    """empirical_quantile of unsorted draws, by selection instead of a sort."""
-    idx = _order_index(draws.shape[0], q)
-    return float(np.partition(draws, idx)[idx])
+    n = sorted_draws.shape[0]
+    idx = min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
+    return float(sorted_draws[idx])
 
 
 def _section_std_error(draws: np.ndarray, q: float) -> float:
@@ -83,8 +75,8 @@ def _section_std_error(draws: np.ndarray, q: float) -> float:
     size = n // k
     if size < 2:
         return float("nan")
-    idx = _order_index(size, q)
-    qs = np.partition(draws[:k * size].reshape(k, size), idx, axis=1)[:, idx]
+    sections = draws[:k * size].reshape(k, size)
+    qs = np.sort(sections, axis=1)[:, min(max(int(math.ceil(q * size)) - 1, 0), size - 1)]
     return float(np.std(qs, ddof=1) / math.sqrt(k))
 
 
@@ -128,7 +120,7 @@ def calibrate_cp(m: int, p: float, reps: int, seed: int) -> CalibrationResult:
     p = check_probability(p, "p", open_interval=True)
     raw = draw_cp_statistic(m, reps, seed)
     se = _section_std_error(raw, p)
-    value = _draw_quantile(raw, p)
+    value = empirical_quantile(np.sort(raw), p)
     key = CalibrationKey("c_p", m=m, n=0, level=p, reps=reps, seed=seed)
     return CalibrationResult(value=value, mc_std_error=se, key=key)
 
@@ -138,7 +130,7 @@ def calibrate_dp(m: int, n: int, p: float, reps: int, seed: int) -> CalibrationR
     p = check_probability(p, "p", open_interval=True)
     raw = draw_ks_statistic(m, n, reps, seed)
     se = _section_std_error(raw, 1.0 - p)
-    value = _draw_quantile(raw, 1.0 - p)
+    value = empirical_quantile(np.sort(raw), 1.0 - p)
     key = CalibrationKey("d_p", m=m, n=n, level=p, reps=reps, seed=seed)
     return CalibrationResult(value=value, mc_std_error=se, key=key)
 

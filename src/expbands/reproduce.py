@@ -107,8 +107,10 @@ class ReproduceReport:
                   "| constant | exact | Monte Carlo | std error | z |",
                   "|---|---|---|---|---|"]
         for row in self.crosscheck:
-            lines.append(f"| {row['constant']} | {row['exact']:.6f} | {row['monte_carlo']:.6f} "
-                         f"| {row['std_error']:.2e} | {row['z']:+.2f} |")
+            se, z = ("-", "-") if row["z"] is None else (f"{row['std_error']:.2e}",
+                                                         f"{row['z']:+.2f}")
+            lines.append(f"| {row['constant']} | {row['exact']:.6f} "
+                         f"| {row['monte_carlo']:.6f} | {se} | {z} |")
         lines += ["", "## d-constant grid audit (informational)", "",
                   "Exact (1-p)-quantiles of the sup-distance pivot at level 90%, from",
                   "the quadrature of its cdf, versus the published grid. The computed",
@@ -125,9 +127,11 @@ class ReproduceReport:
 
 
 def _crosscheck(report: ReproduceReport, name: str, exact: float, mc) -> None:
+    # below 200 draws sectioning gives no standard error (NaN), hence no z
+    se = mc.mc_std_error if mc.mc_std_error > 0 else None
     report.crosscheck.append({"constant": name, "exact": exact, "monte_carlo": mc.value,
-                              "std_error": mc.mc_std_error,
-                              "z": (mc.value - exact) / mc.mc_std_error})
+                              "std_error": se,
+                              "z": None if se is None else (mc.value - exact) / se})
 
 
 def _check_table5(report: ReproduceReport, sample: ProgressiveSample,

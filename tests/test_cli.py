@@ -285,3 +285,12 @@ class TestReproduceCommand:
         # the audit grid is deterministic: no Monte-Carlo error column
         assert all(set(row) == {"m", "n", "published", "computed"}
                    for row in doc["d_grid_audit"])
+
+    def test_report_strict_json_without_standard_error(self, tmp_path):
+        # 100 draws are too few for a sectioning standard error: the checks
+        # still pass on exact constants and the cross-check reports no z
+        assert _run("reproduce-paper", "--reps", "100", "--output-dir", tmp_path) == 0
+        text = (tmp_path / "report.json").read_text()
+        doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+        assert doc["all_passed"] is True
+        assert all(row["z"] is None for row in doc["mc_crosscheck"])
