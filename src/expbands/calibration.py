@@ -253,12 +253,9 @@ def ks_cdf(m: int, n: float, d: float) -> float:
 
 def exact_dp(m: int, n: float, p: float) -> float:
     """(1-p)-quantile of the sup-distance pivot: the root of
-    ks_cdf(d) = 1-p by Brent's method on 0 < d < 1."""
+    ks_cdf(d) = 1-p by Brent's method on [1e-9, 1 - 1e-9]."""
     p = check_probability(p, "p", open_interval=True)
-    lo, hi = 1e-9, 1.0 - 1e-9
-    if ks_cdf(m, n, hi) < 1.0 - p:
-        raise CalibrationError(f"no d below {hi} attains level {1.0 - p} at m={m}, n={n}")
-    return brent_root(lambda d: ks_cdf(m, n, d) - (1.0 - p), lo, hi, xtol=1e-12)
+    return brent_root(lambda d: ks_cdf(m, n, d) - (1.0 - p), 1e-9, 1.0 - 1e-9, xtol=1e-12)
 
 
 def p_of_tau(m: int, tau: float, reps: int, seed: int) -> CalibrationResult:
