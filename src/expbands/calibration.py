@@ -9,9 +9,11 @@ root find over a panel quadrature.
 
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Every Monte-Carlo result carries a
-sectioning standard error and a provenance key; a JSON-lines cache makes
-repeated runs cheap and auditable. These samplers are the independent
-oracle for the exact kernels.
+sectioning standard error and a provenance key with its size and seed.
+These samplers are the independent oracle for the exact kernels.
+
+A JSON-lines cache records the exact constants the command line uses, with
+their provenance.
 """
 
 from __future__ import annotations
@@ -36,19 +38,21 @@ _SECTIONS = 100
 @dataclass(frozen=True)
 class CalibrationKey:
     """Identity of a calibration constant. `n` is 0 for constants that only
-    depend on m; `level` is the defining probability of the constant."""
+    depend on m; `level` is the defining probability of the constant.
+    `reps` and `seed` size a Monte-Carlo estimate; both are None for an
+    exact constant."""
 
     kind: str       # "c_p" | "d_p" | "tau" | "p_of_tau"
     m: int
     n: int
     level: float
-    reps: int
-    seed: int
+    reps: int | None = None
+    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("c_p", "d_p", "tau", "p_of_tau"):
             raise DomainError(f"unknown calibration kind {self.kind!r}")
-        if self.reps < 1:
+        if self.reps is not None and self.reps < 1:
             raise DomainError("reps must be >= 1")
 
 
@@ -165,6 +169,13 @@ def tau_of_p(m: int, p: float, c_p: float) -> float:
 # exact calibration
 # ---------------------------------------------------------------------------
 
+def _level_is_one(m: int, c: float) -> bool:
+    """Below about -745(m+1) the Lambert argument -(m/(m+1)) e^(c/(m+1))
+    underflows to -0.0 and the pivot's roots run off to 0 and infinity;
+    the region's and the band's level there is 1 to double precision."""
+    return (m / (m + 1.0)) * math.exp(c / (m + 1.0)) == 0.0
+
+
 def cp_tail(m: int, c: float) -> float:
     """P(W >= c) for the log-likelihood pivot W = (m+1) ln(V/m) - V - Z,
     V ~ Gamma(m-1) and Z standard exponential, independent: the level of
@@ -179,6 +190,8 @@ def cp_tail(m: int, c: float) -> float:
         raise DomainError("need m >= 2")
     if not c < cp_supremum(m):
         return 0.0
+    if _level_is_one(m, c):
+        return 1.0
     w0, wm1, _, _ = lambert_interval(m, c)
     v_lo, v_hi = -(m + 1.0) * w0, -(m + 1.0) * wm1
     return (gamma_cdf(m - 1, v_hi) - gamma_cdf(m - 1, v_lo)
@@ -190,6 +203,8 @@ def band_level(m: int, c: float) -> float:
     level P(W >= c) plus the hull notch (tau_of_p at the exact p)."""
     if not c < cp_supremum(m):
         return 0.0
+    if _level_is_one(m, c):
+        return 1.0
     return cp_tail(m, c) + _hull_notch(m, c)
 
 
@@ -258,6 +273,21 @@ def exact_dp(m: int, n: float, p: float) -> float:
     return brent_root(lambda d: ks_cdf(m, n, d) - (1.0 - p), 1e-9, 1.0 - 1e-9, xtol=1e-12)
 
 
+def _compute_exact(key: CalibrationKey) -> CalibrationResult:
+    """The exact constant a key names: c_p or d_p at p = key.level, or
+    p_of_tau at tau = key.level with its c in `extra`."""
+    extra: dict = {"method": "exact"}
+    if key.kind == "c_p":
+        value = exact_cp(key.m, key.level)
+    elif key.kind == "d_p":
+        value = exact_dp(key.m, key.n, key.level)
+    elif key.kind == "p_of_tau":
+        value, extra["c"] = exact_p_of_tau(key.m, key.level)
+    else:
+        raise CalibrationError(f"cannot compute kind {key.kind!r} from a key alone")
+    return CalibrationResult(value=value, mc_std_error=0.0, key=key, extra=extra)
+
+
 def p_of_tau(m: int, tau: float, reps: int, seed: int) -> CalibrationResult:
     """Invert the exact-level formula: find p (and the matching constant c)
     such that the minimum-area band has exact level tau.
@@ -312,9 +342,10 @@ def invert_level_on_draws(m: int, tau: float, sorted_draws: np.ndarray) -> tuple
 class CalibrationCache:
     """Append-only JSON-lines store of calibration constants.
 
-    One record per line; lookups are bit-exact on the full key, so the same
-    request with a different seed is a distinct entry. A missing key returns
-    None; a corrupt file raises CacheIntegrityError.
+    One record per line; lookups are bit-exact on the full key, so a
+    Monte-Carlo record (with its size and seed) never answers for the exact
+    constant of the same kind, m, n and level. A missing key returns None; a
+    corrupt file raises CacheIntegrityError.
     """
 
     def __init__(self, path: str | Path):
@@ -355,18 +386,15 @@ class CalibrationCache:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def get_or_compute(self, key: CalibrationKey, force: bool = False) -> CalibrationResult:
-        if not force:
-            cached = self.get(key)
-            if cached is not None:
-                return cached
-        if key.kind == "c_p":
-            result = calibrate_cp(key.m, key.level, key.reps, key.seed)
-        elif key.kind == "d_p":
-            result = calibrate_dp(key.m, key.n, key.level, key.reps, key.seed)
-        elif key.kind == "p_of_tau":
-            result = p_of_tau(key.m, key.level, key.reps, key.seed)
-        else:
-            raise CalibrationError(f"cannot compute kind {key.kind!r} from a key alone")
+    def get_or_compute(self, key: CalibrationKey) -> CalibrationResult:
+        """The stored record for an exact key, else the exact constant,
+        which is then stored. Exact constants carry no Monte-Carlo size or
+        seed and no sampling error."""
+        if key.reps is not None or key.seed is not None:
+            raise CalibrationError(f"only exact constants are computed here, got {key}")
+        cached = self.get(key)
+        if cached is not None:
+            return cached
+        result = _compute_exact(key)
         self.put(result)
         return result

@@ -1,9 +1,12 @@
-"""Command-line front end: ingestion, calibration cache, and file outputs.
+"""Command-line front end: ingestion, calibration constants, and file outputs.
 
 Subcommands: fit, region, band, metrics, calibrate, coverage, simulate,
 reproduce-paper. Option precedence is flags > config file (--config, a JSON
-document) > defaults; the calibration cache path comes from the config file
-or the EXPBANDS_CACHE environment variable. Every output embeds the
+document) > defaults. Calibration constants are exact (closed-form c_p and
+band level, quadrature d_p) and recorded in a JSON-lines cache whose path
+comes from the config file or the EXPBANDS_CACHE environment variable.
+--reps sizes only the Monte-Carlo cross-check of reproduce-paper; --seed
+seeds that cross-check, simulate and coverage. Every output embeds the
 resolved-config hash, the seed, and calibration provenance. Exit codes:
 0 ok, 2 parse, 3 domain, 4 numeric, 5 calibration.
 """
@@ -24,7 +27,7 @@ from . import __version__
 from . import bands as _bands
 from . import metrics as _metrics
 from . import regions as _regions
-from .calibration import CalibrationCache, CalibrationKey, CalibrationResult
+from .calibration import CalibrationCache, CalibrationKey, CalibrationResult, tau_of_p
 from .errors import (
     CalibrationError,
     DomainError,
@@ -59,12 +62,14 @@ _DEFAULTS = {
     "boundary_points": 512,
     "transform": "identity",
     "replicates": 100_000,
-    "force_recalibrate": False,
     "cache_path": None,
 }
 
 REGION_METHODS = ("c1", "c2", "c3", "c4p", "c4pp")
 BAND_METHODS = ("b1", "b2", "b3", "b4", "b4p", "b4pp")
+# the calibration constant each region/band method needs beyond c1, c2, b1, b2
+_CONSTANT_KIND = {"c3": "c_p", "b3": "p_of_tau",
+                  **dict.fromkeys(("c4p", "c4pp", "b4", "b4p", "b4pp"), "d_p")}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -138,30 +143,25 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _exact_constant(kind: str, m: int, n: int, level: float, cfg: dict) -> CalibrationResult:
+    """Exact calibration constant for confidence level `level`, cache-backed:
+    c_p and d_p are keyed by p = 1 - level, p_of_tau by the band level."""
+    key = CalibrationKey(kind, m=m, n=n if kind == "d_p" else 0,
+                         level=level if kind == "p_of_tau" else 1.0 - level)
+    return _cache(cfg).get_or_compute(key)
+
+
 def _resolve_constants(method: str, level: float, scheme, cfg: dict) -> tuple[dict, list[dict]]:
-    """Calibration constants needed by a region/band method, cache-backed."""
-    cache = _cache(cfg)
-    reps, seed = int(cfg["reps"]), int(cfg["seed"])
-    force = bool(cfg["force_recalibrate"])
-    m, n = scheme.m, int(scheme.effective_n)
+    """Calibration constants needed by a region/band method."""
     if method in ("c1", "c2", "b1", "b2"):
         return {}, []
-    if method in ("c4p", "c4pp", "b4", "b4p", "b4pp"):
-        key = CalibrationKey("d_p", m=m, n=n, level=1.0 - level, reps=reps,
-                             seed=substream(seed, "d_p"))
-        res = cache.get_or_compute(key, force=force)
-        return {"d_p": res.value}, [_provenance(res)]
-    if method == "c3":
-        key = CalibrationKey("c_p", m=m, n=0, level=1.0 - level, reps=reps,
-                             seed=substream(seed, "c_p"))
-        res = cache.get_or_compute(key, force=force)
-        return {"c_p": res.value}, [_provenance(res)]
-    if method == "b3":
-        key = CalibrationKey("p_of_tau", m=m, n=0, level=level, reps=reps,
-                             seed=substream(seed, "c_p"))
-        res = cache.get_or_compute(key, force=force)
+    kind = _CONSTANT_KIND.get(method)
+    if kind is None:
+        raise DomainError(f"unknown method {method!r}")
+    res = _exact_constant(kind, scheme.m, int(scheme.effective_n), level, cfg)
+    if kind == "p_of_tau":
         return {"c_p": res.extra["c"], "nominal_p": res.value}, [_provenance(res)]
-    raise DomainError(f"unknown method {method!r}")
+    return {kind: res.value}, [_provenance(res)]
 
 
 def _build_region(method: str, est, scheme, level: float, constants: dict):
@@ -307,33 +307,20 @@ def cmd_metrics(args, cfg) -> int:
 
 
 def cmd_calibrate(args, cfg) -> int:
-    cache = _cache(cfg)
-    reps, seed = int(cfg["reps"]), int(cfg["seed"])
     level = float(cfg["level"])
     m = int(args.m)
-    if args.kind == "cp":
-        key = CalibrationKey("c_p", m=m, n=0, level=1.0 - level, reps=reps,
-                             seed=substream(seed, "c_p"))
-    elif args.kind == "dp":
-        if args.n is None:
-            raise DomainError("--n is required for kind dp")
-        key = CalibrationKey("d_p", m=m, n=int(args.n), level=1.0 - level, reps=reps,
-                             seed=substream(seed, "d_p"))
-    elif args.kind == "p-of-tau":
-        key = CalibrationKey("p_of_tau", m=m, n=0, level=level, reps=reps,
-                             seed=substream(seed, "c_p"))
-    else:  # tau: analytic, needs c_p first
-        cp_key = CalibrationKey("c_p", m=m, n=0, level=1.0 - level, reps=reps,
-                                seed=substream(seed, "c_p"))
-        cp_res = cache.get_or_compute(cp_key, force=bool(cfg["force_recalibrate"]))
-        from .calibration import tau_of_p
+    if args.kind == "dp" and args.n is None:
+        raise DomainError("--n is required for kind dp")
+    if args.kind == "tau":  # analytic, needs c_p first
+        cp_res = _exact_constant("c_p", m, 0, level, cfg)
         value = tau_of_p(m, 1.0 - level, cp_res.value)
         payload = {"metadata": _metadata(cfg, "calibrate.tau", [_provenance(cp_res)]),
                    "kind": "tau", "m": m, "region_level": level, "value": value}
         _write_json(Path(cfg["output_dir"]) / "calibration.json", payload)
         print(json.dumps({"tau": value}))
         return EXIT_OK
-    res = cache.get_or_compute(key, force=bool(cfg["force_recalibrate"]))
+    kind = {"cp": "c_p", "dp": "d_p", "p-of-tau": "p_of_tau"}[args.kind]
+    res = _exact_constant(kind, m, int(args.n or 0), level, cfg)
     payload = {"metadata": _metadata(cfg, f"calibrate.{args.kind}", [_provenance(res)]),
                **_provenance(res)}
     _write_json(Path(cfg["output_dir"]) / "calibration.json", payload)
@@ -349,14 +336,9 @@ def cmd_coverage(args, cfg) -> int:
     kind = args.kind
     if kind not in _metrics.COVERAGE_KINDS:
         raise DomainError(f"unknown coverage kind {kind!r}")
-    # which calibration constant the coverage event needs, if any
-    needs = {"c3": "c3", "b3": "b3", "c4p": "b4", "c4pp": "b4",
-             "b4": "b4", "b4p": "b4", "b4pp": "b4"}
-    constants: dict = {}
-    provenance: list[dict] = []
-    if kind in needs:
-        constants, provenance = _resolve_constants(needs[kind], level, scheme, cfg)
-        constants.pop("nominal_p", None)
+    # coverage kinds are region/band method names
+    constants, provenance = _resolve_constants(kind, level, scheme, cfg)
+    constants.pop("nominal_p", None)
     theta = LocScale(float(args.mu), float(args.sigma))
     report = _metrics.coverage_experiment(
         kind, theta, scheme, level, int(cfg["replicates"]),
@@ -420,8 +402,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--boundary-points", dest="boundary_points", type=int)
     sub.add_argument("--transform", choices=("identity", "log"))
     sub.add_argument("--replicates", type=int)
-    sub.add_argument("--force-recalibrate", dest="force_recalibrate",
-                     action="store_const", const=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -459,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_metrics)
 
-    p = subs.add_parser("calibrate", help="Monte-Carlo calibration constants")
+    p = subs.add_parser("calibrate", help="exact calibration constants")
     p.add_argument("--kind", required=True, choices=("cp", "dp", "tau", "p-of-tau"))
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--n", type=int)

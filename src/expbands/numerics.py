@@ -1,10 +1,10 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod (G7/K15) quadrature,
-golden-section search, and bracketed root finding.
+golden-section search, and Brent's bracketed root finder.
 
 Quadrature bisects the interval with the largest error estimate until the
 requested absolute tolerance is met; non-convergence raises NumericError
 with diagnostics instead of returning a silently bad value. The same holds
-for the root finders: they meet their bracket tolerance or raise.
+for the root finder: it meets its bracket tolerance or raises.
 """
 
 from __future__ import annotations
@@ -158,34 +158,6 @@ def golden_section_max(f: Callable[[float], float], a: float, b: float,
                        tol: float = 1e-10) -> tuple[float, float]:
     x, neg = golden_section_min(lambda t: -f(t), a, b, tol)
     return x, -neg
-
-
-def bisect_root(f: Callable[[float], float], a: float, b: float,
-                tol: float = 1e-13, max_iter: int = 200) -> float:
-    """Root of f on a bracketing interval [a, b] by plain bisection.
-
-    Stops once the bracket is within tol relative to max(1, |a| + |b|);
-    raises NumericError if `max_iter` halvings do not get there.
-    """
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise NumericError(f"root not bracketed on [{a}, {b}]: f(a)={fa:.3e}, f(b)={fb:.3e}")
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0 or (b - a) <= tol * max(1.0, abs(a) + abs(b)):
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    raise NumericError(
-        f"bisection did not converge: bracket [{a}, {b}] after {max_iter} halvings "
-        f"(tol {tol:.1e})")
 
 
 def brent_root(f: Callable[[float], float], a: float, b: float,

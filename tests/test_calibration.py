@@ -134,19 +134,31 @@ class TestCache:
 
     def test_get_or_compute_hits_cache(self, tmp_path):
         cache = CalibrationCache(tmp_path / "cache.jsonl")
-        key = CalibrationKey("c_p", m=4, n=0, level=0.10, reps=10_000, seed=3)
+        key = CalibrationKey("c_p", m=4, n=0, level=0.10)
         first = cache.get_or_compute(key)
         lines_before = (tmp_path / "cache.jsonl").read_text().count("\n")
         second = cache.get_or_compute(key)
         lines_after = (tmp_path / "cache.jsonl").read_text().count("\n")
         assert first == second and lines_before == lines_after == 1
+        assert first.value == exact_cp(4, 0.10)
+        assert first.mc_std_error == 0.0 and first.extra == {"method": "exact"}
 
-    def test_force_recompute_appends(self, tmp_path):
+    def test_monte_carlo_record_not_served_for_exact_key(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = CalibrationCache(path)
+        mc = calibrate_cp(4, 0.10, reps=10_000, seed=3)
+        cache.put(mc)
+        exact = cache.get_or_compute(CalibrationKey("c_p", m=4, n=0, level=0.10))
+        assert exact.value == exact_cp(4, 0.10) != mc.value
+        assert cache.get(mc.key) == mc      # the old record still parses
+        assert path.read_text().count("\n") == 2
+
+    def test_monte_carlo_key_not_computed(self, tmp_path):
         cache = CalibrationCache(tmp_path / "cache.jsonl")
-        key = CalibrationKey("c_p", m=4, n=0, level=0.10, reps=10_000, seed=3)
-        cache.get_or_compute(key)
-        cache.get_or_compute(key, force=True)
-        assert (tmp_path / "cache.jsonl").read_text().count("\n") == 2
+        with pytest.raises(CalibrationError):
+            cache.get_or_compute(CalibrationKey("c_p", m=4, n=0, level=0.10,
+                                                reps=10_000, seed=3))
+        assert not (tmp_path / "cache.jsonl").exists()
 
     def test_corrupt_store(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -161,9 +173,10 @@ class TestCache:
 
     def test_p_of_tau_through_cache(self, tmp_path):
         cache = CalibrationCache(tmp_path / "cache.jsonl")
-        key = CalibrationKey("p_of_tau", m=8, n=0, level=0.9025, reps=50_000, seed=3)
+        key = CalibrationKey("p_of_tau", m=8, n=0, level=0.9025)
         res = cache.get_or_compute(key)
-        assert res.extra is not None and res.extra["c"] < -8
+        p, c = exact_p_of_tau(8, 0.9025)
+        assert res.value == p and res.extra == {"method": "exact", "c": c}
         assert cache.get(key) == res
 
 
@@ -202,6 +215,14 @@ class TestExactCp:
             assert cp_tail(m, cp_supremum(m)) == 0.0
             assert cp_tail(m, cp_supremum(m) - 1e-6) < 1e-6
             assert cp_tail(m, -700.0 * (m + 1)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", (2, 100))
+    @pytest.mark.parametrize("c", (-1e4, -1e6))
+    def test_level_one_where_lambert_argument_underflows(self, m, c):
+        # regression: below about -745(m+1) the Lambert argument underflows
+        # to -0.0 and lambert_wm1 used to raise DomainError
+        assert cp_tail(m, c) == 1.0
+        assert band_level(m, c) == 1.0
 
     def test_tail_decreasing(self):
         cs = np.linspace(-30.0, cp_supremum(8) - 1e-9, 200)

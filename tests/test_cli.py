@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from expbands.bands import band_from_dict
+from expbands.calibration import exact_dp
 from expbands.cli import main
 from expbands.model import load_insulating_fluid, write_sample_csv
 from expbands.regions import region_from_dict
@@ -61,10 +62,14 @@ class TestBand:
                     "--output-dir", tmp_path, "--formats", "json,csv,svg")
         assert code == 0
         doc = _load(tmp_path / "band_b4.json")
-        d_used = doc["provenance"]["d_p"]
-        assert d_used == pytest.approx(0.249, abs=0.005)
+        d_exact = exact_dp(8, 19, 1.0 - 0.9025)
+        assert doc["provenance"]["d_p"] == pytest.approx(d_exact, abs=1e-12)
         cal = doc["metadata"]["calibration"][0]
-        assert cal["key"]["kind"] == "d_p" and cal["key"]["reps"] == 300000
+        assert cal["key"]["kind"] == "d_p"
+        assert cal["value"] == pytest.approx(d_exact, abs=1e-12)
+        assert cal["extra"]["method"] == "exact" and cal["mc_std_error"] == 0.0
+        # an exact constant has no Monte-Carlo size or seed
+        assert cal["key"]["reps"] is None and cal["key"]["seed"] is None
         assert (tmp_path / "band_b4.svg").read_text().startswith("<svg")
         rows = (tmp_path / "band_b4.csv").read_text().splitlines()
         assert rows[0] == "x,lower,upper"
@@ -169,22 +174,51 @@ class TestMetricsCommand:
 
 class TestCalibrateCoverageSimulate:
     def test_calibrate_dp_and_cache_reuse(self, tmp_path):
-        args = ("calibrate", "--kind", "dp", "--m", "8", "--n", "19",
-                "--level", "0.9025", "--reps", "200000", "--output-dir", tmp_path)
-        assert _run(*args) == 0
+        # --reps and --seed are accepted but no longer size or seed the
+        # constant, so they do not split cache entries either
+        values = []
+        for reps, seed in (("100", "1"), (str(10**6), "2")):
+            assert _run("calibrate", "--kind", "dp", "--m", "8", "--n", "19",
+                        "--level", "0.9025", "--reps", reps, "--seed", seed,
+                        "--output-dir", tmp_path) == 0
+            values.append(_load(tmp_path / "calibration.json")["value"])
+        assert values[0] == values[1] == pytest.approx(exact_dp(8, 19, 0.0975), abs=1e-12)
+        assert (tmp_path / "expbands-cache.jsonl").read_text().count("\n") == 1
+
+    def test_monte_carlo_record_not_served(self, tmp_path):
+        # a record written by an earlier Monte-Carlo calibration still
+        # parses, but it never answers for the exact constant
         cache = tmp_path / "expbands-cache.jsonl"
-        assert cache.read_text().count("\n") == 1
-        assert _run(*args) == 0
-        assert cache.read_text().count("\n") == 1  # served from the cache
+        mc_record = {"key": {"kind": "d_p", "m": 8, "n": 19, "level": 1.0 - 0.9025,
+                             "reps": 1000, "seed": 7},
+                     "value": 0.5, "mc_std_error": 0.01, "extra": None}
+        cache.write_text(json.dumps(mc_record) + "\n")
+        assert _run("calibrate", "--kind", "dp", "--m", "8", "--n", "19",
+                    "--level", "0.9025", "--output-dir", tmp_path) == 0
         doc = _load(tmp_path / "calibration.json")
-        assert doc["value"] == pytest.approx(0.249, abs=0.01)
+        assert doc["value"] == pytest.approx(0.249231, abs=1e-6)
+        assert doc["extra"] == {"method": "exact"}
+        assert cache.read_text().count("\n") == 2
 
     def test_calibrate_force_recalibrate(self, tmp_path):
-        args = ("calibrate", "--kind", "cp", "--m", "5", "--level", "0.9",
-                "--reps", "50000", "--output-dir", tmp_path)
-        assert _run(*args) == 0
-        assert _run(*args, "--force-recalibrate") == 0
-        assert (tmp_path / "expbands-cache.jsonl").read_text().count("\n") == 2
+        # an exact constant recomputes to itself: the flag and the config
+        # key are gone, and both are rejected as unknown
+        with pytest.raises(SystemExit) as exc:
+            _run("calibrate", "--kind", "cp", "--m", "5", "--level", "0.9",
+                 "--output-dir", tmp_path, "--force-recalibrate")
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"force_recalibrate": True}))
+        assert _run("calibrate", "--kind", "cp", "--m", "5", "--config", cfg,
+                    "--output-dir", tmp_path) == 2
+
+    def test_calibrate_p_of_tau(self, tmp_path):
+        assert _run("calibrate", "--kind", "p-of-tau", "--m", "8", "--level", "0.9025",
+                    "--output-dir", tmp_path) == 0
+        doc = _load(tmp_path / "calibration.json")
+        assert doc["value"] == pytest.approx(0.1270, abs=1e-4)
+        assert doc["extra"]["c"] == pytest.approx(-11.586, abs=1e-3)
+        assert doc["key"]["level"] == 0.9025 and doc["mc_std_error"] == 0.0
 
     def test_calibrate_dp_requires_n(self, tmp_path):
         assert _run("calibrate", "--kind", "dp", "--m", "8",
@@ -203,6 +237,17 @@ class TestCalibrateCoverageSimulate:
         assert code == 0
         doc = _load(tmp_path / "coverage_c1.json")
         assert doc["coverage"] == pytest.approx(0.90, abs=0.01)
+
+    @pytest.mark.parametrize("kind, constant", [("c3", "c_p"), ("b3", "p_of_tau"),
+                                                 ("b4", "d_p")])
+    def test_coverage_at_exact_constant(self, data_csv, tmp_path, kind, constant):
+        assert _run("coverage", "--data", data_csv, "--kind", kind,
+                    "--mu", "0", "--sigma", "1", "--level", "0.9",
+                    "--replicates", "20000", "--output-dir", tmp_path) == 0
+        doc = _load(tmp_path / f"coverage_{kind}.json")
+        cal = doc["metadata"]["calibration"][0]
+        assert cal["key"]["kind"] == constant and cal["extra"]["method"] == "exact"
+        assert abs(doc["coverage"] - 0.90) < 4 * doc["std_error"]
 
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -4,21 +4,7 @@ import numpy as np
 import pytest
 
 from expbands.errors import NumericError
-from expbands.numerics import bisect_root, brent_root, integrate, integrate_panels
-
-
-class TestBisectRoot:
-    def test_converges(self):
-        assert bisect_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_raises_when_iterations_run_out(self):
-        # regression: three halvings used to return the midpoint 0.3125 silently
-        with pytest.raises(NumericError):
-            bisect_root(lambda x: x - 0.3, 0.0, 1.0, tol=0.0, max_iter=3)
-
-    def test_unbracketed(self):
-        with pytest.raises(NumericError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+from expbands.numerics import brent_root, integrate, integrate_panels
 
 
 class TestBrentRoot:

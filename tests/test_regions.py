@@ -202,7 +202,8 @@ class TestHullProbability:
         # the pivot interval [y, z] closes exactly where the defining
         # statistic attains its supremum c_max = (m+1)ln((m+1)/m) - (m+1),
         # the branch point of the Lambert argument (evaluated here through
-        # the raw special functions since the region guard stops at -m)
+        # the raw special functions; the region guard is cp_supremum itself,
+        # so lambert_interval accepts these constants as well)
         from expbands.special import lambert_w0
         m = 8
         c_max = (m + 1) * math.log((m + 1) / m) - (m + 1)
@@ -212,8 +213,8 @@ class TestHullProbability:
             y = -(m + 1) * lambert_w0(arg)
             z = m * math.exp(1 + cp / (m + 1))
             assert 0 < z - y < gap_bound
-        # near the guarded edge -m the notch probability is already far
-        # below its value at the worked example's constant
+        # near c = -m, just below the supremum, the notch probability is
+        # already far below its value at the worked example's constant
         assert (comprehensive_convex_hull_delta_prob(8, -8.0 - 1e-6)
                 < 0.1 * comprehensive_convex_hull_delta_prob(8, CP_PAPER))
 
