@@ -8,15 +8,21 @@ Reliability (1 - cdf) and last-observation marginal transforms are
 monotone push-forwards of any band.
 
 Boundaries are piecewise objects built from a small segment vocabulary:
-constants, (possibly offset and clipped) exponential cdf pieces, the
-analytic upper envelope of the minimum-area region, and monotone grids
-with linear interpolation. Segment structure is preserved so that band
-metrics can split integration panels at breakpoints and treat the
-unbounded tails in closed form.
+(possibly offset and clipped) exponential cdf pieces, the analytic upper
+envelope of the minimum-area region, and monotone grids with linear
+interpolation. Segment structure is preserved so that band metrics can
+split integration panels at breakpoints and treat the unbounded tails in
+closed form.
+
+`METHODS` is the one table of the paper's regions (c1-c4pp) and bands
+(b1-b4pp): per method, the calibration constant it needs, its builder and
+its exact coverage event. The CLI, the coverage experiments and the
+paper reproduction all dispatch through it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -28,39 +34,22 @@ from .errors import DomainError, UnsupportedCaseError
 from .model import LocScale, MleEstimate, Scheme
 from .regions import (
     KsRegionC4,
+    Region,
+    _c3_offset,
+    _h_deriv,
+    build_c1,
+    build_c2,
     build_c3,
     build_c4,
     lower_slope,
-    split_level,
     upper_slope,
-    _h_deriv,
 )
-from . import regions as _regions
+from .numerics import golden_section
 from .special import check_probability
-
-_GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 # ---------------------------------------------------------------------------
 # boundary segments
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConstSegment:
-    value: float
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.full(np.shape(x), self.value)
-
-    def kinks(self) -> tuple[float, ...]:
-        return ()
-
-    def limit_left(self) -> float:
-        return self.value
-
-    def limit_right(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class ExpCdfSegment:
@@ -102,25 +91,16 @@ class MinAreaEnvelopeSegment:
     n: float
     c_p: float
 
-    def _g(self, scale: np.ndarray) -> np.ndarray:
-        return ((self.c_p - (self.m + 1) * (math.log(self.sigma_hat) - np.log(scale))) * scale
-                + self.m * self.sigma_hat) / self.n
-
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         scale = (self.n * (self.mu_hat - x) + self.m * self.sigma_hat) / (self.m + 1)
         scale = np.maximum(scale, 1e-300)
-        z = (x - self.mu_hat - self._g(scale)) / scale
+        offset = _c3_offset(scale, self.sigma_hat, self.m, self.n, self.c_p)
+        z = (x - self.mu_hat - offset) / scale
         return -np.expm1(-np.maximum(z, 0.0))
 
     def kinks(self) -> tuple[float, ...]:
         return ()
-
-    def limit_left(self) -> float:  # pragma: no cover - interior segment only
-        return 0.0
-
-    def limit_right(self) -> float:  # pragma: no cover - interior segment only
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -143,7 +123,7 @@ class GridSegment:
         return self.ys[-1]
 
 
-Segment = ConstSegment | ExpCdfSegment | MinAreaEnvelopeSegment | GridSegment
+Segment = ExpCdfSegment | MinAreaEnvelopeSegment | GridSegment
 
 
 @dataclass(frozen=True)
@@ -182,12 +162,6 @@ class PiecewiseBoundary:
 
     def limit_right(self) -> float:
         return self.segments[-1].limit_right()
-
-    def leftmost(self) -> Segment:
-        return self.segments[0]
-
-    def rightmost(self) -> Segment:
-        return self.segments[-1]
 
 
 @dataclass(frozen=True)
@@ -257,7 +231,7 @@ class Band:
 
 def band_b1(est: MleEstimate, scheme: Scheme, p: float) -> Band:
     """Band induced by the scale-cut trapezoid; exact level 1-p."""
-    region = _regions.build_c1(est, scheme, p)
+    region = build_c1(est, scheme, p)
     mu_hat, n = est.mu_hat, scheme.effective_n
     s_lo, s_hi = region.sigma_lo, region.sigma_hi
 
@@ -277,7 +251,7 @@ def band_b1(est: MleEstimate, scheme: Scheme, p: float) -> Band:
 
 def band_b2(est: MleEstimate, scheme: Scheme, p: float) -> Band:
     """Band induced by the location-cut trapezoid; exact level 1-p."""
-    region = _regions.build_c2(est, scheme, p)
+    region = build_c2(est, scheme, p)
     m, n = scheme.m, scheme.effective_n
     split = est.mu_hat + m * est.sigma_hat / n
     mu_lo, mu_hi = region.mu_lo, region.mu_hi
@@ -376,45 +350,11 @@ def ks_distance_grid(mu: float, sigma: float, points: int = 100_000) -> float:
 # trimmed KS bands
 # ---------------------------------------------------------------------------
 
-def _golden_vec(objective: Callable[[np.ndarray], np.ndarray], beta: np.ndarray,
-                t_lo: float, t_hi: float, minimize: bool, iters: int = 70) -> np.ndarray:
-    """Vectorized golden-section extremum of phi(t; beta) = beta*t + slope(t)
-    over [t_lo, t_hi], one bracket per beta entry; returns extremal phi."""
-
-    def phi(t):
-        return beta * t + objective(t)
-
-    sign = 1.0 if minimize else -1.0
-    lo = np.full_like(beta, t_lo)
-    hi = np.full_like(beta, t_hi)
-    x1 = hi - _GOLDEN_INV * (hi - lo)
-    x2 = lo + _GOLDEN_INV * (hi - lo)
-    f1 = sign * phi(x1)
-    f2 = sign * phi(x2)
-    for _ in range(iters):
-        first = f1 <= f2
-        hi = np.where(first, x2, hi)
-        lo = np.where(first, lo, x1)
-        x1n = np.where(first, hi - _GOLDEN_INV * (hi - lo), x2)
-        x2n = np.where(first, x1, lo + _GOLDEN_INV * (hi - lo))
-        # only one probe per lane is fresh; evaluate just that one
-        fresh = sign * phi(np.where(first, x1n, x2n))
-        f1n = np.where(first, fresh, f2)
-        f2n = np.where(first, f1, fresh)
-        x1, x2, f1, f2 = x1n, x2n, f1n, f2n
-    mid = 0.5 * (lo + hi)
-    cands = np.stack([sign * phi(mid), sign * phi(np.full_like(beta, t_lo)),
-                      sign * phi(np.full_like(beta, t_hi))])
-    return sign * np.min(cands, axis=0)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Grid request for optimization-backed boundaries."""
 
     points: int = 1024
-    x_min: float | None = None
-    x_max: float | None = None
 
 
 def _phi_to_cdf(phi: np.ndarray) -> np.ndarray:
@@ -452,40 +392,32 @@ def trim_band(b4: Band, region: KsRegionC4, grid: GridSpec | None = None) -> Ban
         left_lower_seg = ExpCdfSegment(
             mu_hat - lower_slope(thi, d_p) * sigma_hat / thi, sigma_hat / thi)
 
-    beta_up_right = -_h_deriv(thi, d_p)
-    beta_low_right = -_h_deriv(t1, d_p)
-
     def exp_seg_at(t: float, slope: float) -> ExpCdfSegment:
         return ExpCdfSegment(mu_hat - slope * sigma_hat / t, sigma_hat / t)
 
-    upper_left_seg = exp_seg_at(t1, float(o_fn(t1)))
-    upper_right_seg = exp_seg_at(thi, float(o_fn(thi)))
-    lower_right_seg = exp_seg_at(t1, float(lower_slope(t1, d_p)))
+    def boundary(beta_a: float, beta_b: float, slope, maximize: bool,
+                 left: ExpCdfSegment, right: ExpCdfSegment) -> PiecewiseBoundary:
+        # exponential tails around a grid core from x = mu_hat + sigma_hat * beta_a
+        # to beta_b; per grid point the extremum of phi(t) = beta t + slope(t)
+        # over [t1, thi], kept inside the parent band and monotone
+        xs = np.linspace(mu_hat + sigma_hat * beta_a, mu_hat + sigma_hat * beta_b, grid.points)
+        beta = (xs - mu_hat) / sigma_hat
+        _, phi = golden_section(lambda t: beta * t + slope(t), np.full_like(beta, t1),
+                                np.full_like(beta, thi), maximize=maximize)
+        if maximize:
+            ys = np.minimum(_phi_to_cdf(phi), b4.upper(xs))
+        else:
+            ys = np.maximum(_phi_to_cdf(phi), b4.lower(xs))
+        ys = np.maximum.accumulate(ys)
+        return PiecewiseBoundary((left, GridSegment(tuple(xs), tuple(ys)), right),
+                                 breaks=(float(xs[0]), float(xs[-1])))
 
-    def core_grid(beta_a: float, beta_b: float) -> np.ndarray:
-        x_a = mu_hat + sigma_hat * beta_a if grid.x_min is None else grid.x_min
-        x_b = mu_hat + sigma_hat * beta_b if grid.x_max is None else grid.x_max
-        return np.linspace(x_a, x_b, grid.points)
-
-    # upper boundary: core between beta = 0 and the right transition
-    xs_up = core_grid(0.0, beta_up_right)
-    beta_up = (xs_up - mu_hat) / sigma_hat
-    phi_up = _golden_vec(o_fn, beta_up, t1, thi, minimize=False)
-    ys_up = np.minimum(_phi_to_cdf(phi_up), b4.upper(xs_up))
-    ys_up = np.maximum.accumulate(ys_up)
-    upper = PiecewiseBoundary(
-        (upper_left_seg, GridSegment(tuple(xs_up), tuple(ys_up)), upper_right_seg),
-        breaks=(float(xs_up[0]), float(xs_up[-1])))
-
-    # lower boundary: core between its own transitions
-    xs_lo = core_grid(beta_low_left, beta_low_right)
-    beta_lo = (xs_lo - mu_hat) / sigma_hat
-    phi_lo = _golden_vec(l_fn, beta_lo, t1, thi, minimize=True)
-    ys_lo = np.maximum(_phi_to_cdf(phi_lo), b4.lower(xs_lo))
-    ys_lo = np.maximum.accumulate(ys_lo)
-    lower = PiecewiseBoundary(
-        (left_lower_seg, GridSegment(tuple(xs_lo), tuple(ys_lo)), lower_right_seg),
-        breaks=(float(xs_lo[0]), float(xs_lo[-1])))
+    # the upper core runs from beta = 0 to the right transition, the lower
+    # one between its own transitions
+    upper = boundary(0.0, -_h_deriv(thi, d_p), o_fn, True,
+                     exp_seg_at(t1, float(o_fn(t1))), exp_seg_at(thi, float(o_fn(thi))))
+    lower = boundary(beta_low_left, -_h_deriv(t1, d_p), l_fn, False,
+                     left_lower_seg, exp_seg_at(t1, float(lower_slope(t1, d_p))))
 
     kind = "b4pp" if region.trimmed else "b4p"
     prov = dict(b4.provenance)
@@ -519,13 +451,13 @@ def reliability_band(band: Band) -> Band:
                 level=band.level, provenance=dict(band.provenance), increasing=False)
 
 
-def marginal_transform_h(gamma: Sequence[float], y):
-    """Distribution transform mapping baseline cdf values to the cdf of the
-    last observed failure time, for pairwise distinct positive coefficients:
-    H(y) = 1 - (prod gamma_j) * sum_i a_i/gamma_i (1-y)^gamma_i.
+def marginal_mixture(gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The last-observation marginal transform as a signed mixture,
+    H(y) = 1 - sum_i sign_i exp(log_coef_i) (1-y)^gamma_i, for pairwise
+    distinct positive coefficients; returns (gamma, sign, log_coef).
 
-    Strictly increasing bijection of [0, 1]; evaluated through signed
-    log-coefficients for numerical stability.
+    coef_i = (prod_j gamma_j) * a_i / gamma_i with
+    a_i = prod_{j!=i} 1/(gamma_j - gamma_i), kept as sign and log-magnitude.
     """
     g = np.asarray(gamma, dtype=float)
     if g.ndim != 1 or g.size < 1:
@@ -537,14 +469,24 @@ def marginal_transform_h(gamma: Sequence[float], y):
     if np.any(diff[off] == 0.0):
         raise UnsupportedCaseError(
             "marginal transform requires pairwise distinct coefficients")
+    log_coef = (np.sum(np.log(g)) - np.log(g)
+                - np.sum(np.where(off, np.log(np.abs(np.where(off, diff, 1.0))), 0.0), axis=1))
+    sign = np.prod(np.where(off, np.sign(-diff), 1.0), axis=1)
+    return g, sign, log_coef
+
+
+def marginal_transform_h(gamma: Sequence[float], y):
+    """Distribution transform mapping baseline cdf values to the cdf of the
+    last observed failure time (see `marginal_mixture`).
+
+    Strictly increasing bijection of [0, 1]; evaluated through signed
+    log-coefficients for numerical stability.
+    """
+    g, sign, log_coef = marginal_mixture(gamma)
     y = np.asarray(y, dtype=float)
     if np.any((y < -1e-12) | (y > 1.0 + 1e-12)):
         raise DomainError("transform argument must lie in [0, 1]")
     yc = np.clip(y, 0.0, 1.0)
-    # log|coef_i| with coef_i = (prod_j g_j) * a_i / g_i,  a_i = prod_{j!=i} 1/(g_j - g_i)
-    log_coef = (np.sum(np.log(g)) - np.log(g)
-                - np.sum(np.where(off, np.log(np.abs(np.where(off, diff, 1.0))), 0.0), axis=1))
-    sign = np.prod(np.where(off, np.sign(-diff), 1.0), axis=1)
     with np.errstate(divide="ignore"):
         log1my = np.log1p(-np.atleast_1d(yc)).astype(np.longdouble)[..., None]
     # signed mixture with heavy cancellation near y = 0; extended precision
@@ -573,16 +515,30 @@ def marginal_band(band: Band, gamma: Sequence[float]) -> Band:
 # containment
 # ---------------------------------------------------------------------------
 
+def _plain_exp(seg) -> bool:
+    return isinstance(seg, ExpCdfSegment) and seg.offset == 0.0
+
+
 def graph_contained(band: Band, theta: LocScale, points: int = 2048,
                     tol: float = 1e-9) -> bool:
     """Whether the graph of F_theta lies inside the band.
 
     Monotonicity of all three curves reduces containment to a check on a
     quantile-spaced grid of F_theta plus the band's breakpoints; `tol`
-    absorbs grid and optimizer resolution at the contact points.
+    absorbs grid and optimizer resolution at the contact points. Where a
+    boundary ends in a plain exponential cdf, the order of its tail and
+    F_theta's at +inf is decided exactly, by scale and then location: two
+    exponential tails cross at most once, so that check and the grid
+    together are exact beyond the grid's end.
     """
     if not band.increasing:
         raise DomainError("containment check expects a cdf band")
+    point = (theta.sigma, theta.mu)
+    for boundary, upper in ((band.lower, False), (band.upper, True)):
+        tail = boundary.segments[-1] if isinstance(boundary, PiecewiseBoundary) else None
+        if _plain_exp(tail) and ((tail.scale, tail.loc) > point if upper
+                                 else point > (tail.scale, tail.loc)):
+            return False
     q = np.linspace(0.5 / points, 1.0 - 0.5 / points, points)
     xs = theta.mu - theta.sigma * np.log1p(-q)
     extra = np.asarray(band.breakpoints() + (theta.mu,), dtype=float)
@@ -616,34 +572,25 @@ def default_grid(band: Band, points: int = 1024) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
+_SEGMENT_TAGS = {ExpCdfSegment: "expcdf", MinAreaEnvelopeSegment: "minarea_envelope",
+                 GridSegment: "grid"}
+
+
 def _segment_to_dict(seg: Segment) -> dict:
-    if isinstance(seg, ConstSegment):
-        return {"type": "const", "value": seg.value}
-    if isinstance(seg, ExpCdfSegment):
-        return {"type": "expcdf", "loc": seg.loc, "scale": seg.scale, "offset": seg.offset}
-    if isinstance(seg, MinAreaEnvelopeSegment):
-        return {"type": "minarea_envelope", "mu_hat": seg.mu_hat, "sigma_hat": seg.sigma_hat,
-                "m": seg.m, "n": seg.n, "c_p": seg.c_p}
-    if isinstance(seg, GridSegment):
-        return {"type": "grid", "xs": list(seg.xs), "ys": list(seg.ys)}
-    raise DomainError(f"cannot serialize segment type {type(seg).__name__}")
+    if type(seg) not in _SEGMENT_TAGS:
+        raise DomainError(f"cannot serialize segment type {type(seg).__name__}")
+    return {"type": _SEGMENT_TAGS[type(seg)], **dataclasses.asdict(seg)}
 
 
 def _segment_from_dict(doc: dict) -> Segment:
-    kind = doc.get("type")
-    params = {k: v for k, v in doc.items() if k != "type"}
+    classes = {tag: cls for cls, tag in _SEGMENT_TAGS.items()}
+    if doc.get("type") not in classes:
+        raise DomainError(f"unknown segment type {doc.get('type')!r}")
+    params = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k != "type"}
     try:
-        if kind == "const":
-            return ConstSegment(**params)
-        if kind == "expcdf":
-            return ExpCdfSegment(**params)
-        if kind == "minarea_envelope":
-            return MinAreaEnvelopeSegment(**params)
-        if kind == "grid":
-            return GridSegment(xs=tuple(params["xs"]), ys=tuple(params["ys"]))
-    except (KeyError, TypeError) as exc:
+        return classes[doc["type"]](**params)
+    except TypeError as exc:
         raise DomainError(f"malformed segment document: {exc}") from exc
-    raise DomainError(f"unknown segment type {kind!r}")
 
 
 def _boundary_to_dict(boundary: Boundary) -> dict:
@@ -697,50 +644,80 @@ def band_rows(band: Band, xs: Sequence[float]) -> list[tuple[float, float, float
     return list(zip(xs.tolist(), lo.tolist(), hi.tolist()))
 
 
+# ---------------------------------------------------------------------------
+# method registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Method:
+    """A region or band of the paper: the calibration constant it needs
+    (None, "c_p", "d_p", or "p_of_tau": the c_p whose band level is the
+    requested one), its builder build(est, scheme, level, constants,
+    grid_points), and its exact coverage event event(est, scheme, level,
+    constants, theta), which broadcasts over estimates held as arrays. Both
+    read c_p (b3 also an optional nominal_p) or d_p from `constants`."""
+
+    constant: str | None
+    build: Callable[..., Region | Band]
+    event: Callable[..., np.ndarray]
+
+
+def _inside(region: str, hull: bool = False):
+    # exhaustive regions and their bands cover exactly when the parameter
+    # lies in the region; b3 when it lies in the region's convex hull
+    def event(est, scheme, level, k, theta):
+        built = METHODS[region].build(est, scheme, level, k, None)
+        return (built.hull_contains if hull else built.contains)(theta.mu, theta.sigma)
+    return event
+
+
+def _ks_pivot(est, scheme, level, k, theta):
+    # the KS-type bands cover exactly when the sup-distance pivot is within d_p
+    return ks_distance_xy((est.mu_hat - theta.mu) / theta.sigma,
+                          est.sigma_hat / theta.sigma) <= k["d_p"]
+
+
+def _trimmed(trimmed: bool):
+    return lambda est, sch, lv, k, grid: band_b4_trimmed(
+        est, k["d_p"], trimmed=trimmed, level=lv, grid=GridSpec(points=grid))
+
+
+METHODS: dict[str, Method] = {
+    "c1": Method(None, lambda est, sch, lv, k, grid: build_c1(est, sch, 1.0 - lv), _inside("c1")),
+    "c2": Method(None, lambda est, sch, lv, k, grid: build_c2(est, sch, 1.0 - lv), _inside("c2")),
+    "c3": Method("c_p", lambda est, sch, lv, k, grid: build_c3(est, sch, k["c_p"]), _inside("c3")),
+    "c4p": Method("d_p", lambda est, sch, lv, k, grid: build_c4(est, k["d_p"]), _inside("c4p")),
+    "c4pp": Method("d_p", lambda est, sch, lv, k, grid: build_c4(est, k["d_p"], True),
+                   _inside("c4pp")),
+    "b1": Method(None, lambda est, sch, lv, k, grid: band_b1(est, sch, 1.0 - lv), _inside("c1")),
+    "b2": Method(None, lambda est, sch, lv, k, grid: band_b2(est, sch, 1.0 - lv), _inside("c2")),
+    "b3": Method("p_of_tau", lambda est, sch, lv, k, grid: band_b3(
+        est, sch, k["c_p"], nominal_p=k.get("nominal_p")), _inside("c3", hull=True)),
+    "b4": Method("d_p", lambda est, sch, lv, k, grid: band_b4(est, k["d_p"], level=lv), _ks_pivot),
+    "b4p": Method("d_p", _trimmed(False), _ks_pivot),
+    "b4pp": Method("d_p", _trimmed(True), _ks_pivot),
+}
+
+
+def method_constants(kind: str, c_p: float | None = None,
+                     d_p: float | None = None) -> tuple[Method, dict]:
+    """The registry entry of a region or band and the constants it reads;
+    DomainError for an unknown kind or a missing constant."""
+    method = METHODS.get(kind)
+    if method is None:
+        raise DomainError(f"unknown coverage kind {kind!r}")
+    constants = {k: v for k, v in (("c_p", c_p), ("d_p", d_p)) if v is not None}
+    need = "c_p" if method.constant == "p_of_tau" else method.constant
+    if need is not None and need not in constants:
+        raise DomainError(f"{kind} coverage needs the calibration constant {need}")
+    return method, constants
+
+
 def coverage_indicator(kind: str, mu_hats: np.ndarray, sigma_hats: np.ndarray,
                        theta: LocScale, scheme: Scheme, *, level: float,
                        c_p: float | None = None, d_p: float | None = None) -> np.ndarray:
-    """Vectorized exact coverage events for bands and regions.
-
-    For exhaustive regions the band event equals region membership; the
-    minimum-area band covers exactly when the parameter falls in the
-    region's comprehensive convex hull; the KS-type bands cover exactly when
-    the sup-distance pivot is within d_p. These identities are validated
-    against direct graph containment in the test suite.
-    """
-    p = 1.0 - level
-    mu, sg = theta.mu, theta.sigma
-    m, n = scheme.m, scheme.effective_n
-    if kind in ("c1", "b1"):
-        q1, q2 = split_level(p)
-        from .special import chi2_quantile
-        return _regions._c1_indicator(mu_hats, sigma_hats, mu, sg, n=n, m=m,
-                                      ln_q1=math.log(q1), ln_q2=math.log(q2),
-                                      x_q1=chi2_quantile(q1, 2 * m - 2),
-                                      x_q2=chi2_quantile(q2, 2 * m - 2))
-    if kind in ("c2", "b2"):
-        q1, q2 = split_level(p)
-        from .special import chi2_quantile, f_quantile
-        return _regions._c2_indicator(mu_hats, sigma_hats, mu, sg, n=n, m=m,
-                                      f_q1=f_quantile(q1, 2, 2 * m - 2),
-                                      f_q2=f_quantile(q2, 2, 2 * m - 2),
-                                      x_q1=chi2_quantile(q1, 2 * m),
-                                      x_q2=chi2_quantile(q2, 2 * m))
-    if kind == "c3":
-        if c_p is None:
-            raise DomainError("c3 coverage needs the calibration constant c_p")
-        return _regions._c3_indicator(mu_hats, sigma_hats, mu, sg, m=m, n=n, c_p=c_p)
-    if kind == "b3":
-        if c_p is None:
-            raise DomainError("b3 coverage needs the calibration constant c_p")
-        _, _, y, z = _regions.lambert_interval(m, c_p)
-        return _regions._c3_hull_indicator(mu_hats, sigma_hats, mu, sg,
-                                           m=m, n=n, c_p=c_p, y=y, z=z)
-    if kind in ("c4p", "c4pp", "b4", "b4p", "b4pp"):
-        if d_p is None:
-            raise DomainError(f"{kind} coverage needs the calibration constant d_p")
-        if kind in ("c4p", "c4pp"):
-            return _regions._c4_indicator(mu_hats, sigma_hats, mu, sg,
-                                          d_p=d_p, trimmed=kind == "c4pp")
-        return ks_distance_xy((mu_hats - mu) / sg, sigma_hats / sg) <= d_p
-    raise DomainError(f"unknown coverage kind {kind!r}")
+    """Vectorized exact coverage events, one per replicate estimate: the
+    registry's event on the region its builder returns for all replicates
+    at once. The test suite checks each event against graph containment."""
+    method, constants = method_constants(kind, c_p, d_p)
+    return method.event(MleEstimate(mu_hats, sigma_hats), scheme, level, constants, theta)

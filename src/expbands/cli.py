@@ -2,13 +2,16 @@
 
 Subcommands: fit, region, band, metrics, calibrate, coverage, simulate,
 reproduce-paper. Option precedence is flags > config file (--config, a JSON
-document) > defaults. Calibration constants are exact (closed-form c_p and
-band level, quadrature d_p) and recorded in a JSON-lines cache whose path
-comes from the config file or the EXPBANDS_CACHE environment variable.
+document) > defaults. The method names of region, band, metrics and
+coverage, the constant each needs and its builder come from the method
+registry `bands.METHODS`. Calibration constants are exact (closed-form c_p
+and band level, quadrature d_p) and recorded in a JSON-lines cache whose
+path comes from the config file or the EXPBANDS_CACHE environment variable.
 --reps sizes only the Monte-Carlo cross-check of reproduce-paper; --seed
 seeds that cross-check, simulate and coverage. Every output embeds the
-resolved-config hash, the seed, and calibration provenance. Exit codes:
-0 ok, 2 parse, 3 domain, 4 numeric, 5 calibration.
+resolved-config hash (which counts reps for reproduce-paper alone), the
+seed, and calibration provenance. Exit codes: 0 ok, 2 parse, 3 domain,
+4 numeric, 5 calibration.
 """
 
 from __future__ import annotations
@@ -65,11 +68,9 @@ _DEFAULTS = {
     "cache_path": None,
 }
 
-REGION_METHODS = ("c1", "c2", "c3", "c4p", "c4pp")
-BAND_METHODS = ("b1", "b2", "b3", "b4", "b4p", "b4pp")
-# the calibration constant each region/band method needs beyond c1, c2, b1, b2
-_CONSTANT_KIND = {"c3": "c_p", "b3": "p_of_tau",
-                  **dict.fromkeys(("c4p", "c4pp", "b4", "b4p", "b4pp"), "d_p")}
+# the registry names regions c* and bands b*
+REGION_METHODS = tuple(m for m in _bands.METHODS if m.startswith("c"))
+BAND_METHODS = tuple(m for m in _bands.METHODS if m.startswith("b"))
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -106,8 +107,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 def _config_hash(cfg: dict, command: str) -> str:
     # hash the computation-relevant parameters; where the artifacts land
-    # (output dir, cache file) does not change what is computed
-    semantic = {k: cfg[k] for k in sorted(cfg) if k not in ("output_dir", "cache_path")}
+    # (output dir, cache file) does not change what is computed, and only
+    # reproduce-paper's Monte-Carlo cross-check depends on reps
+    skip = {"output_dir", "cache_path"} | ({"reps"} if command != "reproduce-paper" else set())
+    semantic = {k: cfg[k] for k in sorted(cfg) if k not in skip}
     doc = json.dumps({"command": command, **semantic}, sort_keys=True, default=str)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
@@ -153,41 +156,19 @@ def _exact_constant(kind: str, m: int, n: int, level: float, cfg: dict) -> Calib
 
 def _resolve_constants(method: str, level: float, scheme, cfg: dict) -> tuple[dict, list[dict]]:
     """Calibration constants needed by a region/band method."""
-    if method in ("c1", "c2", "b1", "b2"):
-        return {}, []
-    kind = _CONSTANT_KIND.get(method)
-    if kind is None:
+    if method not in _bands.METHODS:
         raise DomainError(f"unknown method {method!r}")
+    kind = _bands.METHODS[method].constant
+    if kind is None:
+        return {}, []
     res = _exact_constant(kind, scheme.m, int(scheme.effective_n), level, cfg)
     if kind == "p_of_tau":
         return {"c_p": res.extra["c"], "nominal_p": res.value}, [_provenance(res)]
     return {kind: res.value}, [_provenance(res)]
 
 
-def _build_region(method: str, est, scheme, level: float, constants: dict):
-    p = 1.0 - level
-    if method == "c1":
-        return _regions.build_c1(est, scheme, p)
-    if method == "c2":
-        return _regions.build_c2(est, scheme, p)
-    if method == "c3":
-        return _regions.build_c3(est, scheme, constants["c_p"])
-    return _regions.build_c4(est, constants["d_p"], trimmed=method == "c4pp")
-
-
-def _build_band(method: str, est, scheme, level: float, constants: dict,
-                grid_points: int):
-    p = 1.0 - level
-    if method == "b1":
-        return _bands.band_b1(est, scheme, p)
-    if method == "b2":
-        return _bands.band_b2(est, scheme, p)
-    if method == "b3":
-        return _bands.band_b3(est, scheme, constants["c_p"], nominal_p=constants["nominal_p"])
-    if method == "b4":
-        return _bands.band_b4(est, constants["d_p"], level=level)
-    return _bands.band_b4_trimmed(est, constants["d_p"], trimmed=method == "b4pp",
-                                  level=level, grid=_bands.GridSpec(points=grid_points))
+def _build(method: str, est, scheme, level: float, constants: dict, cfg: dict):
+    return _bands.METHODS[method].build(est, scheme, level, constants, int(cfg["grid_points"]))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +205,7 @@ def cmd_region(args, cfg) -> int:
     est = mle(working)
     level = float(cfg["level"])
     constants, provenance = _resolve_constants(args.method, level, working.scheme, cfg)
-    region = _build_region(args.method, est, working.scheme, level, constants)
+    region = _build(args.method, est, working.scheme, level, constants, cfg)
     payload = {
         "metadata": _metadata(cfg, f"region.{args.method}", provenance),
         "level": level,
@@ -242,8 +223,7 @@ def cmd_band(args, cfg) -> int:
     est = mle(working)
     level = float(cfg["level"])
     constants, provenance = _resolve_constants(args.method, level, working.scheme, cfg)
-    band = _build_band(args.method, est, working.scheme, level, constants,
-                       int(cfg["grid_points"]))
+    band = _build(args.method, est, working.scheme, level, constants, cfg)
     if args.marginal:
         band = _bands.marginal_band(band, working.scheme.gammas)
     if args.reliability:
@@ -288,8 +268,7 @@ def cmd_metrics(args, cfg) -> int:
     provenance_all: list[dict] = []
     for method in methods:
         constants, provenance = _resolve_constants(method, level, working.scheme, cfg)
-        band = _build_band(method, est, working.scheme, level, constants,
-                           int(cfg["grid_points"]))
+        band = _build(method, est, working.scheme, level, constants, cfg)
         bm = _metrics.band_metrics(band)
         rows.append({"band": method, "level": level,
                      "max_width": bm.max_width, "width_argmax": bm.width_argmax,
@@ -334,9 +313,6 @@ def cmd_coverage(args, cfg) -> int:
     scheme = sample.scheme
     level = float(cfg["level"])
     kind = args.kind
-    if kind not in _metrics.COVERAGE_KINDS:
-        raise DomainError(f"unknown coverage kind {kind!r}")
-    # coverage kinds are region/band method names
     constants, provenance = _resolve_constants(kind, level, scheme, cfg)
     constants.pop("nominal_p", None)
     theta = LocScale(float(args.mu), float(args.sigma))

@@ -4,11 +4,12 @@ Width maximization and area integration split the x-axis at every boundary
 breakpoint so each panel has a fixed analytic character: exponential-cdf
 pairs get closed-form stationary points and integrals, grid-backed pieces
 are integrated exactly as the piecewise-linear functions they are, and the
-minimum-area envelope panel falls back to scan-plus-golden-section and
-adaptive quadrature. Tails beyond the outermost breakpoints are handled in
-closed form, so a band is reported as having infinite area only on
-structural grounds (its width does not vanish at infinity), never through
-numeric divergence.
+minimum-area envelope panel falls back to a scan, refined by one
+vectorized golden-section search over all such panels, and to adaptive
+quadrature. Tails beyond the outermost breakpoints are handled in closed
+form, so a band is reported as having infinite area only on structural
+grounds (its width does not vanish at infinity), never through numeric
+divergence. Coverage experiments read the method registry of `bands`.
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ import numpy as np
 from . import bands as _bands
 from .bands import (
     Band,
-    ConstSegment,
     ExpCdfSegment,
     GridSegment,
     MarginalBoundary,
-    MinAreaEnvelopeSegment,
     PiecewiseBoundary,
+    _plain_exp,
     reliability_band,
 )
 from .errors import DomainError, NumericError
-from .model import LocScale, Scheme, simulate_mles
-from .numerics import golden_section_max, integrate
+from .model import LocScale, MleEstimate, Scheme, simulate_mles
+from .numerics import golden_section, integrate
 from .special import check_probability
 
 _WIDTH_FLOOR = 1e-12
@@ -60,14 +60,6 @@ class CoverageReport:
 # ---------------------------------------------------------------------------
 # panel helpers
 # ---------------------------------------------------------------------------
-
-def _as_cdf_band(band: Band) -> Band:
-    """Metrics are invariant under the reliability reflection; reduce to the
-    underlying cdf band where needed."""
-    if band.increasing:
-        return band
-    return reliability_band(band)
-
 
 def _segment_at(boundary: PiecewiseBoundary, x: float):
     idx = int(np.searchsorted(boundary.breaks, x, side="right"))
@@ -111,7 +103,8 @@ def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
 
 def max_width(band: Band) -> tuple[float, float]:
     """Supremum of upper - lower and the x where it is attained."""
-    band = _as_cdf_band(band)
+    # metrics are invariant under the reliability reflection: undo it
+    band = band if band.increasing else reliability_band(band)
     if isinstance(band.lower, MarginalBoundary) or isinstance(band.upper, MarginalBoundary):
         return _max_width_generic(band)
     edges = _panel_edges(band)
@@ -133,9 +126,8 @@ def max_width(band: Band) -> tuple[float, float]:
     panels = ([(edges[0] - 2.0 * span, edges[0])]
               + list(zip(edges, edges[1:]))
               + [(edges[-1], edges[-1] + 4.0 * span)])
+    brackets: list[tuple[float, float]] = []   # scan maxima to refine
     for a, b in panels:
-        if b <= a:
-            continue
         lo_seg = _segment_at(band.lower, 0.5 * (a + b))
         up_seg = _segment_at(band.upper, 0.5 * (a + b))
         analytic = (isinstance(lo_seg, ExpCdfSegment) and isinstance(up_seg, ExpCdfSegment)
@@ -156,8 +148,12 @@ def max_width(band: Band) -> tuple[float, float]:
         left = xs[max(i - 1, 0)]
         right = xs[min(i + 1, len(xs) - 1)]
         if right > left:
-            x_ref, w_ref = golden_section_max(lambda t: float(band.width(t)), left, right)
-            consider(x_ref)
+            brackets.append((left, right))
+    if brackets:
+        lo, hi = np.asarray(brackets).T
+        x_ref, _ = golden_section(band.width, lo, hi, maximize=True)
+        for x in x_ref:
+            consider(x)
 
     best_w, best_x = max(candidates)
     return best_w, best_x
@@ -171,7 +167,7 @@ def _max_width_generic(band: Band) -> tuple[float, float]:
     w = band.width(xs)
     i = int(np.argmax(w))
     left, right = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    x_ref, w_ref = golden_section_max(lambda t: float(band.width(t)), left, right)
+    x_ref, w_ref = golden_section(band.width, left, right, maximize=True)
     if w_ref >= w[i]:
         return float(w_ref), float(x_ref)
     return float(w[i]), float(xs[i])
@@ -185,8 +181,6 @@ def _segment_integral(seg, a: float, b: float,
                       abs_tol: float = 1e-9) -> tuple[float, float]:
     """Integral of one boundary segment over [a, b] (no kinks inside);
     returns (value, error estimate)."""
-    if isinstance(seg, ConstSegment):
-        return seg.value * (b - a), 0.0
     if isinstance(seg, ExpCdfSegment):
         state = _exp_state(seg, a, b)
         if state == "zero":
@@ -196,12 +190,7 @@ def _segment_integral(seg, a: float, b: float,
         if state == "const":
             return float(seg.evaluate(np.asarray(0.5 * (a + b)))) * (b - a), 0.0
         off = min(max(seg.offset, -1.0), 1.0)
-
-        def anti(x: float) -> float:
-            z = (x - seg.loc) / seg.scale
-            return (x - seg.loc) + seg.scale * (math.exp(-z) - 1.0)
-
-        return anti(b) - anti(a) + off * (b - a), 0.0
+        return _exp_integral(seg, b) - _exp_integral(seg, a) + off * (b - a), 0.0
     if isinstance(seg, GridSegment):
         xs = np.asarray(seg.xs)
         ys = np.asarray(seg.ys)
@@ -209,41 +198,59 @@ def _segment_integral(seg, a: float, b: float,
         gx = np.concatenate([[a], xs[inner], [b]])
         gy = np.concatenate([[np.interp(a, xs, ys)], ys[inner], [np.interp(b, xs, ys)]])
         return float(np.trapezoid(gy, gx)), 0.0
-    if isinstance(seg, MinAreaEnvelopeSegment):
-        val, err = integrate(lambda x: float(seg.evaluate(np.asarray(x))), a, b,
-                             abs_tol=abs_tol)
-        return val, err
-    raise NumericError(f"cannot integrate segment type {type(seg).__name__}")
+    # the minimum-area envelope
+    return integrate(lambda x: float(seg.evaluate(np.asarray(x))), a, b, abs_tol=abs_tol)
 
 
-def _plain_exp(seg) -> bool:
-    return isinstance(seg, ExpCdfSegment) and seg.offset == 0.0
+def _exp_integral(seg: ExpCdfSegment, x: float) -> float:
+    """Integral of the unclipped exponential cdf of `seg` over (-inf, x]."""
+    if x <= seg.loc:
+        return 0.0
+    z = (x - seg.loc) / seg.scale
+    return (x - seg.loc) + seg.scale * (math.exp(-z) - 1.0)
+
+
+def _tail_pair(band: Band, end: int) -> tuple[ExpCdfSegment, ExpCdfSegment]:
+    """(lower, upper) outermost segments, left (end 0) or right (end -1), of
+    the band or of a marginal band's base; both must be plain exponential
+    cdfs."""
+    lower, upper = band.lower, band.upper
+    if isinstance(lower, MarginalBoundary):
+        lower, upper = lower.base, upper.base
+    lo, up = lower.segments[end], upper.segments[end]
+    if not (_plain_exp(lo) and _plain_exp(up)):
+        raise NumericError("tail is not an exponential pair; cannot integrate")
+    return lo, up
+
+
+def _mixture_integral(gammas, seg: ExpCdfSegment, x: float, upper_tail: bool = False) -> float:
+    """Integral of H(F_seg) over (-inf, x], or of 1 - H(F_seg) over [x, inf)
+    with `upper_tail`: the marginal transform H of an exponential cdf is a
+    signed mixture of exponentials, so both are closed-form."""
+    g, sign, log_coef = _bands.marginal_mixture(gammas)
+    terms = sign * np.exp(log_coef) * (seg.scale / g)
+    z = (x - seg.loc) / seg.scale
+    if upper_tail:
+        return float(np.sum(terms * np.exp(-g * z)))
+    if x <= seg.loc:
+        return 0.0
+    return float((x - seg.loc) - np.sum(terms * (1.0 - np.exp(-g * z))))
 
 
 def _left_tail_area(band: Band, b: float) -> tuple[float, float]:
+    lo, up = _tail_pair(band, 0)
     if isinstance(band.lower, MarginalBoundary):
-        return _marginal_left_tail_area(band, b)
-    lo = band.lower.leftmost()
-    up = band.upper.leftmost()
-    if not (_plain_exp(lo) and _plain_exp(up)):
-        raise NumericError("left tail is not an exponential pair; cannot integrate")
-
-    def accum(seg: ExpCdfSegment) -> float:
-        if b <= seg.loc:
-            return 0.0
-        z = (b - seg.loc) / seg.scale
-        return (b - seg.loc) + seg.scale * (math.exp(-z) - 1.0)
-
-    return accum(up) - accum(lo), 0.0
+        g = band.lower.gammas
+        return _mixture_integral(g, up, b) - _mixture_integral(g, lo, b), 0.0
+    return _exp_integral(up, b) - _exp_integral(lo, b), 0.0
 
 
 def _right_tail_area(band: Band, a: float) -> tuple[float, float]:
+    lo, up = _tail_pair(band, -1)
     if isinstance(band.lower, MarginalBoundary):
-        return _marginal_tail_area(band, a)
-    lo = band.lower.rightmost()
-    up = band.upper.rightmost()
-    if not (_plain_exp(lo) and _plain_exp(up)):
-        raise NumericError("right tail is not an exponential pair; cannot integrate")
+        g = band.lower.gammas
+        return (_mixture_integral(g, lo, a, upper_tail=True)
+                - _mixture_integral(g, up, a, upper_tail=True)), 0.0
     if a < lo.loc or a < up.loc:
         raise NumericError("tail start precedes a boundary location")
     val = (lo.scale * math.exp(-(a - lo.loc) / lo.scale)
@@ -251,56 +258,11 @@ def _right_tail_area(band: Band, a: float) -> tuple[float, float]:
     return val, 0.0
 
 
-def _marginal_mixture_coefs(gammas) -> tuple[np.ndarray, np.ndarray]:
-    g = np.asarray(gammas)
-    diff = g[:, None] - g[None, :]
-    off = ~np.eye(g.size, dtype=bool)
-    log_coef = (np.sum(np.log(g)) - np.log(g)
-                - np.sum(np.where(off, np.log(np.abs(np.where(off, diff, 1.0))), 0.0), axis=1))
-    sign = np.prod(np.where(off, np.sign(-diff), 1.0), axis=1)
-    return g, sign * np.exp(log_coef)
-
-
-def _marginal_tail_area(band: Band, a: float) -> tuple[float, float]:
-    """Closed-form right tail of a marginal-transformed band: the transform
-    of an exponential cdf is a signed mixture of exponentials."""
-    lo = band.lower.base.rightmost()
-    up = band.upper.base.rightmost()
-    if not (_plain_exp(lo) and _plain_exp(up)):
-        raise NumericError("marginal tail base is not an exponential pair")
-    g, coef = _marginal_mixture_coefs(band.lower.gammas)
-
-    def mix_tail(seg: ExpCdfSegment) -> float:
-        # integral of 1 - H(F_seg) from a to infinity
-        z = (a - seg.loc) / seg.scale
-        return float(np.sum(coef * (seg.scale / g) * np.exp(-g * z)))
-
-    return mix_tail(lo) - mix_tail(up), 0.0
-
-
-def _marginal_left_tail_area(band: Band, b: float) -> tuple[float, float]:
-    lo = band.lower.base.leftmost()
-    up = band.upper.base.leftmost()
-    if not (_plain_exp(lo) and _plain_exp(up)):
-        raise NumericError("marginal left tail base is not an exponential pair")
-    g, coef = _marginal_mixture_coefs(band.lower.gammas)
-
-    def mix_accum(seg: ExpCdfSegment) -> float:
-        # integral of H(F_seg) from -inf to b
-        if b <= seg.loc:
-            return 0.0
-        z = (b - seg.loc) / seg.scale
-        return float((b - seg.loc)
-                     - np.sum(coef * (seg.scale / g) * (1.0 - np.exp(-g * z))))
-
-    return mix_accum(up) - mix_accum(lo), 0.0
-
-
 def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
     """Integral of the band width over the whole real line; returns
     (area, error estimate). Structurally unbounded bands (width not
     vanishing at infinity) report math.inf."""
-    band = _as_cdf_band(band)
+    band = band if band.increasing else reliability_band(band)
     wl = band.upper.limit_left() - band.lower.limit_left()
     wr = band.upper.limit_right() - band.lower.limit_right()
     if wl > _WIDTH_FLOOR or wr > _WIDTH_FLOOR:
@@ -308,8 +270,6 @@ def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
     edges = _panel_edges(band)
     total, err = _left_tail_area(band, edges[0])
     for a, b in zip(edges, edges[1:]):
-        if b <= a:
-            continue
         for boundary, sgn in ((band.upper, 1.0), (band.lower, -1.0)):
             if isinstance(boundary, MarginalBoundary):
                 v, e = _marginal_panel_integral(boundary, a, b, abs_tol)
@@ -325,19 +285,9 @@ def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
 def _marginal_panel_integral(boundary: MarginalBoundary, a: float, b: float,
                              abs_tol: float) -> tuple[float, float]:
     seg = _segment_at(boundary.base, 0.5 * (a + b))
-    if isinstance(seg, ExpCdfSegment) and seg.offset == 0.0:
-        g, coef = _marginal_mixture_coefs(boundary.gammas)
-
-        def accum(x: float) -> float:
-            if x <= seg.loc:
-                return 0.0
-            z = (x - seg.loc) / seg.scale
-            return float((x - seg.loc)
-                         - np.sum(coef * (seg.scale / g) * (1.0 - np.exp(-g * z))))
-
-        return accum(b) - accum(a), 0.0
-    if isinstance(seg, ConstSegment):
-        return float(boundary(0.5 * (a + b))) * (b - a), 0.0
+    if _plain_exp(seg):
+        g = boundary.gammas
+        return _mixture_integral(g, seg, b) - _mixture_integral(g, seg, a), 0.0
     return integrate(lambda x: float(boundary(x)), a, b,
                      abs_tol=max(abs_tol, 1e-8), limit=2000)
 
@@ -353,7 +303,7 @@ def band_metrics(band: Band) -> BandMetrics:
 # coverage experiments
 # ---------------------------------------------------------------------------
 
-COVERAGE_KINDS = ("c1", "c2", "c3", "c4p", "c4pp", "b1", "b2", "b3", "b4", "b4p", "b4pp")
+COVERAGE_KINDS = tuple(_bands.METHODS)
 
 
 def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float,
@@ -364,63 +314,33 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
     frequency of covering the true parameter (regions) or the true cdf graph
     (bands); deterministic in (seed, replicates).
 
-    method "exact" uses the closed-form coverage events (region membership,
-    hull membership, sup-distance pivot); method "grid" rebuilds each band
-    and checks graph containment on a grid, as an independent cross-check.
+    method "exact" uses the registry's closed-form coverage events (region
+    membership, hull membership, sup-distance pivot); method "grid" builds
+    each replicate's region or band through the registry and checks region
+    membership or graph containment on a grid, as an independent cross-check.
     """
-    if kind not in COVERAGE_KINDS:
-        raise DomainError(f"unknown coverage kind {kind!r}")
+    entry, constants = _bands.method_constants(kind, c_p, d_p)
     level = check_probability(level, "level", open_interval=True)
     if replicates < 1:
         raise DomainError("replicates must be >= 1")
+    if method not in ("exact", "grid"):
+        raise DomainError(f"unknown coverage method {method!r}")
     mu_hats, sigma_hats = simulate_mles(theta, scheme, replicates, seed)
     if method == "exact":
         ind = _bands.coverage_indicator(kind, mu_hats, sigma_hats, theta, scheme,
-                                        level=level, c_p=c_p, d_p=d_p)
+                                        level=level, **constants)
         hits = int(np.count_nonzero(ind))
-    elif method == "grid":
-        hits = _grid_coverage(kind, mu_hats, sigma_hats, theta, scheme,
-                              level, c_p, d_p, grid_points)
     else:
-        raise DomainError(f"unknown coverage method {method!r}")
+        hits = 0
+        for mh, sh in zip(mu_hats, sigma_hats):
+            built = entry.build(MleEstimate(float(mh), float(sh)), scheme, level,
+                                constants, grid_points)
+            if isinstance(built, Band):
+                hits += _bands.graph_contained(built, theta)
+            else:
+                hits += bool(built.contains(theta.mu, theta.sigma))
     cov = hits / replicates
     se = math.sqrt(max(cov * (1.0 - cov), 1e-12) / replicates)
-    constants = {k: v for k, v in (("c_p", c_p), ("d_p", d_p)) if v is not None}
     return CoverageReport(band_kind=kind, nominal_level=level, replicates=replicates,
                           coverage=cov, std_error=se, seed=seed,
                           theta=(theta.mu, theta.sigma), constants=constants)
-
-
-def _grid_coverage(kind, mu_hats, sigma_hats, theta, scheme, level, c_p, d_p,
-                   grid_points) -> int:
-    from .model import MleEstimate
-    from . import regions as _regions
-
-    p = 1.0 - level
-    hits = 0
-    for mh, sh in zip(mu_hats, sigma_hats):
-        est = MleEstimate(float(mh), float(sh))
-        if kind.startswith("c"):
-            if kind == "c1":
-                region = _regions.build_c1(est, scheme, p)
-            elif kind == "c2":
-                region = _regions.build_c2(est, scheme, p)
-            elif kind == "c3":
-                region = _regions.build_c3(est, scheme, c_p)
-            else:
-                region = _regions.build_c4(est, d_p, trimmed=kind == "c4pp")
-            hits += bool(region.contains(theta.mu, theta.sigma))
-            continue
-        if kind == "b1":
-            band = _bands.band_b1(est, scheme, p)
-        elif kind == "b2":
-            band = _bands.band_b2(est, scheme, p)
-        elif kind == "b3":
-            band = _bands.band_b3(est, scheme, c_p)
-        elif kind == "b4":
-            band = _bands.band_b4(est, d_p)
-        else:
-            band = _bands.band_b4_trimmed(est, d_p, trimmed=kind == "b4pp",
-                                          grid=_bands.GridSpec(points=grid_points))
-        hits += _bands.graph_contained(band, theta)
-    return hits

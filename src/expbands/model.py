@@ -140,19 +140,16 @@ class LocScale:
 
 @dataclass(frozen=True)
 class MleEstimate:
-    """Maximum likelihood estimate (mu_hat, sigma_hat)."""
+    """Maximum likelihood estimate (mu_hat, sigma_hat): floats, or arrays of
+    replicate estimates for the vectorized coverage events."""
 
     mu_hat: float
     sigma_hat: float
 
     def __post_init__(self):
-        if not self.sigma_hat > 0:
+        if not np.all(np.asarray(self.sigma_hat) > 0):
             raise DegenerateSampleError(
                 f"sigma_hat must be positive, got {self.sigma_hat}")
-
-    @property
-    def theta(self) -> LocScale:
-        return LocScale(self.mu_hat, self.sigma_hat)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod (G7/K15) quadrature,
-golden-section search, and Brent's bracketed root finder.
+vectorized golden-section search, and Brent's bracketed root finder.
 
 Quadrature bisects the interval with the largest error estimate until the
 requested absolute tolerance is met; non-convergence raises NumericError
 with diagnostics instead of returning a silently bad value. The same holds
-for the root finder: it meets its bracket tolerance or raises.
+for the root finder and the golden-section search: they meet their bracket
+tolerance or raise.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ _WG = (
     0.129484966168870, 0.0,
 )
 _EPS = 2.220446049250313e-16
+_GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -128,36 +130,49 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         f"error {total_err:.3e} after {limit} bisections (tol {abs_tol:.1e})")
 
 
-def golden_section_min(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimization on [a, b] for unimodal f.
+def golden_section(f: Callable[[np.ndarray], np.ndarray], lo, hi, *, maximize: bool = False,
+                   tol: float = 1e-10, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search for the extremum of a unimodal f, one bracket
+    [lo, hi] per lane (arrays, or scalars broadcast); returns (argext, ext)
+    in the brackets' broadcast shape.
 
-    Returns (argmin, min); endpoints are also candidates.
+    f maps a 1-d array of probe points, one per lane, to their values. A
+    lane stops once its bracket width is within tol * max(1, |lo| + |hi|);
+    the search ends when every lane has stopped, and raises NumericError if
+    that takes more than `max_iter` rounds. The endpoints and the final
+    midpoint are the candidates; ties go to the smallest x.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+    sign = -1.0 if maximize else 1.0
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
     lo, hi = a, b
-    while hi - lo > tol * max(1.0, abs(lo) + abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-    xm = 0.5 * (lo + hi)
-    candidates = [(f(a), a), (f(b), b), (f(xm), xm)]
-    fmin, xmin = min(candidates)
-    return xmin, fmin
-
-
-def golden_section_max(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10) -> tuple[float, float]:
-    x, neg = golden_section_min(lambda t: -f(t), a, b, tol)
-    return x, -neg
+    x1 = hi - _GOLDEN_INV * (hi - lo)
+    x2 = lo + _GOLDEN_INV * (hi - lo)
+    f1, f2 = sign * f(x1), sign * f(x2)
+    for _ in range(max_iter):
+        live = hi - lo > tol * np.maximum(1.0, np.abs(lo) + np.abs(hi))
+        if not live.any():
+            break
+        left = f1 <= f2                     # the extremum lies in [lo, x2]
+        to_left, to_right = live & left, live & ~left
+        hi = np.where(to_left, x2, hi)
+        lo = np.where(to_right, x1, lo)
+        x1n = np.where(to_left, hi - _GOLDEN_INV * (hi - lo), np.where(to_right, x2, x1))
+        x2n = np.where(to_right, lo + _GOLDEN_INV * (hi - lo), np.where(to_left, x1, x2))
+        # one probe per lane is fresh, the other carries over
+        fresh = sign * f(np.where(left, x1n, x2n))
+        f1, f2 = (np.where(to_left, fresh, np.where(to_right, f2, f1)),
+                  np.where(to_right, fresh, np.where(to_left, f1, f2)))
+        x1, x2 = x1n, x2n
+    else:
+        raise NumericError(f"golden-section search did not reach tol {tol:.1e} "
+                           f"in {max_iter} rounds")
+    xs = np.stack([a, 0.5 * (lo + hi), b])
+    vals = np.stack([sign * f(x) for x in xs])
+    best = np.lexsort((xs, vals), axis=0)[0]
+    lanes = np.arange(a.size)
+    return xs[best, lanes].reshape(shape), sign * vals[best, lanes].reshape(shape)
 
 
 def brent_root(f: Callable[[float], float], a: float, b: float,

@@ -115,6 +115,11 @@ def _h_deriv(t: float, d_p: float) -> float:
     return math.log(d_p) + math.log(t / (t - 1.0))
 
 
+def _c3_offset(scale, sigma_hat, m, n, c_p):
+    # location offset (from mu_hat) of the minimum-area boundary at a scale
+    return ((c_p - (m + 1) * (math.log(sigma_hat) - np.log(scale))) * scale + m * sigma_hat) / n
+
+
 def _c4_indicator(mu_hat, sigma_hat, mu, sigma, *, d_p, trimmed):
     t = sigma_hat / sigma
     s = (mu_hat - mu) / sigma
@@ -239,9 +244,7 @@ class MinAreaRegionC3:
 
     def g(self, scale):
         """Signed location offset of the curved boundary at a given scale."""
-        scale = np.asarray(scale, dtype=float)
-        val = ((self.c_p - (self.m + 1) * (math.log(self.sigma_hat) - np.log(scale))) * scale
-               + self.m * self.sigma_hat) / self.n
+        val = _c3_offset(np.asarray(scale, dtype=float), self.sigma_hat, self.m, self.n, self.c_p)
         return val if val.ndim else float(val)
 
     def contains(self, mu, sigma):

@@ -152,16 +152,10 @@ def _check_table5(report: ReproduceReport, sample: ProgressiveSample,
                  100 * (1 - p_star), 0.3)
     report.check("constant c at band level 90.25%", -11.587, c_star, 0.1)
 
-    built = {
-        "b1": _bands.band_b1(est, scheme, 1 - level),
-        "b2": _bands.band_b2(est, scheme, 1 - level),
-        "b3": _bands.band_b3(est, scheme, c_star, nominal_p=p_star),
-        "b4": _bands.band_b4(est, d, level=level),
-        "b4p": _bands.band_b4_trimmed(est, d, trimmed=False, level=level),
-        "b4pp": _bands.band_b4_trimmed(est, d, trimmed=True, level=level),
-    }
+    constants = {"c_p": c_star, "nominal_p": p_star, "d_p": d}
     widths, areas = {}, {}
-    for kind, band in built.items():
+    for kind in _TABLE5_W:
+        band = _bands.METHODS[kind].build(est, scheme, level, constants, 1024)
         bm = _metrics.band_metrics(band)
         widths[kind], areas[kind] = bm.max_width, bm.area
         report.check(f"max width {kind}", _TABLE5_W[kind], bm.max_width, 0.01)

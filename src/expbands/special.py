@@ -1,11 +1,12 @@
-"""Self-contained special functions: regularized incomplete gamma/beta,
-chi-square and F quantiles, and both real branches of the Lambert W function.
+"""Self-contained special functions: the regularized incomplete gamma
+function, chi-square quantiles, F(2, k) quantiles in closed form, and both
+real branches of the Lambert W function.
 
 Everything here is scalar float arithmetic built on the math module, in the
 style of the classic Cephes routines. Shapes are general positive reals even
 though the package only ever calls with integer and half-integer shapes.
-All functions are pure; quantiles are found by bracketed bisection refined
-with Newton steps (tolerance 1e-12 absolute or relative, whichever is
+All functions are pure; gamma and chi-square quantiles are found by
+bracketed bisection refined with Newton steps (tolerance 1e-12 absolute or relative, whichever is
 larger), which is cheap since they are computed once per calibration.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, UnsupportedCaseError
 
 _MACHEP = 2.220446049250313e-16
 _QUANTILE_TOL = 1e-12
@@ -159,106 +160,20 @@ def chi2_cdf(x: float, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete beta function and F quantiles
+# F quantiles
 # ---------------------------------------------------------------------------
-
-def _beta_contfrac(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    f = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        f *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < _MACHEP:
-            return f
-    raise NumericError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")
-
-
-def beta_cdf(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0 or b <= 0:
-        raise DomainError("beta shapes must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_contfrac(a, b, x) / a
-    return 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
-
-
-def beta_quantile(a: float, b: float, q: float) -> float:
-    q = check_probability(q, "quantile level", open_interval=True)
-    lo, hi = 0.0, 1.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if beta_cdf(a, b, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    for _ in range(8):
-        if not 0.0 < x < 1.0:
-            break
-        pdf = math.exp(log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x))
-        if pdf <= 0.0:
-            break
-        step = (beta_cdf(a, b, x) - q) / pdf
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            break
-        x = x_new
-        if abs(step) <= _QUANTILE_TOL:
-            break
-    return x
-
 
 @functools.lru_cache(maxsize=1024)
 def f_quantile(beta: float, k1: int, k2: int) -> float:
-    """beta-quantile of the F(k1, k2) distribution.
-
-    For k1 = 2 the closed form (k2/2) * ((1-beta)^(-2/k2) - 1) is used;
-    the general case inverts the regularized incomplete beta function.
+    """beta-quantile of the F(k1, k2) distribution for k1 = 2, the only
+    numerator degrees of freedom the pivots need: the closed form
+    (k2/2) * ((1-beta)^(-2/k2) - 1). Other k1 raise UnsupportedCaseError.
     """
     beta = check_probability(beta, "beta", open_interval=True)
-    k1 = check_degrees_of_freedom(k1, "k1")
     k2 = check_degrees_of_freedom(k2, "k2")
-    if k1 == 2:
-        return 0.5 * k2 * ((1.0 - beta) ** (-2.0 / k2) - 1.0)
-    x = beta_quantile(0.5 * k1, 0.5 * k2, beta)
-    return (k2 * x) / (k1 * (1.0 - x))
-
-
-def f_cdf(x: float, k1: int, k2: int) -> float:
-    if x <= 0.0:
-        return 0.0
-    return beta_cdf(0.5 * k1, 0.5 * k2, k1 * x / (k1 * x + k2))
+    if k1 != 2:
+        raise UnsupportedCaseError(f"F quantiles are implemented for k1 = 2 only, got k1={k1}")
+    return 0.5 * k2 * ((1.0 - beta) ** (-2.0 / k2) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from expbands.bands import (
+    METHODS,
     GridSpec,
     band_b1,
     band_b2,
@@ -332,6 +333,42 @@ class TestContainmentIdentities:
                 else:
                     band = band_b4(est, DP_PAPER)
                 assert bool(fast[i]) == graph_contained(band, std_theta), (kind, i)
+
+    @pytest.mark.parametrize("mu_hat, sigma_hat", [
+        (0.012703729819693685, 1.6426913791045665),
+        (0.08746343837563962, 1.629822387377922),
+    ])
+    def test_right_tail_escape_beyond_grid(self, fluid_scheme, std_theta, mu_hat, sigma_hat):
+        # F leaves b1 through the upper boundary near 18 sigma, far beyond the
+        # quantile grid and by less than the grid tolerance there; the exact
+        # order of the exponential tails at +inf decides it
+        est = MleEstimate(mu_hat, sigma_hat)
+        band = band_b1(est, fluid_scheme, 0.1)
+        assert not graph_contained(band, std_theta)
+        fast = coverage_indicator("b1", np.array([mu_hat]), np.array([sigma_hat]), std_theta,
+                                  fluid_scheme, level=0.9)
+        assert not fast[0]
+
+    def test_registry_events_match_built_objects(self, fluid_scheme, std_theta):
+        # each registry entry's exact event agrees, replicate by replicate,
+        # with membership in (or graph containment by) what its builder returns
+        mu_hats, sigma_hats = simulate_mles(std_theta, fluid_scheme, 40, seed=17)
+        by_constant = {None: {}, "c_p": {"c_p": CP_PAPER}, "p_of_tau": {"c_p": CP_PAPER},
+                       "d_p": {"d_p": DP_PAPER}}
+        for kind, method in METHODS.items():
+            constants = by_constant[method.constant]
+            fast = coverage_indicator(kind, mu_hats, sigma_hats, std_theta, fluid_scheme,
+                                      level=LEVEL, **constants)
+            for i in range(mu_hats.size):
+                est = MleEstimate(float(mu_hats[i]), float(sigma_hats[i]))
+                built = method.build(est, fluid_scheme, LEVEL, constants, 257)
+                if kind.startswith("c"):
+                    slow = bool(built.contains(std_theta.mu, std_theta.sigma))
+                else:
+                    # the trimmed bands' grid needs the b4-family test's tolerance
+                    tol = 1e-6 if kind in ("b4p", "b4pp") else 1e-9
+                    slow = graph_contained(built, std_theta, tol=tol)
+                assert bool(fast[i]) == slow, (kind, i)
 
 
 class TestReliability:

@@ -303,6 +303,29 @@ class TestErrorsAndConfig:
         assert cache.exists()
 
 
+class TestConfigHash:
+    def test_band_hash_ignores_reps(self, data_csv, tmp_path):
+        # only reproduce-paper draws Monte-Carlo replicates; a band is the
+        # same for every --reps, and so is its hash
+        hashes, rows = [], []
+        for reps in ("100", "1000000"):
+            out = tmp_path / reps
+            assert _run("band", "--data", data_csv, "--method", "b1", "--reps", reps,
+                        "--output-dir", out) == 0
+            hashes.append(_load(out / "band_b1.json")["metadata"]["config_hash"])
+            rows.append((out / "band_b1.csv").read_bytes())
+        assert rows[0] == rows[1]
+        assert hashes[0] == hashes[1]
+
+    def test_reproduce_paper_hash_depends_on_reps(self, tmp_path):
+        hashes = []
+        for reps in ("100", "200"):
+            out = tmp_path / reps
+            assert _run("reproduce-paper", "--reps", reps, "--output-dir", out) == 0
+            hashes.append(_load(out / "report.json")["metadata"]["config_hash"])
+        assert hashes[0] != hashes[1]
+
+
 class TestReproduceCommand:
     def test_report_written_and_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
