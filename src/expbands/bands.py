@@ -41,6 +41,7 @@ from .regions import (
     build_c2,
     build_c3,
     build_c4,
+    ks_distance_xy,
     lower_slope,
     upper_slope,
 )
@@ -312,23 +313,6 @@ def band_b4(est: MleEstimate, d_p: float, level: float | None = None) -> Band:
 # ---------------------------------------------------------------------------
 # sup-distance statistic
 # ---------------------------------------------------------------------------
-
-def ks_distance_xy(mu, sigma):
-    """sup_x |F_(mu, sigma)(x) - F_(0,1)(x)| in closed form (vectorized)."""
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    u = -np.expm1(-np.maximum(mu, -mu / sigma))
-    not_one = sigma != 1.0
-    s = np.where(not_one, sigma, 2.0)
-    ln_s = np.log(s)
-    interior = np.where(s < 1.0, mu > s * ln_s, mu < ln_s)
-    # the exponent can overflow only on lanes masked out below
-    with np.errstate(over="ignore"):
-        v = np.abs(1.0 - s) * np.exp((mu - s * ln_s) / (s - 1.0))
-    v = np.where(not_one & interior, v, 0.0)
-    out = np.maximum(u, v)
-    return out if out.ndim else float(out)
-
 
 def ks_distance(theta_rel: LocScale) -> float:
     """Sup distance between the cdf at relative coordinates (mu, sigma) and

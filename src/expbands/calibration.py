@@ -8,9 +8,12 @@ one-dimensional integral over the scale ratio, so its quantile d_p is a
 root find over a panel quadrature.
 
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
-level inversion along one draw set. Every Monte-Carlo result carries a
-sectioning standard error and a provenance key with its size and seed.
-These samplers are the independent oracle for the exact kernels.
+level inversion along one draw set. Both pivots are functions of the
+independent pair Z ~ Exp(1) and T ~ Gamma(m-1)/m, so every draw is one
+formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied to the pairs
+of `model.pivot_batches`. Every Monte-Carlo result carries a sectioning
+standard error and a provenance key with its size and seed. These samplers
+are the independent oracle for the exact kernels.
 
 A JSON-lines cache records the exact constants the command line uses, with
 their provenance.
@@ -27,10 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheIntegrityError, CalibrationError, DomainError
+from .model import pivot_batches
 from .numerics import brent_root, integrate_panels
-from .regions import c4_scale_limits, cp_supremum, lambert_interval, lower_slope, upper_slope
+from .regions import (c4_scale_limits, cp_pivot, cp_supremum, ks_distance_xy,
+                      lambert_interval, lower_slope, upper_slope)
 from .special import check_probability, gamma_cdf
-from .streams import replicate_batches
 
 _SECTIONS = 100
 
@@ -85,37 +89,24 @@ def _section_std_error(draws: np.ndarray, q: float) -> float:
 
 
 def draw_cp_statistic(m: int, reps: int, seed: int) -> np.ndarray:
-    """Draws of (m+1) ln(Y) - m Y - Z with Y ~ Gamma(m-1, 1/m) and Z standard
-    exponential, independent; Y is built as a sum of exponentials."""
+    """Draws of the log-likelihood pivot W = (m+1) ln(T) - m T - Z, the
+    `cp_pivot` at the (Z, T) of `pivot_batches`."""
     if m < 2:
         raise DomainError("need m >= 2")
     out = np.empty(reps)
-    for start, count, rng in replicate_batches(seed, reps):
-        e = rng.standard_exponential((count, m - 1))
-        y = e.sum(axis=1) / m
-        z = rng.standard_exponential(count)
-        out[start:start + count] = (m + 1) * np.log(y) - m * y - z
+    for batch, z, t in pivot_batches(m, reps, seed):
+        out[batch] = cp_pivot(z, m * t, m)
     return out
 
 
 def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
-    """Draws of the sup-distance pivot max(U, V): S is exponential with mean
-    1/n, T ~ Gamma(m-1, 1/m), U = 1 - exp(-S), and V follows the local
-    extremum of the cdf difference, active when T < 1 or S < ln(T)."""
+    """Draws of the sup-distance pivot: `ks_distance_xy` at (Z/n, T) from
+    `pivot_batches`."""
     if m < 2 or n < m:
         raise DomainError("need m >= 2 and n >= m")
     out = np.empty(reps)
-    for start, count, rng in replicate_batches(seed, reps):
-        s = rng.standard_exponential(count) / n
-        t = rng.standard_exponential((count, m - 1)).sum(axis=1) / m
-        u = -np.expm1(-s)
-        # the exponent blows up only where the local extremum is inactive,
-        # and those lanes are masked to zero below
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = np.abs(1.0 - t) * np.exp((s - t * np.log(t)) / (t - 1.0))
-        active = (t < 1.0) | (s < np.log(t))
-        v = np.where(active & (t != 1.0), v, 0.0)
-        out[start:start + count] = np.maximum(u, v)
+    for batch, z, t in pivot_batches(m, reps, seed):
+        out[batch] = ks_distance_xy(z / n, t)
     return out
 
 
@@ -345,7 +336,10 @@ class CalibrationCache:
     One record per line; lookups are bit-exact on the full key, so a
     Monte-Carlo record (with its size and seed) never answers for the exact
     constant of the same kind, m, n and level. A missing key returns None; a
-    corrupt file raises CacheIntegrityError.
+    corrupt line raises CacheIntegrityError, except an unterminated final
+    line that does not parse: that is an append cut short by a crash, which
+    lookups skip. `put` cuts off any unterminated final line before it
+    appends, so a torn tail never glues onto the next record.
     """
 
     def __init__(self, path: str | Path):
@@ -356,19 +350,21 @@ class CalibrationCache:
             return
         with self.path.open() as fh:
             for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
                     doc = json.loads(line)
-                    yield CalibrationResult(
+                    record = CalibrationResult(
                         value=float(doc["value"]),
                         mc_std_error=float(doc["mc_std_error"]),
                         key=CalibrationKey(**doc["key"]),
                         extra=doc.get("extra"))
                 except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                    if not line.endswith("\n"):
+                        return
                     raise CacheIntegrityError(
                         f"{self.path}:{lineno}: corrupt cache record: {exc}") from exc
+                yield record
 
     def get(self, key: CalibrationKey) -> CalibrationResult | None:
         found = None
@@ -381,8 +377,11 @@ class CalibrationCache:
         record = {"key": asdict(result.key), "value": result.value,
                   "mc_std_error": result.mc_std_error, "extra": result.extra}
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record) + "\n")
+        with self.path.open("a+b") as fh:
+            fh.seek(0)
+            data = fh.read()
+            fh.truncate(data.rfind(b"\n") + 1)
+            fh.write((json.dumps(record) + "\n").encode())
             fh.flush()
             os.fsync(fh.fileno())
 

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterator
+
 import numpy as np
 
 from .errors import (
@@ -204,23 +206,28 @@ def simulate_sample(theta: LocScale, scheme: Scheme,
     return ProgressiveSample(scheme=scheme, x=tuple(x))
 
 
+def pivot_batches(m: int, reps: int,
+                  seed: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Draws of the independent pivots Z = n(mu_hat - mu)/sigma ~ Exp(1) and
+    T = sigma_hat/sigma ~ Gamma(m-1)/m, one (slice, z, t) per replicate
+    batch. Each replicate takes one row of a (count, 2) gamma draw, so a
+    longer run extends a shorter one replicate for replicate."""
+    shape = np.array([1.0, m - 1.0])
+    for start, count, rng in replicate_batches(seed, reps):
+        g = rng.standard_gamma(shape, size=(count, 2))
+        yield slice(start, start + count), g[:, 0], g[:, 1] / m
+
+
 def simulate_mles(theta: LocScale, scheme: Scheme, replicates: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate `replicates` samples and return their MLE vectors.
-
-    Goes through the same spacings construction and spacing-sum estimator as
-    simulate_sample/mle, vectorized over replicate batches under the
-    deterministic stream contract.
-    """
-    g = np.asarray(scheme.gammas)
-    m = scheme.m
+    """MLE vectors of `replicates` simulated samples, drawn from the pivots:
+    mu_hat = mu + sigma Z / n and sigma_hat = sigma T (`pivot_batches`), the
+    law of `mle(simulate_sample(...))` for any risk-set coefficients."""
     mu_hats = np.empty(replicates)
     sigma_hats = np.empty(replicates)
-    for start, count, rng in replicate_batches(seed, replicates):
-        e = rng.standard_exponential((count, m))
-        x = theta.mu + theta.sigma * np.cumsum(e / g, axis=1)
-        mu_hats[start:start + count] = x[:, 0]
-        sigma_hats[start:start + count] = np.diff(x, axis=1) @ g[1:] / m
+    for batch, z, t in pivot_batches(scheme.m, replicates, seed):
+        mu_hats[batch] = theta.mu + theta.sigma * z / scheme.effective_n
+        sigma_hats[batch] = theta.sigma * t
     return mu_hats, sigma_hats
 
 

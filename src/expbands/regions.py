@@ -45,37 +45,14 @@ def split_level(p: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# membership kernels (broadcast over estimates and parameter points alike)
+# pivots and boundary curves (broadcast over estimates and parameter points)
 # ---------------------------------------------------------------------------
 
-def _c1_indicator(mu_hat, sigma_hat, mu, sigma, *, n, m, ln_q1, ln_q2, x_q1, x_q2):
-    sigma_hi = 2.0 * m * sigma_hat / x_q1
-    sigma_lo = 2.0 * m * sigma_hat / x_q2
-    a_lo = mu_hat + sigma * ln_q1 / n
-    a_hi = mu_hat + sigma * ln_q2 / n
-    return (a_lo <= mu) & (mu <= a_hi) & (sigma_lo <= sigma) & (sigma <= sigma_hi)
-
-
-def _c2_indicator(mu_hat, sigma_hat, mu, sigma, *, n, m, f_q1, f_q2, x_q1, x_q2):
-    mu_hi = mu_hat - m * sigma_hat * f_q1 / ((m - 1) * n)
-    mu_lo = mu_hat - m * sigma_hat * f_q2 / ((m - 1) * n)
-    top = 2.0 * (n * (mu_hat - mu) + m * sigma_hat)
-    return (mu_lo <= mu) & (mu <= mu_hi) & (top / x_q2 <= sigma) & (sigma <= top / x_q1)
-
-
-def _c3_indicator(mu_hat, sigma_hat, mu, sigma, *, m, n, c_p):
-    u = n * (mu_hat - mu) / sigma
-    v = m * sigma_hat / sigma
-    return (u >= 0.0) & ((m + 1) * np.log(v / m) - u - v >= c_p)
-
-
-def _c3_hull_indicator(mu_hat, sigma_hat, mu, sigma, *, m, n, c_p, y, z):
-    u = n * (mu_hat - mu) / sigma
-    v = m * sigma_hat / sigma
-    a = (m + 1) * np.log(v / m) - v - c_p
-    in_c3 = (u >= 0.0) & (u <= a)
-    in_notch = (v >= y) & (v <= z) & (u > a) & (u <= ((m + 1) / z - 1.0) * v)
-    return in_c3 | in_notch
+def cp_pivot(u, v, m):
+    """The log-likelihood pivot W = (m+1) ln(v/m) - u - v at
+    u = n(mu_hat - mu)/sigma ~ Exp(1) and v = m sigma_hat/sigma ~ Gamma(m-1),
+    independent (vectorized). The minimum-area region is u >= 0, W >= c_p."""
+    return (m + 1) * np.log(v / m) - u - v
 
 
 def h_curve(t, d_p):
@@ -103,6 +80,24 @@ def upper_slope(t, d_p):
     return out if out.ndim else float(out)
 
 
+def ks_distance_xy(mu, sigma):
+    """sup_x |F_(mu, sigma)(x) - F_(0,1)(x)| in closed form (vectorized). At
+    (Z/n, T) it is the sup-distance pivot behind the KS-type bands."""
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    u = -np.expm1(-np.maximum(mu, -mu / sigma))
+    not_one = sigma != 1.0
+    s = np.where(not_one, sigma, 2.0)
+    ln_s = np.log(s)
+    interior = np.where(s < 1.0, mu > s * ln_s, mu < ln_s)
+    # the exponent can overflow only on lanes masked out below
+    with np.errstate(over="ignore"):
+        v = np.abs(1.0 - s) * np.exp((mu - s * ln_s) / (s - 1.0))
+    v = np.where(not_one & interior, v, 0.0)
+    out = np.maximum(u, v)
+    return out if out.ndim else float(out)
+
+
 def _h_scalar(t: float, d_p: float) -> float:
     # h_curve for one float t != 1, in math-module arithmetic for the root solves
     return math.log(d_p / abs(1.0 - t)) * (t - 1.0) + t * math.log(t)
@@ -118,15 +113,6 @@ def _h_deriv(t: float, d_p: float) -> float:
 def _c3_offset(scale, sigma_hat, m, n, c_p):
     # location offset (from mu_hat) of the minimum-area boundary at a scale
     return ((c_p - (m + 1) * (math.log(sigma_hat) - np.log(scale))) * scale + m * sigma_hat) / n
-
-
-def _c4_indicator(mu_hat, sigma_hat, mu, sigma, *, d_p, trimmed):
-    t = sigma_hat / sigma
-    s = (mu_hat - mu) / sigma
-    lo = lower_slope(t, d_p)
-    if trimmed:
-        lo = np.maximum(lo, 0.0)
-    return (lo <= s) & (s <= upper_slope(t, d_p))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +144,11 @@ class TrapezoidRegionC1:
         return self.mu_hat + np.asarray(sigma) * math.log(q) / self.n
 
     def contains(self, mu, sigma):
-        return _c1_indicator(self.mu_hat, self.sigma_hat, np.asarray(mu, dtype=float),
-                             np.asarray(sigma, dtype=float), n=self.n, m=self.m,
-                             ln_q1=math.log(self.q1), ln_q2=math.log(self.q2),
-                             x_q1=self.chi2_q1, x_q2=self.chi2_q2)
+        mu = np.asarray(mu, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        return ((self.location_edge(self.q1, sigma) <= mu)
+                & (mu <= self.location_edge(self.q2, sigma))
+                & (self.sigma_lo <= sigma) & (sigma <= self.sigma_hi))
 
     def boundary(self, points: int = 512) -> np.ndarray:
         per = max(points // 4, 2)
@@ -207,10 +194,11 @@ class TrapezoidRegionC2:
         return 2.0 * (self.n * (self.mu_hat - np.asarray(mu)) + self.m * self.sigma_hat) / x
 
     def contains(self, mu, sigma):
-        return _c2_indicator(self.mu_hat, self.sigma_hat, np.asarray(mu, dtype=float),
-                             np.asarray(sigma, dtype=float), n=self.n, m=self.m,
-                             f_q1=self.f_q1, f_q2=self.f_q2,
-                             x_q1=self.chi2_q1, x_q2=self.chi2_q2)
+        mu = np.asarray(mu, dtype=float)
+        sigma = np.asarray(sigma, dtype=float)
+        return ((self.mu_lo <= mu) & (mu <= self.mu_hi)
+                & (self.scale_edge(self.q2, mu) <= sigma)
+                & (sigma <= self.scale_edge(self.q1, mu)))
 
     def boundary(self, points: int = 512) -> np.ndarray:
         per = max(points // 4, 2)
@@ -247,17 +235,25 @@ class MinAreaRegionC3:
         val = _c3_offset(np.asarray(scale, dtype=float), self.sigma_hat, self.m, self.n, self.c_p)
         return val if val.ndim else float(val)
 
+    def _pivots(self, mu, sigma):
+        # (u, v) of `cp_pivot` at the parameter point (mu, sigma)
+        sigma = np.asarray(sigma, dtype=float)
+        u = self.n * (self.mu_hat - np.asarray(mu, dtype=float)) / sigma
+        return u, self.m * self.sigma_hat / sigma
+
     def contains(self, mu, sigma):
-        return _c3_indicator(self.mu_hat, self.sigma_hat, np.asarray(mu, dtype=float),
-                             np.asarray(sigma, dtype=float), m=self.m, n=self.n, c_p=self.c_p)
+        u, v = self._pivots(mu, sigma)
+        return (u >= 0.0) & (cp_pivot(u, v, self.m) >= self.c_p)
 
     def hull_contains(self, mu, sigma):
         """Membership in the comprehensive convex hull (region plus the
         notch between the curved boundary and its minimum); this is the
         coverage event of the induced band."""
-        return _c3_hull_indicator(self.mu_hat, self.sigma_hat, np.asarray(mu, dtype=float),
-                                  np.asarray(sigma, dtype=float), m=self.m, n=self.n,
-                                  c_p=self.c_p, y=self.y, z=self.z)
+        u, v = self._pivots(mu, sigma)
+        above = cp_pivot(u, v, self.m) >= self.c_p
+        in_notch = ((v >= self.y) & (v <= self.z) & ~above
+                    & (u <= ((self.m + 1) / self.z - 1.0) * v))
+        return ((u >= 0.0) & above) | in_notch
 
     def boundary(self, points: int = 512) -> np.ndarray:
         per = max(points // 2, 2)
@@ -288,8 +284,10 @@ class KsRegionC4:
         return lo, upper_slope(t, self.d_p)
 
     def contains(self, mu, sigma):
-        return _c4_indicator(self.mu_hat, self.sigma_hat, np.asarray(mu, dtype=float),
-                             np.asarray(sigma, dtype=float), d_p=self.d_p, trimmed=self.trimmed)
+        sigma = np.asarray(sigma, dtype=float)
+        lo, hi = self.slopes(self.sigma_hat / sigma)
+        s = (self.mu_hat - np.asarray(mu, dtype=float)) / sigma
+        return (lo <= s) & (s <= hi)
 
     def boundary(self, points: int = 512) -> np.ndarray:
         per = max(points // 2, 2)
@@ -429,7 +427,7 @@ def comprehensive_convex_hull_delta_prob(m: int, c_p: float,
     _, _, y, z = lambert_interval(m, c_p)
 
     def outer(v: float) -> float:
-        a = (m + 1.0) * math.log(v / m) - v - c_p
+        a = float(cp_pivot(0.0, v, m)) - c_p   # the u at which W = c_p
         b = ((m + 1.0) / z - 1.0) * v
         if b <= a:
             return 0.0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -166,6 +167,27 @@ class TestCache:
         with pytest.raises(CacheIntegrityError):
             CalibrationCache(path).get(
                 CalibrationKey("c_p", m=4, n=0, level=0.1, reps=10, seed=0))
+
+    def test_torn_final_line_skipped_then_cut(self, tmp_path):
+        # a crash mid-append leaves a final line without its newline
+        path = tmp_path / "cache.jsonl"
+        cache = CalibrationCache(path)
+        first = cache.get_or_compute(CalibrationKey("c_p", m=4, n=0, level=0.10))
+        with path.open("a") as fh:
+            fh.write('{"key": {"kind": "c_p", "m": 5, "n": 0, "lev')
+        key = CalibrationKey("c_p", m=5, n=0, level=0.10)
+        second = cache.get_or_compute(key)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 and all(json.loads(line) for line in lines)
+        assert cache.get(first.key) == first and cache.get(key) == second
+
+    def test_corrupt_terminated_final_line_raises(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        CalibrationCache(path).get_or_compute(CalibrationKey("c_p", m=4, n=0, level=0.10))
+        with path.open("a") as fh:
+            fh.write('{"key": {"kind": "c_p", "m": 5\n')
+        with pytest.raises(CacheIntegrityError):
+            CalibrationCache(path).get(CalibrationKey("c_p", m=5, n=0, level=0.10))
 
     def test_bad_key_kind(self):
         with pytest.raises(DomainError):

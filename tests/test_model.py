@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from expbands.calibration import draw_cp_statistic, draw_ks_statistic
 from expbands.errors import (
     DegenerateSampleError,
     DomainError,
@@ -20,6 +21,7 @@ from expbands.model import (
     ProgressiveSample,
     g_transform,
     gammas,
+    load_insulating_fluid,
     mle,
     read_sample_csv,
     simulate_mles,
@@ -135,6 +137,21 @@ class TestUmvue:
         assert sigma_big == pytest.approx(est_big.sigma_hat, rel=3e-3)
 
 
+def _ks_p_value(d: float, n: float) -> float:
+    """Asymptotic Kolmogorov p-value of a KS distance d at effective size n."""
+    lam = d * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
+                     for k in range(1, 101))
+
+
+# the seeded batched samplers, keyed by name: (scheme, replicates) -> arrays
+BATCHED_DRAWS = {
+    "simulate_mles": lambda scheme, reps: simulate_mles(LocScale(0.0, 1.0), scheme, reps, 5),
+    "draw_cp_statistic": lambda scheme, reps: (draw_cp_statistic(scheme.m, reps, 5),),
+    "draw_ks_statistic": lambda scheme, reps: (draw_ks_statistic(scheme.m, scheme.n, reps, 5),),
+}
+
+
 class TestSimulation:
     def test_sample_sorted_and_above_location(self, fluid_scheme, rng):
         theta = LocScale(2.0, 3.0)
@@ -148,13 +165,13 @@ class TestSimulation:
         b = simulate_mles(theta, fluid_scheme, 10_000, seed=5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_batching_invariance(self, fluid_scheme):
+    @pytest.mark.parametrize("draw", BATCHED_DRAWS)
+    def test_batching_invariance(self, fluid_scheme, draw):
         # a longer run extends a shorter one replicate-for-replicate
-        theta = LocScale(0.0, 1.0)
-        short = simulate_mles(theta, fluid_scheme, 5_000, seed=5)
-        long = simulate_mles(theta, fluid_scheme, 10_000, seed=5)
-        assert np.array_equal(short[0], long[0][:5_000])
-        assert np.array_equal(short[1], long[1][:5_000])
+        short = BATCHED_DRAWS[draw](fluid_scheme, 5_000)
+        long = BATCHED_DRAWS[draw](fluid_scheme, 10_000)
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b[:5_000])
 
     def test_location_estimate_mean(self, fluid_scheme):
         # mu_hat - mu is exponential with mean sigma/n
@@ -176,10 +193,26 @@ class TestSimulation:
         ecdf = np.arange(1, n + 1) / n
         f = -np.expm1(-pooled)
         d = max(np.max(np.abs(ecdf - f)), np.max(np.abs(ecdf - 1.0 / n - f)))
-        lam = d * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))
-        p_value = 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
-                            for k in range(1, 101))
-        assert p_value > 0.001
+        assert _ks_p_value(d, n) > 0.001
+
+    @pytest.mark.parametrize("scheme", (
+        load_insulating_fluid().scheme,
+        GeneralizedScheme((7.5, 6.0, 2.5, 2.2, 1.0)),
+    ), ids=("progressive", "generalized"))
+    def test_pivot_mles_match_simulated_samples(self, scheme):
+        # the (Z, T) pivot draws behind simulate_mles have the law of the
+        # MLE of samples built from m weighted spacings, for any gammas
+        theta = LocScale(1.5, 2.0)
+        reps = 20_000
+        rng = np.random.Generator(np.random.Philox(4242))
+        fitted = [mle(simulate_sample(theta, scheme, rng)) for _ in range(reps)]
+        mu_hats, sigma_hats = simulate_mles(theta, scheme, reps, seed=4243)
+        for direct, pivot in ((np.array([e.mu_hat for e in fitted]), mu_hats),
+                              (np.array([e.sigma_hat for e in fitted]), sigma_hats)):
+            both = np.concatenate([direct, pivot])
+            d = np.max(np.abs(np.searchsorted(np.sort(direct), both, side="right")
+                              - np.searchsorted(np.sort(pivot), both, side="right"))) / reps
+            assert _ks_p_value(d, reps / 2) > 0.001
 
     def test_pivotality_of_estimators(self, fluid_scheme):
         reps = 200_000
