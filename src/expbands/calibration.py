@@ -10,10 +10,13 @@ root find over a panel quadrature.
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Both pivots are functions of the
 independent pair Z ~ Exp(1) and T ~ Gamma(m-1)/m, so every draw is one
-formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied to the pairs
-of `model.pivot_batches`. Every Monte-Carlo result carries a sectioning
-standard error and a provenance key with its size and seed. These samplers
-are the independent oracle for the exact kernels.
+formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, one
+replicate batch per task, to the pairs `model.map_pivots` draws on its
+thread pool. Quantiles are order statistics taken by selection
+(`ndarray.partition`), not by a full sort, except along the level inversion,
+which reads the whole quantile curve. Every Monte-Carlo result carries a
+sectioning standard error and a provenance key with its size and seed.
+These samplers are the independent oracle for the exact kernels.
 
 A JSON-lines cache records the exact constants the command line uses, with
 their provenance.
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheIntegrityError, CalibrationError, DomainError
-from .model import pivot_batches
+from .model import map_pivots
 from .numerics import brent_root, integrate_panels
 from .regions import (c4_scale_limits, cp_pivot, cp_supremum, ks_distance_xy,
                       lambert_interval, lower_slope, upper_slope)
@@ -68,11 +71,22 @@ class CalibrationResult:
     extra: dict | None = None
 
 
+def _order_index(q: float, n: int) -> int:
+    """Index ceil(q * n) - 1 of the q-quantile among n sorted draws, clamped."""
+    return min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
+
+
 def empirical_quantile(sorted_draws: np.ndarray, q: float) -> float:
     """Order statistic at index ceil(q * N): no interpolation."""
-    n = sorted_draws.shape[0]
-    idx = min(max(int(math.ceil(q * n)) - 1, 0), n - 1)
-    return float(sorted_draws[idx])
+    return float(sorted_draws[_order_index(q, sorted_draws.shape[0])])
+
+
+def _select_quantile(draws: np.ndarray, q: float) -> float:
+    """`empirical_quantile` of unsorted draws by selection; reorders `draws`
+    in place."""
+    idx = _order_index(q, draws.shape[0])
+    draws.partition(idx)
+    return float(draws[idx])
 
 
 def _section_std_error(draws: np.ndarray, q: float) -> float:
@@ -83,30 +97,36 @@ def _section_std_error(draws: np.ndarray, q: float) -> float:
     size = n // k
     if size < 2:
         return float("nan")
-    sections = draws[:k * size].reshape(k, size)
-    qs = np.sort(sections, axis=1)[:, min(max(int(math.ceil(q * size)) - 1, 0), size - 1)]
+    idx = _order_index(q, size)
+    qs = [np.partition(section, idx)[idx] for section in draws[:k * size].reshape(k, size)]
     return float(np.std(qs, ddof=1) / math.sqrt(k))
 
 
 def draw_cp_statistic(m: int, reps: int, seed: int) -> np.ndarray:
     """Draws of the log-likelihood pivot W = (m+1) ln(T) - m T - Z, the
-    `cp_pivot` at the (Z, T) of `pivot_batches`."""
+    `cp_pivot` at the (Z, T) of `map_pivots`."""
     if m < 2:
         raise DomainError("need m >= 2")
     out = np.empty(reps)
-    for batch, z, t in pivot_batches(m, reps, seed):
+
+    def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
         out[batch] = cp_pivot(z, m * t, m)
+
+    map_pivots(m, reps, seed, fill)
     return out
 
 
 def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
     """Draws of the sup-distance pivot: `ks_distance_xy` at (Z/n, T) from
-    `pivot_batches`."""
+    `map_pivots`."""
     if m < 2 or n < m:
         raise DomainError("need m >= 2 and n >= m")
     out = np.empty(reps)
-    for batch, z, t in pivot_batches(m, reps, seed):
+
+    def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
         out[batch] = ks_distance_xy(z / n, t)
+
+    map_pivots(m, reps, seed, fill)
     return out
 
 
@@ -114,8 +134,8 @@ def calibrate_cp(m: int, p: float, reps: int, seed: int) -> CalibrationResult:
     """p-quantile of the log-likelihood pivot; depends only on p and m."""
     p = check_probability(p, "p", open_interval=True)
     raw = draw_cp_statistic(m, reps, seed)
-    se = _section_std_error(raw, p)
-    value = empirical_quantile(np.sort(raw), p)
+    se = _section_std_error(raw, p)   # before the selection reorders raw
+    value = _select_quantile(raw, p)
     key = CalibrationKey("c_p", m=m, n=0, level=p, reps=reps, seed=seed)
     return CalibrationResult(value=value, mc_std_error=se, key=key)
 
@@ -124,8 +144,8 @@ def calibrate_dp(m: int, n: int, p: float, reps: int, seed: int) -> CalibrationR
     """(1-p)-quantile of the sup-distance pivot for the KS-type band."""
     p = check_probability(p, "p", open_interval=True)
     raw = draw_ks_statistic(m, n, reps, seed)
-    se = _section_std_error(raw, 1.0 - p)
-    value = empirical_quantile(np.sort(raw), 1.0 - p)
+    se = _section_std_error(raw, 1.0 - p)   # before the selection reorders raw
+    value = _select_quantile(raw, 1.0 - p)
     key = CalibrationKey("d_p", m=m, n=n, level=p, reps=reps, seed=seed)
     return CalibrationResult(value=value, mc_std_error=se, key=key)
 

@@ -9,7 +9,9 @@ vectorized golden-section search over all such panels, and to adaptive
 quadrature. Tails beyond the outermost breakpoints are handled in closed
 form, so a band is reported as having infinite area only on structural
 grounds (its width does not vanish at infinity), never through numeric
-divergence. Coverage experiments read the method registry of `bands`.
+divergence. Coverage experiments read the method registry of `bands`; the
+exact method counts each task's coverage events where `model.map_pivots`
+draws them, so no replicate-length array is built.
 """
 
 from __future__ import annotations
@@ -30,11 +32,15 @@ from .bands import (
     reliability_band,
 )
 from .errors import DomainError, NumericError
-from .model import LocScale, MleEstimate, Scheme, simulate_mles
+from .model import LocScale, MleEstimate, Scheme, map_pivots, mles_from_pivots, simulate_mles
 from .numerics import golden_section, integrate
 from .special import check_probability
 
 _WIDTH_FLOOR = 1e-12
+# replicate batches per exact coverage task: 131,072 replicates amortize the
+# per-call cost of the registry's events, while the one-batch tasks of the
+# array-filling samplers keep the worker threads' temporary arrays small
+_COVERAGE_TASK_BATCHES = 32
 
 
 @dataclass(frozen=True)
@@ -325,12 +331,15 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
         raise DomainError("replicates must be >= 1")
     if method not in ("exact", "grid"):
         raise DomainError(f"unknown coverage method {method!r}")
-    mu_hats, sigma_hats = simulate_mles(theta, scheme, replicates, seed)
     if method == "exact":
-        ind = _bands.coverage_indicator(kind, mu_hats, sigma_hats, theta, scheme,
-                                        level=level, **constants)
-        hits = int(np.count_nonzero(ind))
+        def count(batch: slice, z: np.ndarray, t: np.ndarray) -> int:
+            mu_hats, sigma_hats = mles_from_pivots(theta, scheme, z, t)
+            return int(np.count_nonzero(_bands.coverage_indicator(
+                kind, mu_hats, sigma_hats, theta, scheme, level=level, **constants)))
+
+        hits = sum(map_pivots(scheme.m, replicates, seed, count, _COVERAGE_TASK_BATCHES))
     else:
+        mu_hats, sigma_hats = simulate_mles(theta, scheme, replicates, seed)
         hits = 0
         for mh, sh in zip(mu_hats, sigma_hats):
             built = entry.build(MleEstimate(float(mh), float(sh)), scheme, level,

@@ -1,6 +1,7 @@
 """Progressively type-II censored experiments under the two-parameter
 exponential model: schemes and their risk-set coefficients, maximum
-likelihood and UMVU estimation, sample simulation, and monotone data
+likelihood and UMVU estimation, sample simulation, the threaded pivot
+sampler every Monte-Carlo draw comes from (`map_pivots`), and monotone data
 transforms for related location-scale families (e.g. Pareto via log).
 """
 
@@ -8,10 +9,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -22,7 +25,7 @@ from .errors import (
     InvalidTransformError,
     ParseError,
 )
-from .streams import replicate_batches
+from .streams import BATCH_SIZE, batch_generator
 
 
 @dataclass(frozen=True)
@@ -206,28 +209,79 @@ def simulate_sample(theta: LocScale, scheme: Scheme,
     return ProgressiveSample(scheme=scheme, x=tuple(x))
 
 
-def pivot_batches(m: int, reps: int,
-                  seed: int) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Draws of the independent pivots Z = n(mu_hat - mu)/sigma ~ Exp(1) and
-    T = sigma_hat/sigma ~ Gamma(m-1)/m, one (slice, z, t) per replicate
-    batch. Each replicate takes one row of a (count, 2) gamma draw, so a
-    longer run extends a shorter one replicate for replicate."""
+def map_pivots(m: int, reps: int, seed: int, fn: Callable, batches: int = 1) -> list:
+    """Apply fn(slice, z, t) to draws of the independent pivots
+    Z = n(mu_hat - mu)/sigma ~ Exp(1) and T = sigma_hat/sigma ~ Gamma(m-1)/m
+    for replicates 0..reps-1, one call per task of `batches` consecutive
+    replicate batches, on a thread pool shared by every call (a lone task
+    runs on the calling thread); returns the results in task order.
+
+    Each replicate takes one row of its batch's (count, 2) gamma draw, so
+    every draw is a function of (seed, replicate) alone: a longer run
+    extends a shorter one replicate for replicate, and neither the task size
+    nor the schedule changes a value. `fn` runs on worker threads, so it may
+    only write to the slice of a shared array it is given, and it must not
+    call map_pivots itself. An exception raised in `fn` reaches the caller.
+    """
+    if reps < 1:
+        raise DomainError(f"need reps >= 1, got {reps}")
     shape = np.array([1.0, m - 1.0])
-    for start, count, rng in replicate_batches(seed, reps):
-        g = rng.standard_gamma(shape, size=(count, 2))
-        yield slice(start, start + count), g[:, 0], g[:, 1] / m
+    width = batches * BATCH_SIZE
+
+    def task(first: int):
+        last = min(first + width, reps)
+        g = np.empty((last - first, 2))
+        for start in range(first, last, BATCH_SIZE):
+            rows = g[start - first:min(start + BATCH_SIZE, last) - first]
+            batch_generator(seed, start // BATCH_SIZE).standard_gamma(shape, out=rows)
+        return fn(slice(first, last), g[:, 0], g[:, 1] / m)
+
+    if reps <= width:
+        return [task(0)]
+    return list(_pool().map(task, range(0, reps, width)))
+
+
+_POOL: tuple[int, object] | None = None   # (creating process id, executor)
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The worker pool of `map_pivots`, one thread per usable CPU, created
+    on first use in each process: a forked child inherits the pool but not
+    its threads. numpy's generators and large ufunc loops release the GIL.
+    concurrent.futures is imported here, not at module import, because
+    every command-line call that draws nothing would pay for it."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            try:
+                workers = len(os.sched_getaffinity(0))
+            except AttributeError:   # no affinity call on this platform
+                workers = os.cpu_count() or 1
+            _POOL = (os.getpid(),
+                     ThreadPoolExecutor(workers, thread_name_prefix="expbands-pivots"))
+        return _POOL[1]
+
+
+def mles_from_pivots(theta: LocScale, scheme: Scheme, z: np.ndarray,
+                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MLEs at pivot draws: mu_hat = mu + sigma Z / n, sigma_hat = sigma T."""
+    return theta.mu + theta.sigma * z / scheme.effective_n, theta.sigma * t
 
 
 def simulate_mles(theta: LocScale, scheme: Scheme, replicates: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """MLE vectors of `replicates` simulated samples, drawn from the pivots:
-    mu_hat = mu + sigma Z / n and sigma_hat = sigma T (`pivot_batches`), the
-    law of `mle(simulate_sample(...))` for any risk-set coefficients."""
+    """MLE vectors of `replicates` simulated samples, drawn from the pivots
+    of `map_pivots` (`mles_from_pivots`): the law of
+    `mle(simulate_sample(...))` for any risk-set coefficients."""
     mu_hats = np.empty(replicates)
     sigma_hats = np.empty(replicates)
-    for batch, z, t in pivot_batches(scheme.m, replicates, seed):
-        mu_hats[batch] = theta.mu + theta.sigma * z / scheme.effective_n
-        sigma_hats[batch] = theta.sigma * t
+
+    def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
+        mu_hats[batch], sigma_hats[batch] = mles_from_pivots(theta, scheme, z, t)
+
+    map_pivots(scheme.m, replicates, seed, fill)
     return mu_hats, sigma_hats
 
 

@@ -3,13 +3,12 @@
 Replicates are partitioned into fixed-size batches; batch b of a run keyed
 by `seed` draws from Philox seeded with SeedSequence((seed, b)). The draws
 for replicate i are therefore a pure function of (seed, i), independent of
-how many batches a caller processes at a time or in what order, which makes
-simulation results bit-reproducible under any parallel schedule.
+how many batches a task covers and of which thread runs it when, which
+makes simulation results bit-reproducible under any parallel schedule, such
+as the thread pool of `model.map_pivots`.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -20,20 +19,6 @@ def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
     """Generator for one replicate batch of a run keyed by `seed`."""
     ss = np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, int(batch_index)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def replicate_batches(seed: int, replicates: int,
-                      batch_size: int = BATCH_SIZE) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """Yield (start_index, count, generator) covering `replicates` replicates."""
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    start = 0
-    batch = 0
-    while start < replicates:
-        count = min(batch_size, replicates - start)
-        yield start, count, batch_generator(seed, batch)
-        start += count
-        batch += 1
 
 
 def substream(seed: int, label: str) -> int:

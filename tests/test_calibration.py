@@ -12,6 +12,7 @@ from expbands.calibration import (
     calibrate_dp,
     cp_tail,
     draw_cp_statistic,
+    draw_ks_statistic,
     empirical_quantile,
     exact_cp,
     exact_dp,
@@ -24,6 +25,26 @@ from expbands.errors import CacheIntegrityError, CalibrationError, DomainError
 from expbands.numerics import integrate
 from expbands.regions import c4_scale_limits, cp_supremum, h_curve
 from expbands.special import gamma_cdf, gamma_logpdf
+
+
+def _sorted_quantile_and_se(draws: np.ndarray, q: float) -> tuple[float, float]:
+    """Quantile and sectioning standard error by full sorts: the reference
+    for the selection in calibrate_cp/calibrate_dp."""
+    k, size = 100, draws.size // 100
+    idx = min(max(math.ceil(q * size) - 1, 0), size - 1)
+    qs = np.sort(draws[:k * size].reshape(k, size), axis=1)[:, idx]
+    return empirical_quantile(np.sort(draws), q), float(np.std(qs, ddof=1) / math.sqrt(k))
+
+
+@pytest.mark.parametrize("reps", (4_097, 100_003))
+@pytest.mark.parametrize("p", (0.05, 0.5, 0.9))
+def test_selected_quantiles_match_sorted_reference(p, reps):
+    cp = calibrate_cp(8, p, reps, seed=6)
+    assert (cp.value, cp.mc_std_error) == _sorted_quantile_and_se(
+        draw_cp_statistic(8, reps, seed=6), p)
+    dp = calibrate_dp(8, 19, p, reps, seed=6)
+    assert (dp.value, dp.mc_std_error) == _sorted_quantile_and_se(
+        draw_ks_statistic(8, 19, reps, seed=6), 1.0 - p)
 
 
 class TestCpQuantile:

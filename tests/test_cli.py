@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expbands
 from expbands.bands import band_from_dict
 from expbands.calibration import exact_dp
 from expbands.cli import main
@@ -362,3 +366,13 @@ class TestReproduceCommand:
         doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
         assert doc["all_passed"] is True
         assert all(row["z"] is None for row in doc["mc_crosscheck"])
+
+
+def test_import_leaves_thread_pool_unloaded():
+    # the pivot sampler imports its thread pool on first use, so the many
+    # commands that draw nothing do not pay for importing concurrent.futures
+    src = str(Path(expbands.__file__).resolve().parent.parent)
+    code = "import sys, expbands.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

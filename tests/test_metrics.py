@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from expbands.bands import (
+    METHODS,
     band_b1,
     band_b3,
     band_b4,
     band_b4_trimmed,
+    coverage_indicator,
     marginal_band,
     reliability_band,
 )
@@ -18,7 +20,8 @@ from expbands.metrics import (
     coverage_experiment,
     max_width,
 )
-from expbands.model import LocScale
+from expbands.model import LocScale, simulate_mles
+from expbands.streams import BATCH_SIZE
 
 LEVEL = 0.9025
 P = 1.0 - LEVEL
@@ -100,6 +103,17 @@ class TestCoverage:
         a = coverage_experiment("c1", std_theta, fluid_scheme, 0.9, 20_000, seed=3)
         b = coverage_experiment("c1", std_theta, fluid_scheme, 0.9, 20_000, seed=3)
         assert a.coverage == b.coverage
+
+    @pytest.mark.parametrize("kind", METHODS)
+    def test_fused_count_matches_indicator_arrays(self, fluid_scheme, kind):
+        # the exact method counts per task of 32 batches; across task
+        # boundaries it must agree with the events on the full MLE arrays
+        theta, reps = LocScale(2.0, 3.0), 2 * 32 * BATCH_SIZE + 5
+        constants = {"c_p": CP_PAPER, "d_p": DP_PAPER}
+        rep = coverage_experiment(kind, theta, fluid_scheme, 0.9, reps, seed=12, **constants)
+        events = coverage_indicator(kind, *simulate_mles(theta, fluid_scheme, reps, 12), theta,
+                                    fluid_scheme, level=0.9, **constants)
+        assert rep.coverage == np.count_nonzero(events) / reps
 
     def test_exact_matches_grid_method(self, fluid_scheme, std_theta):
         for kind, kw in (("c1", {}), ("b1", {}), ("c3", {"c_p": CP_PAPER}),

@@ -1,9 +1,18 @@
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from expbands.calibration import draw_cp_statistic, draw_ks_statistic
+from expbands.calibration import (
+    calibrate_cp,
+    calibrate_dp,
+    draw_cp_statistic,
+    draw_ks_statistic,
+    p_of_tau,
+)
 from expbands.errors import (
     DegenerateSampleError,
     DomainError,
@@ -22,6 +31,7 @@ from expbands.model import (
     g_transform,
     gammas,
     load_insulating_fluid,
+    map_pivots,
     mle,
     read_sample_csv,
     simulate_mles,
@@ -29,7 +39,8 @@ from expbands.model import (
     umvue,
     write_sample_csv,
 )
-from expbands.streams import batch_generator
+from expbands.regions import cp_pivot, ks_distance_xy
+from expbands.streams import BATCH_SIZE, batch_generator
 
 
 class TestScheme:
@@ -152,6 +163,32 @@ BATCHED_DRAWS = {
 }
 
 
+def _serial_pivots(m: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, T) drawn one batch after another on the calling thread."""
+    g = np.concatenate([
+        batch_generator(seed, b).standard_gamma([1.0, m - 1.0],
+                                                size=(min(BATCH_SIZE, reps - start), 2))
+        for b, start in enumerate(range(0, reps, BATCH_SIZE))])
+    return g[:, 0], g[:, 1] / m
+
+
+# the same draws as BATCHED_DRAWS (simulate_mles at theta = (0, 1)), from the
+# serial pivots by the same formulas
+SERIAL_DRAWS = {
+    "simulate_mles": lambda scheme, z, t: (z / scheme.effective_n, t),
+    "draw_cp_statistic": lambda scheme, z, t: (cp_pivot(z, scheme.m * t, scheme.m),),
+    "draw_ks_statistic": lambda scheme, z, t: (ks_distance_xy(z / scheme.n, t),),
+}
+
+
+class _WorkerFailure(Exception):
+    pass
+
+
+def _draw_three_batches(seed: int) -> np.ndarray:
+    return draw_cp_statistic(8, 3 * BATCH_SIZE, seed)
+
+
 class TestSimulation:
     def test_sample_sorted_and_above_location(self, fluid_scheme, rng):
         theta = LocScale(2.0, 3.0)
@@ -172,6 +209,73 @@ class TestSimulation:
         long = BATCHED_DRAWS[draw](fluid_scheme, 10_000)
         for a, b in zip(short, long):
             assert np.array_equal(a, b[:5_000])
+
+    @pytest.mark.parametrize("reps", (1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1,
+                                      32 * BATCH_SIZE + 17))
+    @pytest.mark.parametrize("draw", BATCHED_DRAWS)
+    def test_threaded_draws_match_serial_reference(self, fluid_scheme, draw, reps):
+        threaded = BATCHED_DRAWS[draw](fluid_scheme, reps)
+        serial = SERIAL_DRAWS[draw](fluid_scheme, *_serial_pivots(fluid_scheme.m, reps, 5))
+        for a, b in zip(threaded, serial):
+            assert np.array_equal(a, b)
+
+    def test_map_pivots_results_in_task_order(self):
+        reps = 5 * BATCH_SIZE + 3
+        bounds = map_pivots(8, reps, 1, lambda batch, z, t: (batch.start, batch.stop, z.size),
+                            batches=2)
+        assert bounds == [(0, 2 * BATCH_SIZE, 2 * BATCH_SIZE),
+                          (2 * BATCH_SIZE, 4 * BATCH_SIZE, 2 * BATCH_SIZE),
+                          (4 * BATCH_SIZE, reps, BATCH_SIZE + 3)]
+
+    def test_worker_exception_reaches_caller(self):
+        def fail_late(batch, z, t):
+            if batch.start >= 2 * BATCH_SIZE:
+                raise _WorkerFailure(batch.start)
+
+        with pytest.raises(_WorkerFailure):
+            map_pivots(8, 4 * BATCH_SIZE, 1, fail_late)
+
+    def test_forked_child_draws(self):
+        # a forked child inherits the parent's pool object but none of its
+        # threads; it must not queue work that no thread will run
+        expected = _draw_three_batches(3)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            drawn = pool.apply_async(_draw_three_batches, (3,)).get(timeout=60)
+        assert np.array_equal(drawn, expected)
+
+    def test_concurrent_callers_share_the_pool(self):
+        # more calling threads than cores, switching often: each caller
+        # still gets exactly its own serial draws
+        seeds = range(6)
+        expected = {seed: _draw_three_batches(seed) for seed in seeds}
+        got = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=lambda s=seed: got.__setitem__(
+                s, _draw_three_batches(s))) for seed in seeds]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got.keys() == expected.keys()
+        assert all(np.array_equal(got[seed], expected[seed]) for seed in seeds)
+
+    @pytest.mark.parametrize("call", (
+        lambda: simulate_mles(LocScale(0.0, 1.0), load_insulating_fluid().scheme, 0, 1),
+        lambda: draw_cp_statistic(8, 0, 1),
+        lambda: draw_ks_statistic(8, 19, 0, 1),
+        lambda: calibrate_cp(8, 0.1, 0, 1),
+        lambda: calibrate_dp(8, 19, 0.1, 0, 1),
+        lambda: p_of_tau(8, 0.9, 0, 1),
+    ), ids=("simulate_mles", "draw_cp_statistic", "draw_ks_statistic", "calibrate_cp",
+            "calibrate_dp", "p_of_tau"))
+    def test_zero_replicates_is_a_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     def test_location_estimate_mean(self, fluid_scheme):
         # mu_hat - mu is exponential with mean sigma/n
