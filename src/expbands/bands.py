@@ -42,6 +42,7 @@ from .regions import (
     build_c3,
     build_c4,
     ks_distance_xy,
+    ks_slopes,
     lower_slope,
     upper_slope,
 )
@@ -656,9 +657,12 @@ def _inside(region: str, hull: bool = False):
 
 
 def _ks_pivot(est, scheme, level, k, theta):
-    # the KS-type bands cover exactly when the sup-distance pivot is within d_p
-    return ks_distance_xy((est.mu_hat - theta.mu) / theta.sigma,
-                          est.sigma_hat / theta.sigma) <= k["d_p"]
+    # the KS-type bands cover exactly when the sup-distance pivot is within
+    # d_p, that is when S = (mu_hat - mu)/sigma lies between the slopes at
+    # T = sigma_hat/sigma; unlike build_c4, this holds for every d_p < 1
+    lo, hi = ks_slopes(est.sigma_hat / theta.sigma, k["d_p"])
+    s = (est.mu_hat - theta.mu) / theta.sigma
+    return (lo <= s) & (s <= hi)
 
 
 def _trimmed(trimmed: bool):

@@ -11,12 +11,14 @@ Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Both pivots are functions of the
 independent pair Z ~ Exp(1) and T ~ Gamma(m-1)/m, so every draw is one
 formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, one
-replicate batch per task, to the pairs `model.map_pivots` draws on its
-thread pool. Quantiles are order statistics taken by selection
-(`ndarray.partition`), not by a full sort, except along the level inversion,
-which reads the whole quantile curve. Every Monte-Carlo result carries a
-sectioning standard error and a provenance key with its size and seed.
-These samplers are the independent oracle for the exact kernels.
+replicate batch per task, to the contiguous Z and T arrays that
+`model.map_pivots` draws on its thread pool (per batch,
+`standard_exponential` for Z, then `standard_gamma(m-1)`/m for T).
+Quantiles are order statistics taken by selection (`ndarray.partition`),
+not by a full sort, except along the level inversion, which reads the
+whole quantile curve. Every Monte-Carlo result carries a sectioning
+standard error and a provenance key with its size and seed. These
+samplers are the independent oracle for the exact kernels.
 
 A JSON-lines cache records the exact constants the command line uses, with
 their provenance.
@@ -33,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheIntegrityError, CalibrationError, DomainError
-from .model import map_pivots
+from .model import check_replicates, map_pivots
 from .numerics import brent_root, integrate_panels
-from .regions import (c4_scale_limits, cp_pivot, cp_supremum, ks_distance_xy,
-                      lambert_interval, lower_slope, upper_slope)
+from .regions import (c4_scale_limits, cp_pivot, cp_supremum, ks_distance_xy, ks_slopes,
+                      lambert_interval)
 from .special import check_probability, gamma_cdf
 
 _SECTIONS = 100
@@ -107,7 +109,7 @@ def draw_cp_statistic(m: int, reps: int, seed: int) -> np.ndarray:
     `cp_pivot` at the (Z, T) of `map_pivots`."""
     if m < 2:
         raise DomainError("need m >= 2")
-    out = np.empty(reps)
+    out = np.empty(check_replicates(reps))
 
     def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
         out[batch] = cp_pivot(z, m * t, m)
@@ -121,7 +123,7 @@ def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
     `map_pivots`."""
     if m < 2 or n < m:
         raise DomainError("need m >= 2 and n >= m")
-    out = np.empty(reps)
+    out = np.empty(check_replicates(reps))
 
     def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
         out[batch] = ks_distance_xy(z / n, t)
@@ -253,13 +255,13 @@ def ks_cdf(m: int, n: float, d: float) -> float:
 
     The pivot is within d exactly when (S, T) = ((mu_hat-mu)/sigma,
     sigma_hat/sigma) lies in the sup-distance region, whose location range
-    at scale ratio t is [l(t), o(t)] (`lower_slope`, `upper_slope`). With S
-    exponential of mean 1/n and T ~ Gamma(m-1)/m independent, this is the
-    integral over t of f_T(t) (e^{-n max(l,0)} - e^{-n o})_+. The
-    integrand vanishes outside [t1, t_zero_upper], where o < max(l, 0), and
-    is smooth between the kinks t_zero_lower, 1-d, 1 and 1/(1-d). Those
-    and the powers of two in between are the panel edges, so no panel is
-    wide enough for the Gamma density to hide between its nodes.
+    at scale ratio t is [l(t), o(t)] (`ks_slopes`). With S exponential of
+    mean 1/n and T ~ Gamma(m-1)/m independent, this is the integral over t
+    of f_T(t) (e^{-n max(l,0)} - e^{-n o})_+. The integrand vanishes
+    outside [t1, t_zero_upper], where o < max(l, 0), and is smooth between
+    the kinks t_zero_lower, 1-d, 1 and 1/(1-d). Those and the powers of two
+    in between are the panel edges, so no panel is wide enough for the
+    Gamma density to hide between its nodes.
     """
     if m < 2 or n < m:
         raise DomainError("need m >= 2 and n >= m")
@@ -269,9 +271,9 @@ def ks_cdf(m: int, n: float, d: float) -> float:
     log_norm = math.log(m) - math.lgamma(m - 1)
 
     def integrand(t):
-        lo = np.maximum(lower_slope(t, d), 0.0)
+        lo, hi = ks_slopes(t, d)
         density = np.exp(log_norm + (m - 2) * np.log(m * t) - m * t)
-        return density * np.maximum(np.exp(-n * lo) - np.exp(-n * upper_slope(t, d)), 0.0)
+        return density * np.maximum(np.exp(-n * np.maximum(lo, 0.0)) - np.exp(-n * hi), 0.0)
 
     value, _ = integrate_panels(integrand, sorted(set(kinks + powers)), abs_tol=1e-12)
     return value

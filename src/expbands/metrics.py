@@ -32,7 +32,8 @@ from .bands import (
     reliability_band,
 )
 from .errors import DomainError, NumericError
-from .model import LocScale, MleEstimate, Scheme, map_pivots, mles_from_pivots, simulate_mles
+from .model import (LocScale, MleEstimate, Scheme, check_replicates, map_pivots,
+                    mles_from_pivots, simulate_mles)
 from .numerics import golden_section, integrate
 from .special import check_probability
 
@@ -327,8 +328,7 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
     """
     entry, constants = _bands.method_constants(kind, c_p, d_p)
     level = check_probability(level, "level", open_interval=True)
-    if replicates < 1:
-        raise DomainError("replicates must be >= 1")
+    check_replicates(replicates)
     if method not in ("exact", "grid"):
         raise DomainError(f"unknown coverage method {method!r}")
     if method == "exact":

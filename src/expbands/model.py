@@ -209,6 +209,13 @@ def simulate_sample(theta: LocScale, scheme: Scheme,
     return ProgressiveSample(scheme=scheme, x=tuple(x))
 
 
+def check_replicates(reps: int) -> int:
+    """A replicate count, which must be at least 1; DomainError otherwise."""
+    if reps < 1:
+        raise DomainError(f"need reps >= 1, got {reps}")
+    return reps
+
+
 def map_pivots(m: int, reps: int, seed: int, fn: Callable, batches: int = 1) -> list:
     """Apply fn(slice, z, t) to draws of the independent pivots
     Z = n(mu_hat - mu)/sigma ~ Exp(1) and T = sigma_hat/sigma ~ Gamma(m-1)/m
@@ -216,25 +223,31 @@ def map_pivots(m: int, reps: int, seed: int, fn: Callable, batches: int = 1) -> 
     replicate batches, on a thread pool shared by every call (a lone task
     runs on the calling thread); returns the results in task order.
 
-    Each replicate takes one row of its batch's (count, 2) gamma draw, so
-    every draw is a function of (seed, replicate) alone: a longer run
-    extends a shorter one replicate for replicate, and neither the task size
-    nor the schedule changes a value. `fn` runs on worker threads, so it may
-    only write to the slice of a shared array it is given, and it must not
-    call map_pivots itself. An exception raised in `fn` reaches the caller.
+    Each batch draws a full BATCH_SIZE of `standard_exponential` into the
+    task's contiguous Z buffer, then a full BATCH_SIZE of
+    `standard_gamma(m - 1)` into its T buffer, divided by m in place; `fn`
+    gets views of the first `count` entries. Every draw is therefore a
+    function of (seed, replicate) alone: a longer run extends a shorter one
+    replicate for replicate, and neither the task size nor the schedule
+    changes a value. `fn` runs on worker threads, so it may only write to
+    the slice of a shared array it is given, and it must not call
+    map_pivots itself. An exception raised in `fn` reaches the caller.
     """
-    if reps < 1:
-        raise DomainError(f"need reps >= 1, got {reps}")
-    shape = np.array([1.0, m - 1.0])
+    check_replicates(reps)
     width = batches * BATCH_SIZE
 
     def task(first: int):
-        last = min(first + width, reps)
-        g = np.empty((last - first, 2))
-        for start in range(first, last, BATCH_SIZE):
-            rows = g[start - first:min(start + BATCH_SIZE, last) - first]
-            batch_generator(seed, start // BATCH_SIZE).standard_gamma(shape, out=rows)
-        return fn(slice(first, last), g[:, 0], g[:, 1] / m)
+        count = min(width, reps - first)
+        size = -(-count // BATCH_SIZE) * BATCH_SIZE
+        z = np.empty(size)
+        t = np.empty(size)
+        for start in range(0, size, BATCH_SIZE):
+            rng = batch_generator(seed, (first + start) // BATCH_SIZE)
+            rng.standard_exponential(out=z[start:start + BATCH_SIZE])
+            rows = t[start:start + BATCH_SIZE]
+            rng.standard_gamma(m - 1.0, out=rows)
+            rows /= m
+        return fn(slice(first, first + count), z[:count], t[:count])
 
     if reps <= width:
         return [task(0)]
@@ -275,7 +288,7 @@ def simulate_mles(theta: LocScale, scheme: Scheme, replicates: int,
     """MLE vectors of `replicates` simulated samples, drawn from the pivots
     of `map_pivots` (`mles_from_pivots`): the law of
     `mle(simulate_sample(...))` for any risk-set coefficients."""
-    mu_hats = np.empty(replicates)
+    mu_hats = np.empty(check_replicates(replicates))
     sigma_hats = np.empty(replicates)
 
     def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:

@@ -80,6 +80,18 @@ def upper_slope(t, d_p):
     return out if out.ndim else float(out)
 
 
+def ks_slopes(t, d_p):
+    """(lower_slope(t), upper_slope(t)), bit for bit, from one h_curve
+    evaluation: the sup-distance region at scale ratio t is
+    lower <= (mu_hat - mu)/sigma <= upper."""
+    t = np.asarray(t, dtype=float)
+    h = h_curve(t, d_p)
+    ln1md = math.log(1.0 - d_p)
+    lo = np.where(t < 1.0 - d_p, h, t * ln1md)
+    hi = np.where(t <= 1.0 / (1.0 - d_p), -ln1md, h)
+    return (lo, hi) if lo.ndim else (float(lo), float(hi))
+
+
 def ks_distance_xy(mu, sigma):
     """sup_x |F_(mu, sigma)(x) - F_(0,1)(x)| in closed form (vectorized). At
     (Z/n, T) it is the sup-distance pivot behind the KS-type bands."""
@@ -278,10 +290,10 @@ class KsRegionC4:
     t_zero_upper: float  # where the upper slope crosses zero
 
     def slopes(self, t):
-        lo = lower_slope(t, self.d_p)
+        lo, hi = ks_slopes(t, self.d_p)
         if self.trimmed:
             lo = np.maximum(lo, 0.0)
-        return lo, upper_slope(t, self.d_p)
+        return lo, hi
 
     def contains(self, mu, sigma):
         sigma = np.asarray(sigma, dtype=float)

@@ -1,11 +1,13 @@
 """Reproducible Monte-Carlo streams.
 
 Replicates are partitioned into fixed-size batches; batch b of a run keyed
-by `seed` draws from Philox seeded with SeedSequence((seed, b)). The draws
-for replicate i are therefore a pure function of (seed, i), independent of
-how many batches a task covers and of which thread runs it when, which
-makes simulation results bit-reproducible under any parallel schedule, such
-as the thread pool of `model.map_pivots`.
+by `seed` draws from Philox seeded with SeedSequence((seed, b)), always a
+full batch of each variate in a fixed order (`model.map_pivots`: all of Z,
+then all of T), even where the run ends inside the batch. The draws for
+replicate i are therefore a pure function of (seed, i), independent of the
+run's length, of how many batches a task covers and of which thread runs
+it when, which makes simulation results bit-reproducible under any
+parallel schedule, such as the thread pool of `model.map_pivots`.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ from expbands.bands import (
     marginal_transform_h,
     reliability_band,
 )
+from expbands.calibration import exact_dp
 from expbands.errors import DomainError, UnsupportedCaseError
-from expbands.model import LocScale, MleEstimate, simulate_mles
+from expbands.model import CensoringScheme, LocScale, MleEstimate, simulate_mles
 from expbands.regions import build_c1, build_c2, build_c3, build_c4
 from expbands.streams import batch_generator
 
@@ -315,6 +316,28 @@ class TestContainmentIdentities:
                                             fluid_est.sigma_hat / theta.sigma)) <= DP_PAPER
             assert pivot_ok == graph_contained(b4, theta)
             assert pivot_ok == graph_contained(b4p, theta, tol=1e-6)
+
+    @pytest.mark.parametrize("removals, d_p", [
+        ((0, 0, 3, 0, 3, 0, 0, 5), None),   # the bundled scheme's d_p at LEVEL
+        ((0, 0, 7), 0.5056),                # m = 3, n = 10: d_p >= 0.5 at level 0.9
+        ((0, 0, 7), 0.9),
+        ((0, 3), 0.9),
+    ], ids=("bundled", "m3-half", "m3-wide", "m2-wide"))
+    def test_ks_events_equal_pivot_oracle(self, removals, d_p):
+        # the b4-family events compare S with the slopes at T; the oracle is
+        # the closed-form sup distance at (S, T), replicate by replicate
+        scheme = CensoringScheme(len(removals) + sum(removals), len(removals), removals)
+        if d_p is None:
+            d_p = exact_dp(scheme.m, scheme.n, P)
+        theta = LocScale(1.5, 2.0)
+        mu_hats, sigma_hats = simulate_mles(theta, scheme, 100_000, seed=23)
+        pivot_ok = ks_distance_xy((mu_hats - theta.mu) / theta.sigma,
+                                  sigma_hats / theta.sigma) <= d_p
+        assert 0 < np.count_nonzero(pivot_ok) < pivot_ok.size
+        for kind in ("b4", "b4p", "b4pp"):
+            events = coverage_indicator(kind, mu_hats, sigma_hats, theta, scheme,
+                                        level=LEVEL, d_p=d_p)
+            assert np.array_equal(events, pivot_ok), kind
 
     def test_coverage_indicator_matches_graph_check(self, fluid_scheme, std_theta):
         mu_hats, sigma_hats = simulate_mles(std_theta, fluid_scheme, 200, seed=31)

@@ -10,9 +10,11 @@ from expbands.bands import (
     band_b4,
     band_b4_trimmed,
     coverage_indicator,
+    ks_distance_xy,
     marginal_band,
     reliability_band,
 )
+from expbands.calibration import ks_cdf
 from expbands.errors import DomainError
 from expbands.metrics import (
     area,
@@ -20,7 +22,7 @@ from expbands.metrics import (
     coverage_experiment,
     max_width,
 )
-from expbands.model import LocScale, simulate_mles
+from expbands.model import CensoringScheme, LocScale, simulate_mles
 from expbands.streams import BATCH_SIZE
 
 LEVEL = 0.9025
@@ -114,6 +116,15 @@ class TestCoverage:
         events = coverage_indicator(kind, *simulate_mles(theta, fluid_scheme, reps, 12), theta,
                                     fluid_scheme, level=0.9, **constants)
         assert rep.coverage == np.count_nonzero(events) / reps
+
+    def test_b4_runs_where_the_region_is_unbounded(self, std_theta):
+        # the b4 event needs no region, so it runs at d_p >= 0.5, which
+        # build_c4 refuses; its frequency estimates the exact pivot cdf
+        scheme, reps, d_p = CensoringScheme.type2_right(10, 3), 40_000, 0.5056
+        rep = coverage_experiment("b4", std_theta, scheme, 0.9, reps, seed=6, d_p=d_p)
+        mu_hats, sigma_hats = simulate_mles(std_theta, scheme, reps, 6)
+        assert rep.coverage == np.count_nonzero(ks_distance_xy(mu_hats, sigma_hats) <= d_p) / reps
+        assert abs(rep.coverage - ks_cdf(3, 10, d_p)) <= 4 * rep.std_error
 
     def test_exact_matches_grid_method(self, fluid_scheme, std_theta):
         for kind, kw in (("c1", {}), ("b1", {}), ("c3", {"c_p": CP_PAPER}),

@@ -148,6 +148,18 @@ class TestUmvue:
         assert sigma_big == pytest.approx(est_big.sigma_hat, rel=3e-3)
 
 
+# every public entry point that takes a replicate count: reps -> draws
+REPLICATE_ENTRY_POINTS = {
+    "simulate_mles": lambda reps: simulate_mles(LocScale(0.0, 1.0),
+                                                load_insulating_fluid().scheme, reps, 1),
+    "draw_cp_statistic": lambda reps: draw_cp_statistic(8, reps, 1),
+    "draw_ks_statistic": lambda reps: draw_ks_statistic(8, 19, reps, 1),
+    "calibrate_cp": lambda reps: calibrate_cp(8, 0.1, reps, 1),
+    "calibrate_dp": lambda reps: calibrate_dp(8, 19, 0.1, reps, 1),
+    "p_of_tau": lambda reps: p_of_tau(8, 0.9, reps, 1),
+}
+
+
 def _ks_p_value(d: float, n: float) -> float:
     """Asymptotic Kolmogorov p-value of a KS distance d at effective size n."""
     lam = d * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))
@@ -164,12 +176,14 @@ BATCHED_DRAWS = {
 
 
 def _serial_pivots(m: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, T) drawn one batch after another on the calling thread."""
-    g = np.concatenate([
-        batch_generator(seed, b).standard_gamma([1.0, m - 1.0],
-                                                size=(min(BATCH_SIZE, reps - start), 2))
-        for b, start in enumerate(range(0, reps, BATCH_SIZE))])
-    return g[:, 0], g[:, 1] / m
+    """(Z, T) drawn one batch after another on the calling thread: per batch
+    a full batch of Z, then a full batch of T, cut to the first reps."""
+    zs, ts = [], []
+    for b in range(-(-reps // BATCH_SIZE)):
+        rng = batch_generator(seed, b)
+        zs.append(rng.standard_exponential(BATCH_SIZE))
+        ts.append(rng.standard_gamma(m - 1.0, BATCH_SIZE) / m)
+    return np.concatenate(zs)[:reps], np.concatenate(ts)[:reps]
 
 
 # the same draws as BATCHED_DRAWS (simulate_mles at theta = (0, 1)), from the
@@ -264,18 +278,12 @@ class TestSimulation:
         assert got.keys() == expected.keys()
         assert all(np.array_equal(got[seed], expected[seed]) for seed in seeds)
 
-    @pytest.mark.parametrize("call", (
-        lambda: simulate_mles(LocScale(0.0, 1.0), load_insulating_fluid().scheme, 0, 1),
-        lambda: draw_cp_statistic(8, 0, 1),
-        lambda: draw_ks_statistic(8, 19, 0, 1),
-        lambda: calibrate_cp(8, 0.1, 0, 1),
-        lambda: calibrate_dp(8, 19, 0.1, 0, 1),
-        lambda: p_of_tau(8, 0.9, 0, 1),
-    ), ids=("simulate_mles", "draw_cp_statistic", "draw_ks_statistic", "calibrate_cp",
-            "calibrate_dp", "p_of_tau"))
-    def test_zero_replicates_is_a_domain_error(self, call):
+    @pytest.mark.parametrize("call, reps", [
+        pytest.param(call, reps, id=name if reps == 0 else f"{name}-negative")
+        for reps in (0, -1) for name, call in REPLICATE_ENTRY_POINTS.items()])
+    def test_zero_replicates_is_a_domain_error(self, call, reps):
         with pytest.raises(DomainError):
-            call()
+            call(reps)
 
     def test_location_estimate_mean(self, fluid_scheme):
         # mu_hat - mu is exponential with mean sigma/n

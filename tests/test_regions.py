@@ -16,11 +16,14 @@ from expbands.regions import (
     comprehensive_convex_hull_delta_prob,
     cp_supremum,
     h_curve,
+    ks_slopes,
     lambert_interval,
+    lower_slope,
     region_from_dict,
     region_membership,
     region_to_dict,
     split_level,
+    upper_slope,
 )
 
 LEVEL = 0.9025
@@ -117,6 +120,16 @@ class TestC4:
             assert abs(h_curve(1.0 + 1e-6, d)) <= 1e-4
             assert abs(h_curve(1.0 - 1e-6, d)) <= 1e-4
             assert h_curve(1.0, d) == 0.0
+
+    @pytest.mark.parametrize("d", (0.05, DP_PAPER, 0.5056, 0.9))
+    def test_ks_slopes_bit_identical_to_one_sided_slopes(self, d):
+        ts = (1e-12, 1.0 - d, 1.0, 1.0 / (1.0 - d), 1e6)
+        lo, hi = ks_slopes(np.array(ts), d)
+        assert lo.tobytes() == lower_slope(np.array(ts), d).tobytes()
+        assert hi.tobytes() == upper_slope(np.array(ts), d).tobytes()
+        for t in ts:
+            lo, hi = ks_slopes(t, d)
+            assert (lo.hex(), hi.hex()) == (lower_slope(t, d).hex(), upper_slope(t, d).hex())
 
     def test_membership_equals_ks_oracle(self, fluid_est, rng):
         region = build_c4(fluid_est, DP_PAPER)
