@@ -17,7 +17,6 @@ from .calibration import (
 )
 from .bands import (
     Band,
-    GridSpec,
     band_b1,
     band_b2,
     band_b3,

@@ -3,14 +3,14 @@ censoring, plus the sup-distance statistic that powers the KS-type bands.
 
 Six constructions: two from the trapezoid regions, one from the
 minimum-area region, the constant-width KS band, and its two trimmed
-variants obtained by extremizing the cdf over the sup-distance regions.
+variants: the extrema of the cdf over the sup-distance regions, in closed
+form.
 Reliability (1 - cdf) and last-observation marginal transforms are
 monotone push-forwards of any band.
 
 Boundaries are piecewise objects built from a small segment vocabulary:
-(possibly offset and clipped) exponential cdf pieces, the analytic upper
-envelope of the minimum-area region, and monotone grids with linear
-interpolation. Segment structure is preserved so that band metrics can
+(possibly offset and clipped) exponential cdf pieces and the analytic upper
+envelope of the minimum-area region. Segment structure is preserved so that band metrics can
 split integration panels at breakpoints and treat the unbounded tails in
 closed form.
 
@@ -46,7 +46,6 @@ from .regions import (
     lower_slope,
     upper_slope,
 )
-from .numerics import golden_section
 from .special import check_probability
 
 # ---------------------------------------------------------------------------
@@ -105,27 +104,7 @@ class MinAreaEnvelopeSegment:
         return ()
 
 
-@dataclass(frozen=True)
-class GridSegment:
-    """Monotone grid with linear interpolation on [xs[0], xs[-1]]."""
-
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.ys)
-
-    def kinks(self) -> tuple[float, ...]:
-        return (self.xs[0], self.xs[-1])
-
-    def limit_left(self) -> float:
-        return self.ys[0]
-
-    def limit_right(self) -> float:
-        return self.ys[-1]
-
-
-Segment = ExpCdfSegment | MinAreaEnvelopeSegment | GridSegment
+Segment = ExpCdfSegment | MinAreaEnvelopeSegment
 
 
 @dataclass(frozen=True)
@@ -335,87 +314,58 @@ def ks_distance_grid(mu: float, sigma: float, points: int = 100_000) -> float:
 # trimmed KS bands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid request for optimization-backed boundaries."""
-
-    points: int = 1024
-
-
-def _phi_to_cdf(phi: np.ndarray) -> np.ndarray:
-    return np.where(phi > 0.0, -np.expm1(-np.minimum(np.maximum(phi, 0.0), 700.0)), 0.0)
-
-
-def trim_band(b4: Band, region: KsRegionC4, grid: GridSpec | None = None) -> Band:
+def trim_band(b4: Band, region: KsRegionC4) -> Band:
     """Trim the constant-width band to the union of cdf graphs over the
     sup-distance region: at each x the boundaries are the extrema of
-    F_theta(x) over the region, attained on its boundary arcs.
+    F_theta(x) = 1 - exp(-(beta t + s)) over the region's scale ratios
+    t = sigma_hat/sigma in [t_lo, t_hi], with beta = (x - mu_hat)/sigma_hat
+    and s between the lower and upper slopes at t.
 
-    The extremizing scale settles at an arc endpoint outside a computable
-    core interval, so the output boundaries are exponential-cdf tails around
-    a grid-backed core (golden-section extremization per grid point).
+    The slopes are h(t) on a concave (upper, t > 1) or convex (lower,
+    t < 1) arc and linear in t elsewhere, so each extremum sits at a corner
+    scale or at the arc's stationary point. That point, t* = q/(q - 1) for
+    the upper and q/(1 + q) for the lower boundary with q = exp(-beta)/d_p,
+    gives exactly the parent's F_hat(x) +- d_p. Each boundary is therefore
+    three exponential-cdf pieces: the cdf at one corner scale, the
+    parent's segment, and the cdf at the other corner, joined where the
+    stationary point reaches an end of its arc (h'(t*) = -beta).
     """
-    if grid is None:
-        grid = GridSpec()
     d_p = region.d_p
     mu_hat, sigma_hat = region.mu_hat, region.sigma_hat
-    t1, thi = region.t_lo, region.t_hi
-    ln1md = math.log(1.0 - d_p)
+    t_lo, t_hi = region.t_lo, region.t_hi
 
-    def o_fn(t):
-        return upper_slope(t, d_p)
-
-    if region.trimmed:
-        def l_fn(t):
-            return np.maximum(lower_slope(t, d_p), 0.0)
-        beta_low_left = -_h_deriv(region.t_zero_lower, d_p)
-        left_lower_seg = ExpCdfSegment(mu_hat, sigma_hat / region.t_zero_lower)
-    else:
-        def l_fn(t):
-            return lower_slope(t, d_p)
-        beta_low_left = -ln1md
-        left_lower_seg = ExpCdfSegment(
-            mu_hat - lower_slope(thi, d_p) * sigma_hat / thi, sigma_hat / thi)
-
-    def exp_seg_at(t: float, slope: float) -> ExpCdfSegment:
+    def cdf_at(t: float, slope: float) -> ExpCdfSegment:
+        # F_theta at scale ratio t and standardized location slope
         return ExpCdfSegment(mu_hat - slope * sigma_hat / t, sigma_hat / t)
 
-    def boundary(beta_a: float, beta_b: float, slope, maximize: bool,
-                 left: ExpCdfSegment, right: ExpCdfSegment) -> PiecewiseBoundary:
-        # exponential tails around a grid core from x = mu_hat + sigma_hat * beta_a
-        # to beta_b; per grid point the extremum of phi(t) = beta t + slope(t)
-        # over [t1, thi], kept inside the parent band and monotone
-        xs = np.linspace(mu_hat + sigma_hat * beta_a, mu_hat + sigma_hat * beta_b, grid.points)
-        beta = (xs - mu_hat) / sigma_hat
-        _, phi = golden_section(lambda t: beta * t + slope(t), np.full_like(beta, t1),
-                                np.full_like(beta, thi), maximize=maximize)
-        if maximize:
-            ys = np.minimum(_phi_to_cdf(phi), b4.upper(xs))
-        else:
-            ys = np.maximum(_phi_to_cdf(phi), b4.lower(xs))
-        ys = np.maximum.accumulate(ys)
-        return PiecewiseBoundary((left, GridSegment(tuple(xs), tuple(ys)), right),
-                                 breaks=(float(xs[0]), float(xs[-1])))
+    def x_at(beta: float) -> float:
+        return mu_hat + sigma_hat * beta
 
-    # the upper core runs from beta = 0 to the right transition, the lower
-    # one between its own transitions
-    upper = boundary(0.0, -_h_deriv(thi, d_p), o_fn, True,
-                     exp_seg_at(t1, float(o_fn(t1))), exp_seg_at(thi, float(o_fn(thi))))
-    lower = boundary(beta_low_left, -_h_deriv(t1, d_p), l_fn, False,
-                     left_lower_seg, exp_seg_at(t1, float(lower_slope(t1, d_p))))
+    upper = PiecewiseBoundary(
+        (cdf_at(t_lo, float(upper_slope(t_lo, d_p))), b4.upper.segments[0],
+         cdf_at(t_hi, float(upper_slope(t_hi, d_p)))),
+        breaks=(mu_hat, x_at(-_h_deriv(t_hi, d_p))))
+    if region.trimmed:
+        # past t_zero_lower the trimmed lower slope is 0
+        left, beta_left = cdf_at(region.t_zero_lower, 0.0), -_h_deriv(region.t_zero_lower, d_p)
+    else:
+        left, beta_left = cdf_at(t_hi, float(lower_slope(t_hi, d_p))), -math.log(1.0 - d_p)
+    lower = PiecewiseBoundary(
+        (left, b4.lower.segments[0], cdf_at(t_lo, float(lower_slope(t_lo, d_p)))),
+        breaks=(x_at(beta_left), x_at(-_h_deriv(t_lo, d_p))))
 
     kind = "b4pp" if region.trimmed else "b4p"
     prov = dict(b4.provenance)
-    prov.update({"d_p": d_p, "t_lo": t1, "t_hi": thi, "grid_points": grid.points})
+    prov.update({"d_p": d_p, "t_lo": t_lo, "t_hi": t_hi})
     return Band(kind, lower, upper, level=b4.level, provenance=prov)
 
 
 def band_b4_trimmed(est: MleEstimate, d_p: float, trimmed: bool,
-                    level: float | None = None, grid: GridSpec | None = None) -> Band:
+                    level: float | None = None) -> Band:
     """Convenience: build the KS band and trim it over the matching region."""
     b4 = band_b4(est, d_p, level=level)
     region = build_c4(est, d_p, trimmed=trimmed)
-    return trim_band(b4, region, grid)
+    return trim_band(b4, region)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +460,7 @@ def graph_contained(band: Band, theta: LocScale, points: int = 2048,
 
     Monotonicity of all three curves reduces containment to a check on a
     quantile-spaced grid of F_theta plus the band's breakpoints; `tol`
-    absorbs grid and optimizer resolution at the contact points. Where a
+    absorbs rounding at the contact points. Where a
     boundary ends in a plain exponential cdf, the order of its tail and
     F_theta's at +inf is decided exactly, by scale and then location: two
     exponential tails cross at most once, so that check and the grid
@@ -557,8 +507,7 @@ def default_grid(band: Band, points: int = 1024) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-_SEGMENT_TAGS = {ExpCdfSegment: "expcdf", MinAreaEnvelopeSegment: "minarea_envelope",
-                 GridSegment: "grid"}
+_SEGMENT_TAGS = {ExpCdfSegment: "expcdf", MinAreaEnvelopeSegment: "minarea_envelope"}
 
 
 def _segment_to_dict(seg: Segment) -> dict:
@@ -637,10 +586,10 @@ def band_rows(band: Band, xs: Sequence[float]) -> list[tuple[float, float, float
 class Method:
     """A region or band of the paper: the calibration constant it needs
     (None, "c_p", "d_p", or "p_of_tau": the c_p whose band level is the
-    requested one), its builder build(est, scheme, level, constants,
-    grid_points), and its exact coverage event event(est, scheme, level,
-    constants, theta), which broadcasts over estimates held as arrays. Both
-    read c_p (b3 also an optional nominal_p) or d_p from `constants`."""
+    requested one), its builder build(est, scheme, level, constants), and
+    its exact coverage event event(est, scheme, level, constants, theta),
+    which broadcasts over estimates held as arrays. Both read c_p (b3 also
+    an optional nominal_p) or d_p from `constants`."""
 
     constant: str | None
     build: Callable[..., Region | Band]
@@ -651,7 +600,7 @@ def _inside(region: str, hull: bool = False):
     # exhaustive regions and their bands cover exactly when the parameter
     # lies in the region; b3 when it lies in the region's convex hull
     def event(est, scheme, level, k, theta):
-        built = METHODS[region].build(est, scheme, level, k, None)
+        built = METHODS[region].build(est, scheme, level, k)
         return (built.hull_contains if hull else built.contains)(theta.mu, theta.sigma)
     return event
 
@@ -666,22 +615,21 @@ def _ks_pivot(est, scheme, level, k, theta):
 
 
 def _trimmed(trimmed: bool):
-    return lambda est, sch, lv, k, grid: band_b4_trimmed(
-        est, k["d_p"], trimmed=trimmed, level=lv, grid=GridSpec(points=grid))
+    return lambda est, sch, lv, k: band_b4_trimmed(est, k["d_p"], trimmed=trimmed, level=lv)
 
 
 METHODS: dict[str, Method] = {
-    "c1": Method(None, lambda est, sch, lv, k, grid: build_c1(est, sch, 1.0 - lv), _inside("c1")),
-    "c2": Method(None, lambda est, sch, lv, k, grid: build_c2(est, sch, 1.0 - lv), _inside("c2")),
-    "c3": Method("c_p", lambda est, sch, lv, k, grid: build_c3(est, sch, k["c_p"]), _inside("c3")),
-    "c4p": Method("d_p", lambda est, sch, lv, k, grid: build_c4(est, k["d_p"]), _inside("c4p")),
-    "c4pp": Method("d_p", lambda est, sch, lv, k, grid: build_c4(est, k["d_p"], True),
+    "c1": Method(None, lambda est, sch, lv, k: build_c1(est, sch, 1.0 - lv), _inside("c1")),
+    "c2": Method(None, lambda est, sch, lv, k: build_c2(est, sch, 1.0 - lv), _inside("c2")),
+    "c3": Method("c_p", lambda est, sch, lv, k: build_c3(est, sch, k["c_p"]), _inside("c3")),
+    "c4p": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"]), _inside("c4p")),
+    "c4pp": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"], True),
                    _inside("c4pp")),
-    "b1": Method(None, lambda est, sch, lv, k, grid: band_b1(est, sch, 1.0 - lv), _inside("c1")),
-    "b2": Method(None, lambda est, sch, lv, k, grid: band_b2(est, sch, 1.0 - lv), _inside("c2")),
-    "b3": Method("p_of_tau", lambda est, sch, lv, k, grid: band_b3(
+    "b1": Method(None, lambda est, sch, lv, k: band_b1(est, sch, 1.0 - lv), _inside("c1")),
+    "b2": Method(None, lambda est, sch, lv, k: band_b2(est, sch, 1.0 - lv), _inside("c2")),
+    "b3": Method("p_of_tau", lambda est, sch, lv, k: band_b3(
         est, sch, k["c_p"], nominal_p=k.get("nominal_p")), _inside("c3", hull=True)),
-    "b4": Method("d_p", lambda est, sch, lv, k, grid: band_b4(est, k["d_p"], level=lv), _ks_pivot),
+    "b4": Method("d_p", lambda est, sch, lv, k: band_b4(est, k["d_p"], level=lv), _ks_pivot),
     "b4p": Method("d_p", _trimmed(False), _ks_pivot),
     "b4pp": Method("d_p", _trimmed(True), _ks_pivot),
 }

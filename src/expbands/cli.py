@@ -102,6 +102,8 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raise DomainError(f"level must lie in (0, 1), got {cfg['level']}")
     if int(cfg["reps"]) < 1 or int(cfg["replicates"]) < 1:
         raise DomainError("reps and replicates must be >= 1")
+    if int(cfg["grid_points"]) < 2:
+        raise DomainError(f"grid points must be >= 2, got {cfg['grid_points']}")
     return cfg
 
 
@@ -168,7 +170,7 @@ def _resolve_constants(method: str, level: float, scheme, cfg: dict) -> tuple[di
 
 
 def _build(method: str, est, scheme, level: float, constants: dict, cfg: dict):
-    return _bands.METHODS[method].build(est, scheme, level, constants, int(cfg["grid_points"]))
+    return _bands.METHODS[method].build(est, scheme, level, constants)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +376,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--reps", type=int)
     sub.add_argument("--level", type=float)
     sub.add_argument("--formats")
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
+    sub.add_argument("--grid-points", dest="grid_points", type=int,
+                     help="points of the x-grid of band CSV and SVG output (default 1024)")
     sub.add_argument("--boundary-points", dest="boundary_points", type=int)
     sub.add_argument("--transform", choices=("identity", "log"))
     sub.add_argument("--replicates", type=int)

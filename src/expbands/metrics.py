@@ -2,8 +2,7 @@
 
 Width maximization and area integration split the x-axis at every boundary
 breakpoint so each panel has a fixed analytic character: exponential-cdf
-pairs get closed-form stationary points and integrals, grid-backed pieces
-are integrated exactly as the piecewise-linear functions they are, and the
+pairs get closed-form stationary points and integrals, and the
 minimum-area envelope panel falls back to a scan, refined by one
 vectorized golden-section search over all such panels, and to adaptive
 quadrature. Tails beyond the outermost breakpoints are handled in closed
@@ -25,7 +24,6 @@ from . import bands as _bands
 from .bands import (
     Band,
     ExpCdfSegment,
-    GridSegment,
     MarginalBoundary,
     PiecewiseBoundary,
     _plain_exp,
@@ -144,11 +142,7 @@ def max_width(band: Band) -> tuple[float, float]:
             if x_star is not None and a < x_star < b:
                 consider(x_star)
             continue
-        xs = list(np.linspace(a, b, 65))
-        for seg in (lo_seg, up_seg):
-            if isinstance(seg, GridSegment):
-                xs.extend(x for x in seg.xs if a <= x <= b)
-        xs = np.asarray(sorted(xs))
+        xs = np.linspace(a, b, 65)
         w = band.width(xs)
         i = int(np.argmax(w))
         consider(xs[i])
@@ -198,13 +192,6 @@ def _segment_integral(seg, a: float, b: float,
             return float(seg.evaluate(np.asarray(0.5 * (a + b)))) * (b - a), 0.0
         off = min(max(seg.offset, -1.0), 1.0)
         return _exp_integral(seg, b) - _exp_integral(seg, a) + off * (b - a), 0.0
-    if isinstance(seg, GridSegment):
-        xs = np.asarray(seg.xs)
-        ys = np.asarray(seg.ys)
-        inner = (xs > a) & (xs < b)
-        gx = np.concatenate([[a], xs[inner], [b]])
-        gy = np.concatenate([[np.interp(a, xs, ys)], ys[inner], [np.interp(b, xs, ys)]])
-        return float(np.trapezoid(gy, gx)), 0.0
     # the minimum-area envelope
     return integrate(lambda x: float(seg.evaluate(np.asarray(x))), a, b, abs_tol=abs_tol)
 
@@ -315,8 +302,7 @@ COVERAGE_KINDS = tuple(_bands.METHODS)
 
 def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float,
                         replicates: int, seed: int, *, c_p: float | None = None,
-                        d_p: float | None = None, method: str = "exact",
-                        grid_points: int = 257) -> CoverageReport:
+                        d_p: float | None = None, method: str = "exact") -> CoverageReport:
     """Simulate samples, rebuild the object per replicate, and report the
     frequency of covering the true parameter (regions) or the true cdf graph
     (bands); deterministic in (seed, replicates).
@@ -342,8 +328,7 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
         mu_hats, sigma_hats = simulate_mles(theta, scheme, replicates, seed)
         hits = 0
         for mh, sh in zip(mu_hats, sigma_hats):
-            built = entry.build(MleEstimate(float(mh), float(sh)), scheme, level,
-                                constants, grid_points)
+            built = entry.build(MleEstimate(float(mh), float(sh)), scheme, level, constants)
             if isinstance(built, Band):
                 hits += _bands.graph_contained(built, theta)
             else:

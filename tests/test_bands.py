@@ -5,7 +5,7 @@ import pytest
 
 from expbands.bands import (
     METHODS,
-    GridSpec,
+    ExpCdfSegment,
     band_b1,
     band_b2,
     band_b3,
@@ -23,11 +23,13 @@ from expbands.bands import (
     marginal_band,
     marginal_transform_h,
     reliability_band,
+    trim_band,
 )
 from expbands.calibration import exact_dp
 from expbands.errors import DomainError, UnsupportedCaseError
-from expbands.model import CensoringScheme, LocScale, MleEstimate, simulate_mles
-from expbands.regions import build_c1, build_c2, build_c3, build_c4
+from expbands.metrics import max_width
+from expbands.model import CensoringScheme, LocScale, MleEstimate, mle, simulate_mles, simulate_sample
+from expbands.regions import build_c1, build_c2, build_c3, build_c4, lower_slope, upper_slope
 from expbands.streams import batch_generator
 
 LEVEL = 0.9025
@@ -161,20 +163,78 @@ class TestKsDistance:
             assert direct == pytest.approx(swapped, abs=1e-12)
 
 
+def _envelope_oracle(est: MleEstimate, d_p: float, trimmed: bool, xs: np.ndarray):
+    """Brute-force trimmed band: at each x the extrema of F_theta(x) over a
+    dense grid of scale ratios t on [t_lo, t_hi] (65,536 linear and 65,536
+    geometric points plus the corner scales), with the location at the
+    region's lower or upper slope for that t."""
+    region = build_c4(est, d_p, trimmed=trimmed)
+    t = np.concatenate([np.linspace(region.t_lo, region.t_hi, 65_536),
+                        np.geomspace(region.t_lo, region.t_hi, 65_536),
+                        [region.t_lo, region.t_hi, region.t_zero_lower,
+                         1.0 - d_p, 1.0 / (1.0 - d_p)]])
+    t = t[(t >= region.t_lo) & (t <= region.t_hi)]
+    lo_slope = lower_slope(t, d_p)
+    if trimmed:
+        lo_slope = np.maximum(lo_slope, 0.0)
+    hi_slope = upper_slope(t, d_p)
+    lower, upper = np.empty_like(xs), np.empty_like(xs)
+    for i, x in enumerate(xs):
+        beta = (x - est.mu_hat) / est.sigma_hat
+        upper[i] = -math.expm1(-max(float(np.max(beta * t + hi_slope)), 0.0))
+        lower[i] = -math.expm1(-max(float(np.min(beta * t + lo_slope)), 0.0))
+    return lower, upper
+
+
+def _m100_estimate() -> MleEstimate:
+    scheme = CensoringScheme(150, 100, tuple(i % 2 for i in range(100)))
+    return mle(simulate_sample(LocScale(1.0, 4.0), scheme, batch_generator(1009, 0)))
+
+
 class TestTrimmedBands:
     def test_nested_in_parent_everywhere(self, all_bands):
-        # 1e-6 absorbs the piecewise-linear undercut of the grid backing
         xs = np.linspace(-12, 90, 4001)
         b4 = all_bands["b4"]
         for kind in ("b4p", "b4pp"):
             trimmed = all_bands[kind]
-            assert np.all(trimmed.lower(xs) >= b4.lower(xs) - 1e-6)
-            assert np.all(trimmed.upper(xs) <= b4.upper(xs) + 1e-6)
+            assert np.all(trimmed.lower(xs) >= b4.lower(xs))
+            assert np.all(trimmed.upper(xs) <= b4.upper(xs))
 
     def test_double_trim_nesting(self, all_bands):
         xs = np.linspace(-12, 90, 4001)
-        assert np.all(all_bands["b4pp"].lower(xs) >= all_bands["b4p"].lower(xs) - 1e-6)
-        assert np.all(all_bands["b4pp"].upper(xs) <= all_bands["b4p"].upper(xs) + 1e-6)
+        assert np.all(all_bands["b4pp"].lower(xs) >= all_bands["b4p"].lower(xs))
+        assert np.all(all_bands["b4pp"].upper(xs) <= all_bands["b4p"].upper(xs))
+
+    @pytest.mark.parametrize("sample", ["bundled", "m100"])
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_closed_form_matches_brute_force_envelope(self, sample, trimmed, fluid_est):
+        est = fluid_est if sample == "bundled" else _m100_estimate()
+        for d_p in (0.05, 0.1, 0.249, 0.4, 0.45):
+            band = band_b4_trimmed(est, d_p, trimmed=trimmed)
+            bps = np.asarray(band.breakpoints())
+            xs = np.concatenate([np.linspace(est.mu_hat - 2.0 * est.sigma_hat,
+                                             bps.max() + est.sigma_hat, 61), bps])
+            lower, upper = _envelope_oracle(est, d_p, trimmed, xs)
+            # the envelope of a finite grid can only fall inside the band
+            assert np.all(band.upper(xs) >= upper - 1e-15), d_p
+            assert np.all(band.lower(xs) <= lower + 1e-15), d_p
+            assert np.allclose(band.upper(xs), upper, rtol=0.0, atol=1e-8), d_p
+            assert np.allclose(band.lower(xs), lower, rtol=0.0, atol=1e-8), d_p
+
+    def test_every_boundary_is_three_exponential_pieces(self, all_bands):
+        for kind in ("b4p", "b4pp"):
+            for boundary in (all_bands[kind].lower, all_bands[kind].upper):
+                assert len(boundary.segments) == 3
+                assert all(type(seg) is ExpCdfSegment for seg in boundary.segments)
+
+    def test_width_ties_parent(self, all_bands):
+        # b4p keeps both of the parent's F_hat +- d_p segments over a common
+        # stretch of x, so its maximum width is the parent's 2 d_p
+        w_b4, _ = max_width(all_bands["b4"])
+        w_b4p, _ = max_width(all_bands["b4p"])
+        w_b4pp, _ = max_width(all_bands["b4pp"])
+        assert w_b4p == pytest.approx(w_b4, rel=0.0, abs=1e-15)
+        assert w_b4pp <= w_b4p
 
     def test_far_left_upper_vanishes(self, all_bands, fluid_est):
         x_far = fluid_est.mu_hat - 30 * fluid_est.sigma_hat
@@ -182,13 +242,14 @@ class TestTrimmedBands:
         assert all_bands["b4p"].upper(x_far) == 0.0
         assert all_bands["b4"].upper(x_far) == pytest.approx(DP_PAPER, abs=1e-12)
 
-    def test_trimmed_tails_continuous_at_grid_joins(self, all_bands):
+    def test_trimmed_segments_agree_at_joins(self, all_bands):
         for kind in ("b4p", "b4pp"):
             band = all_bands[kind]
             for boundary in (band.lower, band.upper):
-                for bp in boundary.breaks:
-                    assert boundary(bp - 1e-9) == pytest.approx(
-                        boundary(bp + 1e-9), abs=1e-6)
+                for i, bp in enumerate(boundary.breaks):
+                    left, right = boundary.segments[i], boundary.segments[i + 1]
+                    assert float(left.evaluate(np.asarray(bp))) == pytest.approx(
+                        float(right.evaluate(np.asarray(bp))), abs=1e-12)
 
     def test_upper_trim_touches_parent_where_attainable(self, all_bands, fluid_est):
         # the trimmed band coincides with the parent on a middle zone (and
@@ -196,8 +257,8 @@ class TestTrimmedBands:
         band = all_bands["b4p"]
         b4 = all_bands["b4"]
         x_touch = fluid_est.mu_hat + 0.44 * fluid_est.sigma_hat
-        assert band.upper(x_touch) == pytest.approx(b4.upper(x_touch), abs=1e-6)
-        assert band.lower(x_touch) == pytest.approx(b4.lower(x_touch), abs=1e-6)
+        assert band.upper(x_touch) == b4.upper(x_touch)
+        assert band.lower(x_touch) == b4.lower(x_touch)
         x_apart = fluid_est.mu_hat + 1.4 * fluid_est.sigma_hat
         assert band.upper(x_apart) < b4.upper(x_apart) - 1e-3
 
@@ -220,8 +281,8 @@ class TestTrimmedBands:
         mu = fluid_est.mu_hat - sigma * s_all
         for x in (-1.0, 0.5, 2.0, 5.0, 9.0, 14.0, 25.0):
             f = np.clip(-np.expm1(-np.maximum((x - mu) / sigma, 0.0)), 0.0, 1.0)
-            assert float(band.upper(x)) >= f.max() - 1e-6
-            assert float(band.lower(x)) <= f.min() + 1e-6
+            assert float(band.upper(x)) >= f.max() - 1e-12
+            assert float(band.lower(x)) <= f.min() + 1e-12
             # the envelope is tight at cloud resolution
             assert float(band.upper(x)) <= f.max() + 0.002
             assert float(band.lower(x)) >= f.min() - 0.002
@@ -229,11 +290,8 @@ class TestTrimmedBands:
     def test_region_and_band_agree(self, fluid_est):
         # both entry points produce identical trimmed bands
         region = build_c4(fluid_est, DP_PAPER, trimmed=True)
-        from expbands.bands import trim_band
-        direct = trim_band(band_b4(fluid_est, DP_PAPER, level=LEVEL), region,
-                           GridSpec(points=257))
-        helper = band_b4_trimmed(fluid_est, DP_PAPER, trimmed=True, level=LEVEL,
-                                 grid=GridSpec(points=257))
+        direct = trim_band(band_b4(fluid_est, DP_PAPER, level=LEVEL), region)
+        helper = band_b4_trimmed(fluid_est, DP_PAPER, trimmed=True, level=LEVEL)
         xs = np.linspace(-5, 60, 500)
         assert np.array_equal(direct.lower(xs), helper.lower(xs))
         assert np.array_equal(direct.upper(xs), helper.upper(xs))
@@ -315,7 +373,7 @@ class TestContainmentIdentities:
             pivot_ok = float(ks_distance_xy((fluid_est.mu_hat - theta.mu) / theta.sigma,
                                             fluid_est.sigma_hat / theta.sigma)) <= DP_PAPER
             assert pivot_ok == graph_contained(b4, theta)
-            assert pivot_ok == graph_contained(b4p, theta, tol=1e-6)
+            assert pivot_ok == graph_contained(b4p, theta)
 
     @pytest.mark.parametrize("removals, d_p", [
         ((0, 0, 3, 0, 3, 0, 0, 5), None),   # the bundled scheme's d_p at LEVEL
@@ -384,13 +442,11 @@ class TestContainmentIdentities:
                                       level=LEVEL, **constants)
             for i in range(mu_hats.size):
                 est = MleEstimate(float(mu_hats[i]), float(sigma_hats[i]))
-                built = method.build(est, fluid_scheme, LEVEL, constants, 257)
+                built = method.build(est, fluid_scheme, LEVEL, constants)
                 if kind.startswith("c"):
                     slow = bool(built.contains(std_theta.mu, std_theta.sigma))
                 else:
-                    # the trimmed bands' grid needs the b4-family test's tolerance
-                    tol = 1e-6 if kind in ("b4p", "b4pp") else 1e-9
-                    slow = graph_contained(built, std_theta, tol=tol)
+                    slow = graph_contained(built, std_theta)
                 assert bool(fast[i]) == slow, (kind, i)
 
 

@@ -175,6 +175,16 @@ class TestMetricsCommand:
         assert _run("metrics", "--data", data_csv, "--methods", "b9",
                     "--output-dir", tmp_path) == 3
 
+    def test_trimmed_rows_ignore_grid_points(self, data_csv, tmp_path):
+        # --grid-points sizes only the output x-grid; the trimmed bands are
+        # closed-form, so their metrics do not depend on it
+        rows = []
+        for out, extra in ((tmp_path / "default", ()), (tmp_path / "two", ("--grid-points", "2"))):
+            assert _run("metrics", "--data", data_csv, "--level", "0.9025",
+                        "--methods", "b4p,b4pp", "--output-dir", out, *extra) == 0
+            rows.append(_load(out / "metrics.json")["rows"])
+        assert rows[0] == rows[1]
+
 
 class TestCalibrateCoverageSimulate:
     def test_calibrate_dp_and_cache_reuse(self, tmp_path):
@@ -281,6 +291,14 @@ class TestErrorsAndConfig:
         assert _run("band", "--data", data_csv, "--method", "b4",
                     "--level", "1.5") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
+
+    @pytest.mark.parametrize("method, points", [("b4", "0"), ("b4pp", "0"), ("b4", "-5")])
+    def test_grid_points_below_two_rejected(self, data_csv, tmp_path, capsys, method, points):
+        out = tmp_path / "out"
+        assert _run("band", "--data", data_csv, "--method", method, "--level", "0.9",
+                    "--grid-points", points, "--output-dir", out) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "domain"
+        assert not out.exists()
 
     def test_config_file_precedence(self, data_csv, tmp_path):
         cfg = tmp_path / "run.json"

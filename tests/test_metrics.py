@@ -129,6 +129,7 @@ class TestCoverage:
     def test_exact_matches_grid_method(self, fluid_scheme, std_theta):
         for kind, kw in (("c1", {}), ("b1", {}), ("c3", {"c_p": CP_PAPER}),
                          ("b3", {"c_p": CP_PAPER}), ("b4", {"d_p": DP_PAPER}),
+                         ("b4p", {"d_p": DP_PAPER}), ("b4pp", {"d_p": DP_PAPER}),
                          ("c4pp", {"d_p": DP_PAPER})):
             fast = coverage_experiment(kind, std_theta, fluid_scheme, 0.873,
                                        300, seed=8, **kw)

@@ -102,9 +102,9 @@ def test_trim_inclusion_chain(bands):
     xs = GRID
     for tighter, wider in (("b4pp", "b4p"), ("b4p", "b4")):
         assert np.all(np.asarray(bands[tighter].lower(xs))
-                      >= np.asarray(bands[wider].lower(xs)) - 1e-6)
+                      >= np.asarray(bands[wider].lower(xs)))
         assert np.all(np.asarray(bands[tighter].upper(xs))
-                      <= np.asarray(bands[wider].upper(xs)) + 1e-6)
+                      <= np.asarray(bands[wider].upper(xs)))
 
 
 def test_reliability_involution(bands):
