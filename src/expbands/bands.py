@@ -84,7 +84,9 @@ class ExpCdfSegment:
 class MinAreaEnvelopeSegment:
     """Upper envelope of the minimum-area region where the extremizing scale
     is interior: at each x the cdf is evaluated at the boundary point whose
-    scale is (n (mu_hat - x) + m sigma_hat) / (m + 1)."""
+    scale is (n (mu_hat - x) + m sigma_hat) / (m + 1). It is 0 up to its
+    kink, the x of scale sigma_hat exp(-1 - c_p/(m + 1)), and rises after
+    it."""
 
     mu_hat: float
     sigma_hat: float
@@ -101,7 +103,8 @@ class MinAreaEnvelopeSegment:
         return -np.expm1(-np.maximum(z, 0.0))
 
     def kinks(self) -> tuple[float, ...]:
-        return ()
+        scale = self.sigma_hat * math.exp(-1.0 - self.c_p / (self.m + 1))
+        return (self.mu_hat + (self.m * self.sigma_hat - (self.m + 1) * scale) / self.n,)
 
 
 Segment = ExpCdfSegment | MinAreaEnvelopeSegment

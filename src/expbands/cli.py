@@ -109,9 +109,12 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 def _config_hash(cfg: dict, command: str) -> str:
     # hash the computation-relevant parameters; where the artifacts land
-    # (output dir, cache file) does not change what is computed, and only
-    # reproduce-paper's Monte-Carlo cross-check depends on reps
-    skip = {"output_dir", "cache_path"} | ({"reps"} if command != "reproduce-paper" else set())
+    # (output dir, cache file) does not change what is computed, only
+    # reproduce-paper's Monte-Carlo cross-check depends on reps, and only
+    # band's CSV/SVG x-grid on grid_points
+    skip = {"output_dir", "cache_path"}
+    skip |= {"reps"} if command != "reproduce-paper" else set()
+    skip |= {"grid_points"} if not command.startswith("band.") else set()
     semantic = {k: cfg[k] for k in sorted(cfg) if k not in skip}
     doc = json.dumps({"command": command, **semantic}, sort_keys=True, default=str)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]

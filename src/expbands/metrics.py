@@ -1,20 +1,27 @@
 """Band metrics (maximum width, area) and Monte-Carlo coverage experiments.
 
-Width maximization and area integration split the x-axis at every boundary
-breakpoint so each panel has a fixed analytic character: exponential-cdf
-pairs get closed-form stationary points and integrals, and the
-minimum-area envelope panel falls back to a scan, refined by one
-vectorized golden-section search over all such panels, and to adaptive
-quadrature. Tails beyond the outermost breakpoints are handled in closed
-form, so a band is reported as having infinite area only on structural
-grounds (its width does not vanish at infinity), never through numeric
-divergence. Coverage experiments read the method registry of `bands`; the
-exact method counts each task's coverage events where `model.map_pivots`
-draws them, so no replicate-length array is built.
+Both metrics walk the band's panels: the gaps between consecutive boundary
+breakpoints, then the unbounded right tail. Left of the first breakpoint
+every piece is constant, so the width there is its left limit and adds no
+area to a band of finite area. On an exponential panel both pieces are
+(possibly offset and clipped) exponential cdfs: the width is monotone or
+has one stationary point, and its integral is elementary, so both metrics
+are closed form there, the right tail included. Only panels holding the
+minimum-area envelope or a marginal boundary are numeric: the width is
+scanned, then refined by one vectorized golden-section search over all
+such panels (the marginal right tail is scanned in the quantiles of its
+last exponential piece, so the scan follows the data's scale), and the
+area comes from panel quadrature, except the marginal right tail, whose
+transform is a signed mixture of exponentials. A band is reported as
+having infinite area only on structural grounds (its width does not vanish
+at infinity). Coverage experiments read the method registry of `bands`;
+the exact method counts each task's coverage events where
+`model.map_pivots` draws them, so no replicate-length array is built.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -25,17 +32,18 @@ from .bands import (
     Band,
     ExpCdfSegment,
     MarginalBoundary,
-    PiecewiseBoundary,
+    Segment,
     _plain_exp,
     reliability_band,
 )
 from .errors import DomainError, NumericError
 from .model import (LocScale, MleEstimate, Scheme, check_replicates, map_pivots,
                     mles_from_pivots, simulate_mles)
-from .numerics import golden_section, integrate
+from .numerics import golden_section, integrate_panels
 from .special import check_probability
 
 _WIDTH_FLOOR = 1e-12
+_SCAN_POINTS = 65   # per numeric panel, before the golden-section refinement
 # replicate batches per exact coverage task: 131,072 replicates amortize the
 # per-call cost of the registry's events, while the one-batch tasks of the
 # array-filling samplers keep the worker threads' temporary arrays small
@@ -63,32 +71,44 @@ class CoverageReport:
 
 
 # ---------------------------------------------------------------------------
-# panel helpers
+# panels
 # ---------------------------------------------------------------------------
 
-def _segment_at(boundary: PiecewiseBoundary, x: float):
-    idx = int(np.searchsorted(boundary.breaks, x, side="right"))
-    return boundary.segments[idx]
+@dataclass(frozen=True)
+class _Panel:
+    """The gap (a, b) between consecutive breakpoints (b = inf on the right
+    tail) and the lower and upper pieces on it, those of the base for a
+    marginal band; numeric unless both pieces are exponential cdfs of a
+    plain band."""
+
+    a: float
+    b: float
+    lower: Segment
+    upper: Segment
+    numeric: bool
 
 
-def _panel_edges(band: Band) -> list[float]:
-    pts = sorted(set(band.breakpoints()))
-    if not pts:
+def _cdf_band(band: Band) -> Band:
+    # metrics are invariant under the reliability reflection: undo it
+    return band if band.increasing else reliability_band(band)
+
+
+def _piece(boundary, a: float) -> Segment:
+    base = boundary.base if isinstance(boundary, MarginalBoundary) else boundary
+    return base.segments[bisect.bisect_right(base.breaks, a)]
+
+
+def _panels(band: Band) -> list[_Panel]:
+    edges = sorted(set(band.breakpoints()))
+    if not edges:
         raise NumericError("band has no breakpoints to anchor panels")
-    return pts
-
-
-def _exp_state(seg: ExpCdfSegment, a: float, b: float) -> str:
-    """Clip state of an offset exponential segment on a kink-free panel."""
-    mid = 0.5 * (a + b)
-    val = float(seg.evaluate(np.asarray(mid)))
-    if val <= 0.0:
-        return "zero"
-    if val >= 1.0:
-        return "one"
-    if mid < seg.loc:
-        return "const"   # flat at clip(offset) left of the location
-    return "live"
+    marginal = isinstance(band.lower, MarginalBoundary)
+    panels = []
+    for a, b in zip(edges, edges[1:] + [math.inf]):
+        lo, up = _piece(band.lower, a), _piece(band.upper, a)
+        numeric = marginal or not (isinstance(lo, ExpCdfSegment) and isinstance(up, ExpCdfSegment))
+        panels.append(_Panel(a, b, lo, up, numeric))
+    return panels
 
 
 def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
@@ -107,93 +127,54 @@ def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
 # ---------------------------------------------------------------------------
 
 def max_width(band: Band) -> tuple[float, float]:
-    """Supremum of upper - lower and the x where it is attained."""
-    # metrics are invariant under the reliability reflection: undo it
-    band = band if band.increasing else reliability_band(band)
-    if isinstance(band.lower, MarginalBoundary) or isinstance(band.upper, MarginalBoundary):
-        return _max_width_generic(band)
-    edges = _panel_edges(band)
-    span = max(edges[-1] - edges[0], 1.0)
-    candidates: list[tuple[float, float]] = []
-
-    def consider(x: float):
-        candidates.append((float(band.width(x)), float(x)))
-
-    for x in edges:
-        consider(x)
-
-    # structural limits at +-inf
-    wl = band.upper.limit_left() - band.lower.limit_left()
-    wr = band.upper.limit_right() - band.lower.limit_right()
-    candidates.append((wl, edges[0] - span))
-    candidates.append((wr, edges[-1] + span))
-
-    panels = ([(edges[0] - 2.0 * span, edges[0])]
-              + list(zip(edges, edges[1:]))
-              + [(edges[-1], edges[-1] + 4.0 * span)])
-    brackets: list[tuple[float, float]] = []   # scan maxima to refine
-    for a, b in panels:
-        lo_seg = _segment_at(band.lower, 0.5 * (a + b))
-        up_seg = _segment_at(band.upper, 0.5 * (a + b))
-        analytic = (isinstance(lo_seg, ExpCdfSegment) and isinstance(up_seg, ExpCdfSegment)
-                    and _exp_state(lo_seg, a, b) == "live" and _exp_state(up_seg, a, b) == "live")
-        if analytic:
-            x_star = _stationary_point(lo_seg, up_seg)
-            if x_star is not None and a < x_star < b:
-                consider(x_star)
-            continue
-        xs = np.linspace(a, b, 65)
-        w = band.width(xs)
-        i = int(np.argmax(w))
-        consider(xs[i])
-        left = xs[max(i - 1, 0)]
-        right = xs[min(i + 1, len(xs) - 1)]
-        if right > left:
-            brackets.append((left, right))
-    if brackets:
-        lo, hi = np.asarray(brackets).T
-        x_ref, _ = golden_section(band.width, lo, hi, maximize=True)
-        for x in x_ref:
-            consider(x)
-
-    best_w, best_x = max(candidates)
-    return best_w, best_x
-
-
-def _max_width_generic(band: Band) -> tuple[float, float]:
-    edges = _panel_edges(band)
-    span = max(edges[-1] - edges[0], 1.0)
-    xs = np.linspace(edges[0] - span, edges[-1] + 2.0 * span, 8193)
-    xs = np.sort(np.concatenate([xs, np.asarray(edges)]))
-    w = band.width(xs)
-    i = int(np.argmax(w))
-    left, right = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    x_ref, w_ref = golden_section(band.width, left, right, maximize=True)
-    if w_ref >= w[i]:
-        return float(w_ref), float(x_ref)
-    return float(w[i]), float(xs[i])
+    """Supremum of upper - lower and the x where it is attained; a limit at
+    -inf or +inf is reported at a finite stand-in x, one breakpoint span
+    beyond the outermost breakpoint."""
+    band = _cdf_band(band)
+    panels = _panels(band)
+    first, last = panels[0].a, panels[-1].a
+    span = last - first
+    candidates = [(band.upper.limit_left() - band.lower.limit_left(), first - span),
+                  (band.upper.limit_right() - band.lower.limit_right(), last + span)]
+    probes = [p.a for p in panels]
+    scans = []
+    for p in panels:
+        if not p.numeric:
+            # the width is monotone unless both pieces are live, and then
+            # its one stationary point is the only interior candidate
+            x_star = _stationary_point(p.lower, p.upper)
+            if x_star is not None and p.a < x_star < p.b:
+                probes.append(x_star)
+        elif p.b < math.inf:
+            scans.append(np.linspace(p.a, p.b, _SCAN_POINTS))
+        else:
+            # where the slower last piece's survival falls by 2^(-k/4)
+            scale = max(p.lower.scale, p.upper.scale)
+            scans.append(p.a + scale * (math.log(2.0) / 4.0) * np.arange(_SCAN_POINTS))
+    if scans:
+        xs = np.asarray(scans)
+        i = np.argmax(band.width(xs), axis=1)
+        rows = np.arange(len(scans))
+        probes.extend(xs[rows, i])
+        x_ref, _ = golden_section(band.width, xs[rows, np.maximum(i - 1, 0)],
+                                  xs[rows, np.minimum(i + 1, _SCAN_POINTS - 1)], maximize=True)
+        probes.extend(x_ref)
+    candidates += ((float(band.width(x)), float(x)) for x in probes)
+    return max(candidates)
 
 
 # ---------------------------------------------------------------------------
 # area
 # ---------------------------------------------------------------------------
 
-def _segment_integral(seg, a: float, b: float,
-                      abs_tol: float = 1e-9) -> tuple[float, float]:
-    """Integral of one boundary segment over [a, b] (no kinks inside);
-    returns (value, error estimate)."""
-    if isinstance(seg, ExpCdfSegment):
-        state = _exp_state(seg, a, b)
-        if state == "zero":
-            return 0.0, 0.0
-        if state == "one":
-            return b - a, 0.0
-        if state == "const":
-            return float(seg.evaluate(np.asarray(0.5 * (a + b)))) * (b - a), 0.0
-        off = min(max(seg.offset, -1.0), 1.0)
-        return _exp_integral(seg, b) - _exp_integral(seg, a) + off * (b - a), 0.0
-    # the minimum-area envelope
-    return integrate(lambda x: float(seg.evaluate(np.asarray(x))), a, b, abs_tol=abs_tol)
+def _piece_integral(seg: ExpCdfSegment, a: float, b: float) -> float:
+    """Integral of one exponential piece over a panel [a, b], on which it is
+    constant (left of its location, or clipped) or live."""
+    mid = 0.5 * (a + b)
+    val = float(seg.evaluate(np.asarray(mid)))
+    if mid < seg.loc or val in (0.0, 1.0):
+        return val * (b - a)
+    return _exp_integral(seg, b) - _exp_integral(seg, a) + seg.offset * (b - a)
 
 
 def _exp_integral(seg: ExpCdfSegment, x: float) -> float:
@@ -204,86 +185,54 @@ def _exp_integral(seg: ExpCdfSegment, x: float) -> float:
     return (x - seg.loc) + seg.scale * (math.exp(-z) - 1.0)
 
 
-def _tail_pair(band: Band, end: int) -> tuple[ExpCdfSegment, ExpCdfSegment]:
-    """(lower, upper) outermost segments, left (end 0) or right (end -1), of
-    the band or of a marginal band's base; both must be plain exponential
-    cdfs."""
-    lower, upper = band.lower, band.upper
-    if isinstance(lower, MarginalBoundary):
-        lower, upper = lower.base, upper.base
-    lo, up = lower.segments[end], upper.segments[end]
+def _tail_area(tail: _Panel, gammas) -> tuple[float, float]:
+    """Integral of the width over the right tail [a, inf), where both pieces
+    are plain exponential cdfs past their locations, or their push-forwards
+    by the marginal transform H with coefficients `gammas`; returns (value,
+    error bound). 1 - H(y) is a signed mixture of powers of 1 - y (see
+    `bands.marginal_mixture`), so both are closed form; the mixture's
+    cancellation is summed in extended precision, and its rounding bound is
+    the error bound."""
+    lo, up = tail.lower, tail.upper
     if not (_plain_exp(lo) and _plain_exp(up)):
         raise NumericError("tail is not an exponential pair; cannot integrate")
-    return lo, up
-
-
-def _mixture_integral(gammas, seg: ExpCdfSegment, x: float, upper_tail: bool = False) -> float:
-    """Integral of H(F_seg) over (-inf, x], or of 1 - H(F_seg) over [x, inf)
-    with `upper_tail`: the marginal transform H of an exponential cdf is a
-    signed mixture of exponentials, so both are closed-form."""
-    g, sign, log_coef = _bands.marginal_mixture(gammas)
-    terms = sign * np.exp(log_coef) * (seg.scale / g)
-    z = (x - seg.loc) / seg.scale
-    if upper_tail:
-        return float(np.sum(terms * np.exp(-g * z)))
-    if x <= seg.loc:
-        return 0.0
-    return float((x - seg.loc) - np.sum(terms * (1.0 - np.exp(-g * z))))
-
-
-def _left_tail_area(band: Band, b: float) -> tuple[float, float]:
-    lo, up = _tail_pair(band, 0)
-    if isinstance(band.lower, MarginalBoundary):
-        g = band.lower.gammas
-        return _mixture_integral(g, up, b) - _mixture_integral(g, lo, b), 0.0
-    return _exp_integral(up, b) - _exp_integral(lo, b), 0.0
-
-
-def _right_tail_area(band: Band, a: float) -> tuple[float, float]:
-    lo, up = _tail_pair(band, -1)
-    if isinstance(band.lower, MarginalBoundary):
-        g = band.lower.gammas
-        return (_mixture_integral(g, lo, a, upper_tail=True)
-                - _mixture_integral(g, up, a, upper_tail=True)), 0.0
-    if a < lo.loc or a < up.loc:
-        raise NumericError("tail start precedes a boundary location")
-    val = (lo.scale * math.exp(-(a - lo.loc) / lo.scale)
-           - up.scale * math.exp(-(a - up.loc) / up.scale))
-    return val, 0.0
+    z_l, z_u = (tail.a - lo.loc) / lo.scale, (tail.a - up.loc) / up.scale
+    if gammas is None:
+        return lo.scale * math.exp(-z_l) - up.scale * math.exp(-z_u), 0.0
+    g, sign, log_coef = (v.astype(np.longdouble) for v in _bands.marginal_mixture(gammas))
+    terms = sign * np.exp(log_coef) / g * (lo.scale * np.exp(-g * z_l) - up.scale * np.exp(-g * z_u))
+    return float(terms.sum()), float(g.size * np.finfo(np.longdouble).eps * np.abs(terms).sum())
 
 
 def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
     """Integral of the band width over the whole real line; returns
     (area, error estimate). Structurally unbounded bands (width not
     vanishing at infinity) report math.inf."""
-    band = band if band.increasing else reliability_band(band)
+    band = _cdf_band(band)
     wl = band.upper.limit_left() - band.lower.limit_left()
     wr = band.upper.limit_right() - band.lower.limit_right()
     if wl > _WIDTH_FLOOR or wr > _WIDTH_FLOOR:
         return math.inf, 0.0
-    edges = _panel_edges(band)
-    total, err = _left_tail_area(band, edges[0])
-    for a, b in zip(edges, edges[1:]):
-        for boundary, sgn in ((band.upper, 1.0), (band.lower, -1.0)):
-            if isinstance(boundary, MarginalBoundary):
-                v, e = _marginal_panel_integral(boundary, a, b, abs_tol)
-            else:
-                seg = _segment_at(boundary, 0.5 * (a + b))
-                v, e = _segment_integral(seg, a, b, abs_tol=abs_tol)
-            total += sgn * v
-            err += e
-    tail, tail_err = _right_tail_area(band, edges[-1])
-    return total + tail, err + tail_err
-
-
-def _marginal_panel_integral(boundary: MarginalBoundary, a: float, b: float,
-                             abs_tol: float) -> tuple[float, float]:
-    seg = _segment_at(boundary.base, 0.5 * (a + b))
-    if _plain_exp(seg):
-        g = boundary.gammas
-        return _mixture_integral(g, seg, b) - _mixture_integral(g, seg, a), 0.0
-    return integrate(lambda x: float(boundary(x)), a, b,
-                     abs_tol=max(abs_tol, 1e-8), limit=2000)
+    *panels, tail = _panels(band)
+    total = err = 0.0
+    runs: list[list[float]] = []   # edges of each run of adjacent numeric panels
+    for p in panels:
+        if not p.numeric:
+            total += _piece_integral(p.upper, p.a, p.b)
+            total -= _piece_integral(p.lower, p.a, p.b)
+        elif runs and runs[-1][-1] == p.a:
+            runs[-1].append(p.b)
+        else:
+            runs.append([p.a, p.b])
+    for run in runs:
+        v, e = integrate_panels(band.width, run, abs_tol=abs_tol / len(runs))
+        total += v
+        err += e
+    v, e = _tail_area(tail, getattr(band.lower, "gammas", None))
+    if e > abs_tol:
+        raise NumericError(f"marginal tail mixture cancels: rounding bound {e:.1e} "
+                           f"above tol {abs_tol:.1e}")
+    return total + v, err + e
 
 
 def band_metrics(band: Band) -> BandMetrics:

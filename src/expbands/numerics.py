@@ -1,10 +1,14 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod (G7/K15) quadrature,
 vectorized golden-section search, and Brent's bracketed root finder.
 
-Quadrature bisects the interval with the largest error estimate until the
-requested absolute tolerance is met; non-convergence raises NumericError
-with diagnostics instead of returning a silently bad value. The same holds
-for the root finder and the golden-section search: they meet their bracket
+`integrate_panels` is the production quadrature: it integrates a
+vectorized integrand on all live panels at once and halves each panel
+until its share of the absolute tolerance is met. The scalar `integrate`
+bisects the interval with the largest error estimate instead; it is kept
+only as the reference kernel of `regions.comprehensive_convex_hull_delta_prob`
+and of the test oracles. Non-convergence raises NumericError with
+diagnostics instead of returning a silently bad value. The same holds for
+the root finder and the golden-section search: they meet their bracket
 tolerance or raise.
 """
 

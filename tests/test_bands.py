@@ -103,6 +103,17 @@ class TestClosedFormBands:
         for bp in band.upper.breaks:
             assert band.upper(bp - 1e-9) == pytest.approx(band.upper(bp + 1e-9), abs=1e-9)
 
+    def test_b3_envelope_kink_splits_its_panel(self, all_bands):
+        # the envelope is 0 up to its one kink and rises after it, so the
+        # kink is a breakpoint that metrics split panels at
+        band = all_bands["b3"]
+        (kink,) = band.upper.segments[1].kinks()
+        x_enter, x_exit = band.upper.breaks
+        assert x_enter < kink < x_exit
+        assert kink in band.breakpoints()
+        assert band.upper(kink - 1e-9) == 0.0
+        assert band.upper(kink + 1e-6) > 0.0
+
     def test_b3_upper_envelope_against_brute_force(self, all_bands, fluid_est, fluid_scheme):
         # the upper boundary is the sup of the cdf over the region; compare
         # with a dense sample of region boundary points (extrema live there)

@@ -339,6 +339,23 @@ class TestConfigHash:
         assert rows[0] == rows[1]
         assert hashes[0] == hashes[1]
 
+    def test_metrics_hash_ignores_grid_points(self, data_csv, tmp_path):
+        # --grid-points sizes only band's CSV/SVG x-grid
+        hashes = []
+        for out, extra in ((tmp_path / "default", ()), (tmp_path / "two", ("--grid-points", "2"))):
+            assert _run("metrics", "--data", data_csv, "--methods", "b1",
+                        "--output-dir", out, *extra) == 0
+            hashes.append(_load(out / "metrics.json")["metadata"]["config_hash"])
+        assert hashes[0] == hashes[1]
+
+    def test_band_hash_depends_on_grid_points(self, data_csv, tmp_path):
+        hashes = []
+        for out, extra in ((tmp_path / "default", ()), (tmp_path / "two", ("--grid-points", "2"))):
+            assert _run("band", "--data", data_csv, "--method", "b1",
+                        "--output-dir", out, *extra) == 0
+            hashes.append(_load(out / "band_b1.json")["metadata"]["config_hash"])
+        assert hashes[0] != hashes[1]
+
     def test_reproduce_paper_hash_depends_on_reps(self, tmp_path):
         hashes = []
         for reps in ("100", "200"):

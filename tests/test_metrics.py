@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from expbands.bands import (
     marginal_band,
     reliability_band,
 )
-from expbands.calibration import ks_cdf
+from expbands.calibration import exact_dp, exact_p_of_tau, ks_cdf
+from expbands.cli import main
 from expbands.errors import DomainError
 from expbands.metrics import (
     area,
@@ -22,13 +25,40 @@ from expbands.metrics import (
     coverage_experiment,
     max_width,
 )
-from expbands.model import CensoringScheme, LocScale, simulate_mles
+from expbands.model import (CensoringScheme, LocScale, ProgressiveSample, load_insulating_fluid,
+                            mle, simulate_mles, simulate_sample, write_sample_csv)
 from expbands.streams import BATCH_SIZE
 
 LEVEL = 0.9025
 P = 1.0 - LEVEL
 CP_PAPER = -11.587
 DP_PAPER = 0.249
+
+
+# the bench `session` workload's generated scheme: one unit withdrawn at every
+# second failure, m = 100, n = 150
+SESSION_SCHEME = CensoringScheme(n=150, m=100, removals=tuple(i % 2 for i in range(100)))
+
+
+def _sample(name: str) -> ProgressiveSample:
+    if name == "fluid":
+        return load_insulating_fluid()
+    if name.startswith("session-"):
+        sigma = float(name.split("-")[1])
+        return simulate_sample(LocScale(2.0, sigma), SESSION_SCHEME, np.random.default_rng(int(sigma)))
+    m = int(name[1:])
+    return simulate_sample(LocScale(1.0, 2.0), CensoringScheme.type2_right(m + 8, m),
+                           np.random.default_rng(m))
+
+
+def _bands(sample: ProgressiveSample, level: float,
+           kinds=("b1", "b2", "b3", "b4", "b4p", "b4pp")) -> dict:
+    est, scheme = mle(sample), sample.scheme
+    nominal_p, c_p = exact_p_of_tau(scheme.m, level)
+    constants = {"c_p": c_p, "nominal_p": nominal_p,
+                 "d_p": exact_dp(scheme.m, int(scheme.effective_n), 1.0 - level)}
+    return {kind: METHODS[kind].build(est, scheme, level, constants)
+            for kind in kinds}
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +96,42 @@ class TestMaxWidth:
         assert w >= np.max(band.width(xs)) - 1e-6
 
 
+class TestMaxWidthOracle:
+    @pytest.mark.parametrize("name, level", [
+        ("fluid", 0.8), ("fluid", 0.9025), ("m3", 0.8), ("m12", 0.9025),
+        ("session-1", 0.9025), ("session-7", 0.8), ("session-20", 0.9025)])
+    def test_at_least_dense_grid_maximum(self, name, level):
+        sample = _sample(name)
+        est = mle(sample)
+        bands = _bands(sample, level)
+        if not name.startswith("session"):
+            # the marginal transform's signed mixture cancels at m = 100
+            bands["marginal-b1"] = marginal_band(bands["b1"], sample.scheme.gammas)
+        xs = est.mu_hat + est.sigma_hat * np.linspace(-5.0, 60.0, 200_001)
+        for kind, band in bands.items():
+            w, argx = max_width(band)
+            grid = np.concatenate([xs, band.breakpoints()])
+            assert w >= float(np.max(band.width(grid))) - 1e-12, kind
+            assert math.isfinite(argx)
+            assert float(band.width(argx)) == pytest.approx(w, abs=1e-12), kind
+
+    def test_metrics_rows_scale_equivariant(self, tmp_path):
+        # a change of time unit leaves max width alone and scales the area
+        sample = _sample("session-1")
+        rows = []
+        for name, xs in (("unit", sample.x), ("scaled", [3.0 + 10.0 * x for x in sample.x])):
+            data = tmp_path / f"{name}.csv"
+            write_sample_csv(ProgressiveSample(sample.scheme, xs), data)
+            assert main(["metrics", "--data", str(data), "--level", "0.9025",
+                         "--output-dir", str(tmp_path / name)]) == 0
+            rows.append(json.loads((tmp_path / name / "metrics.json").read_text())["rows"])
+        for unit, scaled in zip(*rows):
+            assert scaled["max_width"] == pytest.approx(unit["max_width"], abs=1e-12)
+            assert scaled["area_infinite"] == unit["area_infinite"]
+            if not unit["area_infinite"]:
+                assert scaled["area"] == pytest.approx(10.0 * unit["area"], rel=1e-9)
+
+
 class TestArea:
     def test_b4_structurally_infinite(self, b4):
         a, _ = area(b4)
@@ -95,9 +161,35 @@ class TestArea:
         brute = float(np.trapezoid(band.width(xs), xs))
         assert a == pytest.approx(brute, rel=1e-3)
 
+    @pytest.mark.parametrize("name, level", [("fluid", 0.9025), ("m3", 0.95)])
+    def test_b3_area_against_quad(self, name, level):
+        band = _bands(_sample(name), level, ("b3",))["b3"]
+        a, err = area(band)
+        assert abs(a - _quad_area(band)) <= err + 1e-12
+
+    def test_marginal_b4p_area_against_quad(self, fluid_sample):
+        band = marginal_band(_bands(fluid_sample, LEVEL, ("b4p",))["b4p"],
+                             fluid_sample.scheme.gammas)
+        a, err = area(band)
+        assert abs(a - _quad_area(band)) <= err + 1e-12
+
     def test_band_metrics_struct(self, b3):
         bm = band_metrics(b3)
         assert bm.max_width > 0 and bm.area > 0 and bm.quadrature_error_estimate >= 0
+
+
+def _quad_area(band) -> float:
+    # independent oracle: scipy's adaptive quadrature over the same panels,
+    # the unbounded right tail included; the width is 0 left of them
+    quad = pytest.importorskip("scipy.integrate").quad
+    edges = sorted(set(band.breakpoints()))
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # quad's roundoff notices at this tolerance
+        for a, b in zip(edges, edges[1:] + [math.inf]):
+            total += quad(lambda x: float(band.width(x)), a, b, epsabs=1e-14, epsrel=1e-14,
+                          limit=200)[0]
+    return total
 
 
 class TestCoverage:
