@@ -45,8 +45,9 @@ from .special import check_probability
 _WIDTH_FLOOR = 1e-12
 _SCAN_POINTS = 65   # per numeric panel, before the golden-section refinement
 # replicate batches per exact coverage task: 131,072 replicates amortize the
-# per-call cost of the registry's events, while the one-batch tasks of the
-# array-filling samplers keep the worker threads' temporary arrays small
+# per-call cost of the registry's events, where the two-batch tasks of the
+# array-filling samplers keep the worker threads' temporary arrays small;
+# `map_pivots` cuts a shorter run into one task per usable CPU instead
 _COVERAGE_TASK_BATCHES = 32
 
 

@@ -219,9 +219,11 @@ def check_replicates(reps: int) -> int:
 def map_pivots(m: int, reps: int, seed: int, fn: Callable, batches: int = 1) -> list:
     """Apply fn(slice, z, t) to draws of the independent pivots
     Z = n(mu_hat - mu)/sigma ~ Exp(1) and T = sigma_hat/sigma ~ Gamma(m-1)/m
-    for replicates 0..reps-1, one call per task of `batches` consecutive
-    replicate batches, on a thread pool shared by every call (a lone task
-    runs on the calling thread); returns the results in task order.
+    for replicates 0..reps-1, one call per task of consecutive replicate
+    batches, on a thread pool shared by every call (a lone task runs on the
+    calling thread); returns the results in task order. A task covers
+    `batches` batches, or fewer, so that the run has at least one task per
+    usable CPU where it has that many batches.
 
     Each batch draws a full BATCH_SIZE of `standard_exponential` into the
     task's contiguous Z buffer, then a full BATCH_SIZE of
@@ -234,7 +236,8 @@ def map_pivots(m: int, reps: int, seed: int, fn: Callable, batches: int = 1) -> 
     map_pivots itself. An exception raised in `fn` reaches the caller.
     """
     check_replicates(reps)
-    width = batches * BATCH_SIZE
+    total = -(-reps // BATCH_SIZE)
+    width = min(batches, -(-total // _usable_cpus())) * BATCH_SIZE
 
     def task(first: int):
         count = min(width, reps - first)
@@ -258,6 +261,13 @@ _POOL: tuple[int, object] | None = None   # (creating process id, executor)
 _POOL_LOCK = threading.Lock()
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _pool():
     """The worker pool of `map_pivots`, one thread per usable CPU, created
     on first use in each process: a forked child inherits the pool but not
@@ -268,12 +278,8 @@ def _pool():
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
-            try:
-                workers = len(os.sched_getaffinity(0))
-            except AttributeError:   # no affinity call on this platform
-                workers = os.cpu_count() or 1
-            _POOL = (os.getpid(),
-                     ThreadPoolExecutor(workers, thread_name_prefix="expbands-pivots"))
+            _POOL = (os.getpid(), ThreadPoolExecutor(_usable_cpus(),
+                                                     thread_name_prefix="expbands-pivots"))
         return _POOL[1]
 
 

@@ -376,9 +376,12 @@ def c4_scale_limits(d_p: float) -> tuple[float, float, float, float]:
     """Scale ratios t = sigma_hat/sigma that delimit the sup-distance region
     for 0 < d_p < 1: returns (t1, t_zero_lower, t2, t_zero_upper), where
     t1 < t2 are the ends of its scale range (the lower and upper slopes
-    meet there; t1 = 0 for d_p >= 0.5, and t2 = inf where the range is
+    meet there; t1 = 0 for d_p >= 0.5 and where it falls below 1e-14, as it
+    does within about 1e-13 below 0.5, and t2 = inf where the range is
     unbounded or ends beyond 1e12), and the lower slope on (0, 1) and the
-    upper slope on (1, inf) cross zero at t_zero_lower and t_zero_upper."""
+    upper slope on (1, inf) cross zero at t_zero_lower and t_zero_upper.
+    Below t1 the lower slope exceeds the upper one, so a t1 of 0 adds only
+    empty scale ratios to the range."""
     ln1md = math.log(1.0 - d_p)
     hi = 1.0 / (1.0 - d_p)
 
@@ -394,7 +397,10 @@ def c4_scale_limits(d_p: float) -> tuple[float, float, float, float]:
                 return math.inf
         return brent_root(g, hi, ceiling)
 
-    t1 = brent_root(lambda t: h(t) + ln1md, 1e-14, 1.0 - d_p) if d_p < 0.5 else 0.0
+    def meet(t):
+        return h(t) + ln1md   # > 0 below t1, ln((1-d_p)/d_p) at 0+
+
+    t1 = brent_root(meet, 1e-14, 1.0 - d_p) if d_p < 0.5 and meet(1e-14) > 0 else 0.0
     t2 = root_above(lambda t: h(t) - t * ln1md) if d_p < 0.5 else math.inf
     t_zero_lower = brent_root(h, max(t1, 1e-14), 1.0 - d_p)
     t_zero_upper = root_above(h)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from expbands import calibration
 from expbands.calibration import (
     CalibrationCache,
     CalibrationKey,
@@ -22,7 +23,7 @@ from expbands.calibration import (
     tau_of_p,
 )
 from expbands.errors import CacheIntegrityError, CalibrationError, DomainError
-from expbands.numerics import integrate
+from expbands.numerics import brent_root, integrate
 from expbands.regions import c4_scale_limits, cp_supremum, h_curve
 from expbands.special import gamma_cdf, gamma_logpdf
 
@@ -230,6 +231,9 @@ class TestCache:
 ORACLE_REPS = 200_000
 # (m, n) grid over m in {2, 8, 100} and n in {m, 19, 50} with n >= m
 KS_GRID = [(2, 2), (2, 19), (2, 50), (8, 8), (8, 19), (8, 50), (100, 100)]
+# the (m, n) pairs of the paper's d-constant grid (Table 3), level 90%
+TABLE3_GRID = [(m, n) for m in (3, 4, 5, 10, 15, 20, 50)
+               for n in (3, 4, 5, 10, 15, 20, 50) if n >= m]
 TABLE_M = (2, 3, 4, 5, 10, 25, 50, 100)
 
 
@@ -347,7 +351,50 @@ def _ks_cdf_by_pieces(m: int, n: int, d: float) -> float:
     return middle + left + right
 
 
+def _brent_dp(m: int, n: int, p: float) -> float:
+    """d_p by Brent's method on ks_cdf alone: the reference for the Newton
+    steps of exact_dp."""
+    return brent_root(lambda d: ks_cdf(m, n, d) - (1.0 - p), 1e-9, 1.0 - 1e-9, xtol=1e-12)
+
+
 class TestExactDp:
+    @pytest.mark.parametrize("p", (0.01, 0.05, 0.10, 0.5, 0.9))
+    def test_newton_matches_brent(self, p):
+        for m, n in TABLE3_GRID + KS_GRID:
+            assert exact_dp(m, n, p) == pytest.approx(_brent_dp(m, n, p), abs=1e-12), (m, n)
+
+    @pytest.mark.parametrize("m, n", ((2, 2), (3, 10), (2, 50)))
+    @pytest.mark.parametrize("d", (0.05, 0.249, 0.5056, 0.9))
+    def test_density_matches_central_difference(self, m, n, d):
+        # pairs whose density at d = 0.9 is large enough for a difference
+        # of two 1e-12-accurate cdfs 2e-5 apart to resolve it to 1e-6
+        h = 1e-5
+        slope = (ks_cdf(m, n, d + h) - ks_cdf(m, n, d - h)) / (2.0 * h)
+        assert calibration._ks_cdf_pdf(m, n, d)[1] == pytest.approx(slope, rel=1e-6)
+
+    def test_table3_solves_take_few_quadratures(self, monkeypatch):
+        calls = []
+        kernel = calibration._ks_cdf_pdf
+        monkeypatch.setattr(calibration, "_ks_cdf_pdf",
+                            lambda *args: calls.append(args) or kernel(*args))
+        for m, n in TABLE3_GRID:
+            calls.clear()
+            exact_dp(m, n, 0.10)
+            assert 1 <= len(calls) <= 7, (m, n, len(calls))
+
+    @pytest.mark.parametrize("k", (1, 2, 64, 4096))
+    def test_cdf_just_below_one_half(self, k):
+        # the scale range's lower end t1 tends to 0 as d rises to 0.5 and
+        # falls under the 1e-14 root bracket about 1e-13 below it
+        d = 0.5 - k * 2.0**-54   # k ulps below 0.5
+        assert 0.0 <= c4_scale_limits(d)[0] < 1e-12
+        for m, n in ((8, 19), (50, 50)):
+            assert ks_cdf(m, n, d) == pytest.approx(ks_cdf(m, n, 0.5), abs=1e-11)
+
+    @pytest.mark.parametrize("m, n", ((10, 500), (200, 1000), (50, 50)))
+    def test_median_where_the_bracket_midpoint_is_near_one_half(self, m, n):
+        assert ks_cdf(m, n, exact_dp(m, n, 0.5)) == pytest.approx(0.5, abs=1e-11)
+
     @pytest.mark.parametrize("m, n", KS_GRID)
     @pytest.mark.parametrize("p", (0.05, 0.10))
     def test_within_4se_of_monte_carlo(self, m, n, p):

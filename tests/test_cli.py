@@ -234,6 +234,14 @@ class TestCalibrateCoverageSimulate:
         assert doc["extra"]["c"] == pytest.approx(-11.586, abs=1e-3)
         assert doc["key"]["level"] == 0.9025 and doc["mc_std_error"] == 0.0
 
+    def test_calibrate_dp_at_level_one_half(self, tmp_path):
+        # the d_p solve passes within 1e-13 of 0.5, where the scale range's
+        # lower end drops under its root bracket
+        assert _run("calibrate", "--kind", "dp", "--m", "50", "--n", "50",
+                    "--level", "0.5", "--output-dir", tmp_path) == 0
+        assert _load(tmp_path / "calibration.json")["value"] == pytest.approx(
+            exact_dp(50, 50, 0.5), abs=1e-12)
+
     def test_calibrate_dp_requires_n(self, tmp_path):
         assert _run("calibrate", "--kind", "dp", "--m", "8",
                     "--output-dir", tmp_path) == 3

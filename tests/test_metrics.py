@@ -16,8 +16,9 @@ from expbands.bands import (
     marginal_band,
     reliability_band,
 )
+from expbands import metrics, model
 from expbands.calibration import exact_dp, exact_p_of_tau, ks_cdf
-from expbands.cli import main
+from expbands.cli import _DEFAULTS, main
 from expbands.errors import DomainError
 from expbands.metrics import (
     area,
@@ -208,6 +209,29 @@ class TestCoverage:
         events = coverage_indicator(kind, *simulate_mles(theta, fluid_scheme, reps, 12), theta,
                                     fluid_scheme, level=0.9, **constants)
         assert rep.coverage == np.count_nonzero(events) / reps
+
+    def test_default_run_uses_every_worker(self, fluid_scheme, std_theta, monkeypatch):
+        # the command line's default replicates fill fewer batches than one
+        # 32-batch task; map_pivots cuts them into a task per usable CPU,
+        # and the coverage does not depend on the cut
+        pivots = metrics.map_pivots
+
+        def run(cpus: int) -> tuple[float, int]:
+            monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
+            tasks = []
+
+            def spy(m, reps, seed, fn, batches=1):
+                return pivots(m, reps, seed,
+                              lambda *args: tasks.append(args[0]) or fn(*args), batches)
+
+            monkeypatch.setattr(metrics, "map_pivots", spy)
+            rep = coverage_experiment("c1", std_theta, fluid_scheme, 0.9,
+                                      _DEFAULTS["replicates"], seed=8)
+            return rep.coverage, len(tasks)
+
+        (pooled, tasks), (alone, one) = run(2), run(1)
+        assert tasks >= 2 and one == 1
+        assert pooled == alone
 
     def test_b4_runs_where_the_region_is_unbounded(self, std_theta):
         # the b4 event needs no region, so it runs at d_p >= 0.5, which

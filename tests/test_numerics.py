@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from expbands.errors import NumericError
-from expbands.numerics import brent_root, golden_section, integrate, integrate_panels
+from expbands.numerics import (brent_root, golden_section, integrate, integrate_panels,
+                               newton_root)
 
 
 class TestBrentRoot:
@@ -28,6 +29,30 @@ class TestBrentRoot:
             brent_root(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=0.0, max_iter=3)
 
 
+class TestNewtonRoot:
+    def test_converges(self):
+        root = newton_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, 1.0, xtol=1e-14)
+        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
+
+    def test_bisects_where_steps_leave_the_bracket(self):
+        # Newton's steps on atan diverge from 3; bisection brings them back
+        root = newton_root(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -10.0, 10.0, 3.0)
+        assert abs(root) <= 1e-13
+
+    def test_bisects_where_the_slope_is_not_positive(self):
+        root = newton_root(lambda x: (x - 0.3, 0.0), 0.0, 1.0, 0.9, xtol=1e-12)
+        assert root == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize("shift", (-5.0, 5.0))
+    def test_root_outside_the_bracket(self, shift):
+        with pytest.raises(NumericError):
+            newton_root(lambda x: (x + shift, 1.0), 0.0, 1.0, 0.5)
+
+    def test_raises_when_iterations_run_out(self):
+        with pytest.raises(NumericError):
+            newton_root(lambda x: (x**3 - 2.0, 0.0), 0.0, 2.0, 1.0, xtol=1e-14, max_iter=5)
+
+
 class TestIntegratePanels:
     def test_smooth(self):
         value, err = integrate_panels(np.sin, [0.0, math.pi])
@@ -49,6 +74,14 @@ class TestIntegratePanels:
         vector, _ = integrate_panels(lambda x: np.exp(-x) * np.log1p(x), [0.0, 2.0, 5.0],
                                      abs_tol=1e-13)
         assert vector == pytest.approx(scalar, abs=1e-12)
+
+    def test_stacked_integrands_share_the_first_ones_panels(self):
+        value, err = integrate_panels(lambda x: np.stack([np.sin(x), x * np.cos(x)]),
+                                      [0.0, math.pi / 2.0], abs_tol=1e-13)
+        assert value.shape == (2,)
+        assert value == pytest.approx([1.0, math.pi / 2.0 - 1.0], abs=1e-12)
+        alone, alone_err = integrate_panels(np.sin, [0.0, math.pi / 2.0], abs_tol=1e-13)
+        assert value[0] == pytest.approx(alone, abs=1e-15) and err == alone_err
 
     def test_raises_when_panels_run_out(self):
         with pytest.raises(NumericError):
