@@ -10,10 +10,11 @@ Newton root find over a panel quadrature that gives the density too.
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Both pivots are functions of the
 independent pair Z ~ Exp(1) and T ~ Gamma(m-1)/m, so every draw is one
-formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, two
-replicate batches per task, to the contiguous Z and T arrays that
-`model.map_pivots` draws on its thread pool (per batch,
-`standard_exponential` for Z, then `standard_gamma(m-1)`/m for T).
+formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, 8,192
+replicates per call, to the contiguous Z and T arrays that
+`model.map_pivots` draws on its thread pool (per batch, one
+`standard_exponential` call for Z and one `standard_gamma(m-1)`/m call for
+T, each on its own stream).
 Quantiles are order statistics taken by selection (`ndarray.partition`),
 not by a full sort, except along the level inversion, which reads the
 whole quantile curve. Every Monte-Carlo result carries a sectioning
@@ -42,10 +43,9 @@ from .regions import (c4_scale_limits, cp_pivot, cp_supremum, ks_distance_xy, ks
 from .special import check_probability, gamma_cdf
 
 _SECTIONS = 100
-# replicate batches per task of the array-filling samplers: two, against
-# one, halve the tasks and the pivot formulas' per-call overhead, and keep
-# each worker's temporary arrays at 8,192 replicates
-_SAMPLER_TASK_BATCHES = 2
+# replicates per call of the array-filling samplers' pivot formulas: a
+# quarter batch keeps each worker's temporary arrays at 8,192 replicates
+_SAMPLER_WIDTH = 8192
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def draw_cp_statistic(m: int, reps: int, seed: int) -> np.ndarray:
     def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
         out[batch] = cp_pivot(z, m * t, m)
 
-    map_pivots(m, reps, seed, fill, _SAMPLER_TASK_BATCHES)
+    map_pivots(m, reps, seed, fill, _SAMPLER_WIDTH)
     return out
 
 
@@ -132,7 +132,7 @@ def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
     def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
         out[batch] = ks_distance_xy(z / n, t)
 
-    map_pivots(m, reps, seed, fill, _SAMPLER_TASK_BATCHES)
+    map_pivots(m, reps, seed, fill, _SAMPLER_WIDTH)
     return out
 
 

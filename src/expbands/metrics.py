@@ -15,7 +15,7 @@ area comes from panel quadrature, except the marginal right tail, whose
 transform is a signed mixture of exponentials. A band is reported as
 having infinite area only on structural grounds (its width does not vanish
 at infinity). Coverage experiments read the method registry of `bands`;
-the exact method counts each task's coverage events where
+the exact method counts the coverage events of each whole batch where
 `model.map_pivots` draws them, so no replicate-length array is built.
 """
 
@@ -44,11 +44,7 @@ from .special import check_probability
 
 _WIDTH_FLOOR = 1e-12
 _SCAN_POINTS = 65   # per numeric panel, before the golden-section refinement
-# replicate batches per exact coverage task: 131,072 replicates amortize the
-# per-call cost of the registry's events, where the two-batch tasks of the
-# array-filling samplers keep the worker threads' temporary arrays small;
-# `map_pivots` cuts a shorter run into one task per usable CPU instead
-_COVERAGE_TASK_BATCHES = 32
+_PLATEAU_ULPS = 4   # widths this close to the maximum count as attaining it
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,9 @@ def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
 def max_width(band: Band) -> tuple[float, float]:
     """Supremum of upper - lower and the x where it is attained; a limit at
     -inf or +inf is reported at a finite stand-in x, one breakpoint span
-    beyond the outermost breakpoint."""
+    beyond the outermost breakpoint. Where the width is flat at its maximum,
+    the smallest x within a few ulps of it is reported, so that rounding of
+    equal widths does not move the point along the plateau."""
     band = _cdf_band(band)
     panels = _panels(band)
     first, last = panels[0].a, panels[-1].a
@@ -161,7 +159,8 @@ def max_width(band: Band) -> tuple[float, float]:
                                   xs[rows, np.minimum(i + 1, _SCAN_POINTS - 1)], maximize=True)
         probes.extend(x_ref)
     candidates += ((float(band.width(x)), float(x)) for x in probes)
-    return max(candidates)
+    top = max(w for w, _ in candidates)
+    return top, min(x for w, x in candidates if w >= top - _PLATEAU_ULPS * math.ulp(top))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +272,7 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
             return int(np.count_nonzero(_bands.coverage_indicator(
                 kind, mu_hats, sigma_hats, theta, scheme, level=level, **constants)))
 
-        hits = sum(map_pivots(scheme.m, replicates, seed, count, _COVERAGE_TASK_BATCHES))
+        hits = sum(map_pivots(scheme.m, replicates, seed, count))
     else:
         mu_hats, sigma_hats = simulate_mles(theta, scheme, replicates, seed)
         hits = 0

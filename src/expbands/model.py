@@ -216,56 +216,44 @@ def check_replicates(reps: int) -> int:
     return reps
 
 
-def map_pivots(m: int, reps: int, seed: int, fn: Callable, batches: int = 1) -> list:
+def map_pivots(m: int, reps: int, seed: int, fn: Callable, width: int = BATCH_SIZE) -> list:
     """Apply fn(slice, z, t) to draws of the independent pivots
     Z = n(mu_hat - mu)/sigma ~ Exp(1) and T = sigma_hat/sigma ~ Gamma(m-1)/m
-    for replicates 0..reps-1, one call per task of consecutive replicate
-    batches, on a thread pool shared by every call (a lone task runs on the
-    calling thread); returns the results in task order. A task covers
-    `batches` batches, or fewer, so that the run has at least one task per
-    usable CPU where it has that many batches.
+    for replicates 0..reps-1, one call per run of at most `width`
+    consecutive replicates inside a batch; returns the results in replicate
+    order. Each batch is one task on a thread pool shared by every call (a
+    lone batch runs on the calling thread).
 
-    Each batch draws a full BATCH_SIZE of `standard_exponential` into the
-    task's contiguous Z buffer, then a full BATCH_SIZE of
-    `standard_gamma(m - 1)` into its T buffer, divided by m in place; `fn`
-    gets views of the first `count` entries. Every draw is therefore a
-    function of (seed, replicate) alone: a longer run extends a shorter one
-    replicate for replicate, and neither the task size nor the schedule
-    changes a value. `fn` runs on worker threads, so it may only write to
-    the slice of a shared array it is given, and it must not call
-    map_pivots itself. An exception raised in `fn` reaches the caller.
+    A batch of `count` replicates draws its Z in one `standard_exponential`
+    call on its Z stream and its T in one `standard_gamma(m - 1)` call on
+    its T stream, divided by m in place (`streams`); nothing beyond `count`
+    is drawn. Every draw is therefore a function of (seed, replicate) alone:
+    a longer run extends a shorter one replicate for replicate, and neither
+    `width`, the number of workers nor the schedule changes a value. `fn`
+    runs on worker threads, so it may only write to the slice of a shared
+    array it is given, and it must not call map_pivots itself. An exception
+    raised in `fn` reaches the caller.
     """
     check_replicates(reps)
-    total = -(-reps // BATCH_SIZE)
-    width = min(batches, -(-total // _usable_cpus())) * BATCH_SIZE
 
-    def task(first: int):
-        count = min(width, reps - first)
-        size = -(-count // BATCH_SIZE) * BATCH_SIZE
-        z = np.empty(size)
-        t = np.empty(size)
-        for start in range(0, size, BATCH_SIZE):
-            rng = batch_generator(seed, (first + start) // BATCH_SIZE)
-            rng.standard_exponential(out=z[start:start + BATCH_SIZE])
-            rows = t[start:start + BATCH_SIZE]
-            rng.standard_gamma(m - 1.0, out=rows)
-            rows /= m
-        return fn(slice(first, first + count), z[:count], t[:count])
+    def task(first: int) -> list:
+        count = min(BATCH_SIZE, reps - first)
+        z = batch_generator(seed, first // BATCH_SIZE, 0).standard_exponential(count)
+        t = batch_generator(seed, first // BATCH_SIZE, 1).standard_gamma(m - 1.0, count)
+        t /= m
+        results = []
+        for i in range(0, count, width):
+            j = min(i + width, count)
+            results.append(fn(slice(first + i, first + j), z[i:j], t[i:j]))
+        return results
 
-    if reps <= width:
-        return [task(0)]
-    return list(_pool().map(task, range(0, reps, width)))
+    if reps <= BATCH_SIZE:
+        return task(0)
+    return [r for results in _pool().map(task, range(0, reps, BATCH_SIZE)) for r in results]
 
 
 _POOL: tuple[int, object] | None = None   # (creating process id, executor)
 _POOL_LOCK = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _pool():
@@ -278,8 +266,11 @@ def _pool():
     with _POOL_LOCK:
         if _POOL is None or _POOL[0] != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
-            _POOL = (os.getpid(), ThreadPoolExecutor(_usable_cpus(),
-                                                     thread_name_prefix="expbands-pivots"))
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:   # no affinity call on this platform
+                cpus = os.cpu_count() or 1
+            _POOL = (os.getpid(), ThreadPoolExecutor(cpus, thread_name_prefix="expbands-pivots"))
         return _POOL[1]
 
 

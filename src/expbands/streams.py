@@ -1,27 +1,29 @@
 """Reproducible Monte-Carlo streams.
 
-Replicates are partitioned into fixed-size batches; batch b of a run keyed
-by `seed` draws from PCG64 seeded with SeedSequence((seed, b)), always a
-full batch of each variate in a fixed order (`model.map_pivots`: all of Z,
-then all of T), even where the run ends inside the batch. The draws for
-replicate i are therefore a pure function of (seed, i), independent of the
-run's length, of how many batches a task covers and of which thread runs
-it when, which makes simulation results bit-reproducible under any
-parallel schedule, such as the thread pool of `model.map_pivots`. PCG64,
-numpy's default bit generator, draws the pivots faster than Philox;
-SeedSequence spreads each (seed, b) key over its whole state.
+Replicates are partitioned into batches of BATCH_SIZE; batch b of a run
+keyed by `seed` draws each pivot from its own PCG64 stream, Z from
+SeedSequence((seed, b, 0)) and T from SeedSequence((seed, b, 1))
+(`model.map_pivots`). Each stream is read from its start, one value per
+replicate, and numpy fills an array sequentially, so the draws for
+replicate i are a pure function of (seed, i): a longer run extends a
+shorter one, and neither the thread that runs a batch nor the order the
+batches finish in changes a value. PCG64, numpy's default bit generator,
+draws the pivots faster than Philox; SeedSequence spreads each key over
+its whole state.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BATCH_SIZE = 4096
+BATCH_SIZE = 2 ** 15
 
 
-def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
-    """Generator for one replicate batch of a run keyed by `seed`."""
-    ss = np.random.SeedSequence((int(seed) & 0xFFFFFFFFFFFFFFFF, int(batch_index)))
+def batch_generator(seed: int, batch_index: int, stream: int | None = None) -> np.random.Generator:
+    """Generator for one replicate batch of a run keyed by `seed`, or for
+    one of its per-variate streams (`stream` 0 for Z, 1 for T)."""
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF, int(batch_index))
+    ss = np.random.SeedSequence(key if stream is None else key + (int(stream),))
     return np.random.Generator(np.random.PCG64(ss))
 
 

@@ -16,7 +16,6 @@ from expbands.bands import (
     marginal_band,
     reliability_band,
 )
-from expbands import metrics, model
 from expbands.calibration import exact_dp, exact_p_of_tau, ks_cdf
 from expbands.cli import _DEFAULTS, main
 from expbands.errors import DomainError
@@ -88,6 +87,21 @@ class TestMaxWidth:
         w_base, _ = max_width(b3)
         w_rel, _ = max_width(reliability_band(b3))
         assert w_rel == pytest.approx(w_base, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ("b4", "b4p"))
+    def test_plateau_argmax_is_its_left_end(self, fluid_est, fluid_scheme, kind):
+        # the width is 2 d_p wherever d_p <= F_hat <= 1 - d_p; a one-ulp move
+        # of d_p must not move the reported point along that plateau
+        d_p = exact_dp(fluid_scheme.m, fluid_scheme.n, P)
+        widths = []
+        for d in (np.nextafter(d_p, 0.0), d_p, np.nextafter(d_p, 1.0)):
+            band = METHODS[kind].build(fluid_est, fluid_scheme, LEVEL, {"d_p": float(d)})
+            w, argx = max_width(band)
+            left = fluid_est.mu_hat - fluid_est.sigma_hat * math.log1p(-d)
+            assert argx == pytest.approx(left, rel=1e-14) and argx == pytest.approx(2.665, abs=1e-3)
+            assert w == pytest.approx(2 * d, rel=1e-15)
+            widths.append(w)
+        assert widths[1] == widths[2]
 
     def test_marginal_width_generic_path(self, fluid_est, fluid_scheme):
         band = marginal_band(band_b1(fluid_est, fluid_scheme, P), fluid_scheme.gammas)
@@ -201,36 +215,26 @@ class TestCoverage:
 
     @pytest.mark.parametrize("kind", METHODS)
     def test_fused_count_matches_indicator_arrays(self, fluid_scheme, kind):
-        # the exact method counts per task of 32 batches; across task
-        # boundaries it must agree with the events on the full MLE arrays
-        theta, reps = LocScale(2.0, 3.0), 2 * 32 * BATCH_SIZE + 5
+        # the exact method counts per batch; across batch boundaries it
+        # must agree with the events on the full MLE arrays
+        theta, reps = LocScale(2.0, 3.0), 8 * BATCH_SIZE + 5
         constants = {"c_p": CP_PAPER, "d_p": DP_PAPER}
         rep = coverage_experiment(kind, theta, fluid_scheme, 0.9, reps, seed=12, **constants)
         events = coverage_indicator(kind, *simulate_mles(theta, fluid_scheme, reps, 12), theta,
                                     fluid_scheme, level=0.9, **constants)
         assert rep.coverage == np.count_nonzero(events) / reps
 
-    def test_default_run_uses_every_worker(self, fluid_scheme, std_theta, monkeypatch):
-        # the command line's default replicates fill fewer batches than one
-        # 32-batch task; map_pivots cuts them into a task per usable CPU,
-        # and the coverage does not depend on the cut
-        pivots = metrics.map_pivots
-
-        def run(cpus: int) -> tuple[float, int]:
-            monkeypatch.setattr(model, "_usable_cpus", lambda: cpus)
-            tasks = []
-
-            def spy(m, reps, seed, fn, batches=1):
-                return pivots(m, reps, seed,
-                              lambda *args: tasks.append(args[0]) or fn(*args), batches)
-
-            monkeypatch.setattr(metrics, "map_pivots", spy)
+    def test_default_run_uses_every_worker(self, fluid_scheme, std_theta, pivot_pool):
+        # the command line's default replicates span 4 batches, one pool
+        # task each, and the coverage does not depend on the worker count
+        def run(workers: int) -> tuple[float, int]:
+            pool = pivot_pool(workers)
             rep = coverage_experiment("c1", std_theta, fluid_scheme, 0.9,
                                       _DEFAULTS["replicates"], seed=8)
-            return rep.coverage, len(tasks)
+            return rep.coverage, pool.tasks
 
         (pooled, tasks), (alone, one) = run(2), run(1)
-        assert tasks >= 2 and one == 1
+        assert _DEFAULTS["replicates"] == 100_000 and tasks == one == 4
         assert pooled == alone
 
     def test_b4_runs_where_the_region_is_unbounded(self, std_theta):

@@ -177,13 +177,14 @@ BATCHED_DRAWS = {
 
 def _serial_pivots(m: int, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(Z, T) drawn one batch after another on the calling thread: per batch
-    a full batch of Z, then a full batch of T, cut to the first reps."""
+    its replicates' Z from the batch's Z stream, then their T from its T
+    stream, and nothing more."""
     zs, ts = [], []
-    for b in range(-(-reps // BATCH_SIZE)):
-        rng = batch_generator(seed, b)
-        zs.append(rng.standard_exponential(BATCH_SIZE))
-        ts.append(rng.standard_gamma(m - 1.0, BATCH_SIZE) / m)
-    return np.concatenate(zs)[:reps], np.concatenate(ts)[:reps]
+    for first in range(0, reps, BATCH_SIZE):
+        count, b = min(BATCH_SIZE, reps - first), first // BATCH_SIZE
+        zs.append(batch_generator(seed, b, 0).standard_exponential(count))
+        ts.append(batch_generator(seed, b, 1).standard_gamma(m - 1.0, count) / m)
+    return np.concatenate(zs), np.concatenate(ts)
 
 
 # the same draws as BATCHED_DRAWS (simulate_mles at theta = (0, 1)), from the
@@ -218,13 +219,19 @@ class TestSimulation:
 
     @pytest.mark.parametrize("draw", BATCHED_DRAWS)
     def test_batching_invariance(self, fluid_scheme, draw):
-        # a longer run extends a shorter one replicate-for-replicate
-        short = BATCHED_DRAWS[draw](fluid_scheme, 5_000)
-        long = BATCHED_DRAWS[draw](fluid_scheme, 10_000)
-        for a, b in zip(short, long):
-            assert np.array_equal(a, b[:5_000])
+        # a longer run extends a shorter one replicate-for-replicate, inside
+        # one batch and across batches
+        for short_reps, long_reps in ((5_000, 10_000), (BATCH_SIZE - 3, 2 * BATCH_SIZE + 5)):
+            short = BATCHED_DRAWS[draw](fluid_scheme, short_reps)
+            long = BATCHED_DRAWS[draw](fluid_scheme, long_reps)
+            for a, b in zip(short, long):
+                assert np.array_equal(a, b[:short_reps])
 
-    @pytest.mark.parametrize("reps", (1, BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1,
+    # runs ending inside a pivot sampler's first 8,192-replicate view, at
+    # the edges of the first batch, and after 5 and 33 batches (the last
+    # holding 17 replicates)
+    @pytest.mark.parametrize("reps", (1, 4095, 4096, 4097, BATCH_SIZE - 1, BATCH_SIZE,
+                                      BATCH_SIZE + 1, 4 * BATCH_SIZE + 17,
                                       32 * BATCH_SIZE + 17))
     @pytest.mark.parametrize("draw", BATCHED_DRAWS)
     def test_threaded_draws_match_serial_reference(self, fluid_scheme, draw, reps):
@@ -234,12 +241,30 @@ class TestSimulation:
             assert np.array_equal(a, b)
 
     def test_map_pivots_results_in_task_order(self):
-        reps = 5 * BATCH_SIZE + 3
+        # views of at most `width` replicates, cut at every batch edge
+        reps, width = 2 * BATCH_SIZE + 3, 3 * BATCH_SIZE // 4
         bounds = map_pivots(8, reps, 1, lambda batch, z, t: (batch.start, batch.stop, z.size),
-                            batches=2)
-        assert bounds == [(0, 2 * BATCH_SIZE, 2 * BATCH_SIZE),
-                          (2 * BATCH_SIZE, 4 * BATCH_SIZE, 2 * BATCH_SIZE),
-                          (4 * BATCH_SIZE, reps, BATCH_SIZE + 3)]
+                            width)
+        starts = (0, width, BATCH_SIZE, BATCH_SIZE + width, 2 * BATCH_SIZE)
+        stops = starts[1:] + (reps,)
+        assert bounds == [(a, b, b - a) for a, b in zip(starts, stops)]
+
+    def test_view_width_does_not_change_draws(self):
+        reps = 2 * BATCH_SIZE + 3
+
+        def pivots(width: int) -> tuple[np.ndarray, np.ndarray]:
+            views = map_pivots(8, reps, 4, lambda batch, z, t: (z.copy(), t.copy()), width)
+            return tuple(np.concatenate(parts) for parts in zip(*views))
+
+        assert all(np.array_equal(a, b) for a, b in zip(pivots(8192), pivots(BATCH_SIZE)))
+
+    def test_worker_count_does_not_change_draws(self, pivot_pool):
+        reps = 3 * BATCH_SIZE + 11
+        pivot_pool(1)
+        alone = draw_cp_statistic(8, reps, 9)
+        pooled = pivot_pool(2)
+        assert np.array_equal(draw_cp_statistic(8, reps, 9), alone)
+        assert pooled.tasks == 4
 
     def test_worker_exception_reaches_caller(self):
         def fail_late(batch, z, t):
