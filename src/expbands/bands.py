@@ -4,15 +4,14 @@ censoring, plus the sup-distance statistic that powers the KS-type bands.
 Six constructions: two from the trapezoid regions, one from the
 minimum-area region, the constant-width KS band, and its two trimmed
 variants: the extrema of the cdf over the sup-distance regions, in closed
-form.
-Reliability (1 - cdf) and last-observation marginal transforms are
+form. Reliability (1 - cdf) and last-observation marginal transforms are
 monotone push-forwards of any band.
 
-Boundaries are piecewise objects built from a small segment vocabulary:
-(possibly offset and clipped) exponential cdf pieces and the analytic upper
-envelope of the minimum-area region. Segment structure is preserved so that band metrics can
-split integration panels at breakpoints and treat the unbounded tails in
-closed form.
+Boundaries are pieces: (possibly offset and clipped) exponential cdfs and
+the analytic upper envelope of the minimum-area region. Their breakpoints
+cut the line into panels, then the right tail, on each of which a piece
+is constant or live. The band metrics and `graph_contained`, the exact
+containment of a cdf graph, walk these panels (`_panels`).
 
 `METHODS` is the one table of the paper's regions (c1-c4pp) and bands
 (b1-b4pp): per method, the calibration constant it needs, its builder and
@@ -22,8 +21,10 @@ paper reproduction all dispatch through it.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -65,6 +66,11 @@ class ExpCdfSegment:
         f = -np.expm1(-np.maximum(z, 0.0))
         return np.clip(f + self.offset, 0.0, 1.0)
 
+    def value(self, x: float) -> float:
+        """`evaluate` at one float x, in math-module arithmetic."""
+        z = max((x - self.loc) / self.scale, 0.0)
+        return min(max(-math.expm1(-z) + self.offset, 0.0), 1.0)
+
     def kinks(self) -> tuple[float, ...]:
         pts = [self.loc]
         if self.offset > 0.0:
@@ -102,9 +108,14 @@ class MinAreaEnvelopeSegment:
         z = (x - self.mu_hat - offset) / scale
         return -np.expm1(-np.maximum(z, 0.0))
 
+    value = evaluate   # at one float x too
+
+    def x_at_scale(self, scale: float) -> float:
+        """The x whose extremizing scale is `scale`."""
+        return self.mu_hat + (self.m * self.sigma_hat - (self.m + 1) * scale) / self.n
+
     def kinks(self) -> tuple[float, ...]:
-        scale = self.sigma_hat * math.exp(-1.0 - self.c_p / (self.m + 1))
-        return (self.mu_hat + (self.m * self.sigma_hat - (self.m + 1) * scale) / self.n,)
+        return (self.x_at_scale(self.sigma_hat * math.exp(-1.0 - self.c_p / (self.m + 1))),)
 
 
 Segment = ExpCdfSegment | MinAreaEnvelopeSegment
@@ -269,14 +280,11 @@ def band_b3(est: MleEstimate, scheme: Scheme, c_p: float,
     region = build_c3(est, scheme, c_p)
     m, n = scheme.m, scheme.effective_n
     mu_hat, sigma_hat = est.mu_hat, est.sigma_hat
-    # x at which the (decreasing) envelope scale crosses the interval ends
-    x_enter = mu_hat - ((m + 1) * region.z_hi - m * sigma_hat) / n
-    x_exit = mu_hat - ((m + 1) * region.z_lo - m * sigma_hat) / n
+    envelope = MinAreaEnvelopeSegment(mu_hat, sigma_hat, m, n, c_p)
+    # the (decreasing) envelope scale crosses the interval ends here
     upper = PiecewiseBoundary(
-        (ExpCdfSegment(mu_hat, region.z_hi),
-         MinAreaEnvelopeSegment(mu_hat, sigma_hat, m, n, c_p),
-         ExpCdfSegment(mu_hat, region.z_lo)),
-        breaks=(x_enter, x_exit))
+        (ExpCdfSegment(mu_hat, region.z_hi), envelope, ExpCdfSegment(mu_hat, region.z_lo)),
+        breaks=(envelope.x_at_scale(region.z_hi), envelope.x_at_scale(region.z_lo)))
     lower = PiecewiseBoundary((ExpCdfSegment(mu_hat, region.z_hi),))
     level = None if nominal_p is None else tau_of_p(m, nominal_p, c_p)
     prov = {"mu_hat": mu_hat, "sigma_hat": sigma_hat, "m": m, "n": n,
@@ -450,39 +458,85 @@ def marginal_band(band: Band, gamma: Sequence[float]) -> Band:
 
 
 # ---------------------------------------------------------------------------
-# containment
+# panels and containment
 # ---------------------------------------------------------------------------
 
-def _plain_exp(seg) -> bool:
-    return isinstance(seg, ExpCdfSegment) and seg.offset == 0.0
+# the gap (a, b) between consecutive edges (b = inf on the right tail), the lower and
+# upper pieces on it (of the base for a marginal band), and whether it is numeric
+_Panel = namedtuple("_Panel", "a b lower upper numeric")
 
 
-def graph_contained(band: Band, theta: LocScale, points: int = 2048,
-                    tol: float = 1e-9) -> bool:
-    """Whether the graph of F_theta lies inside the band.
+def _panels(band: Band, extra: tuple[float, ...] = ()) -> list[_Panel]:
+    # every piece has a kink at its location, so there is at least one edge
+    edges = sorted(set(band.breakpoints()).union(extra))
+    marginal = isinstance(band.lower, MarginalBoundary)
+    lower, upper = (band.lower.base, band.upper.base) if marginal else (band.lower, band.upper)
+    panels = []
+    for a, b in zip(edges, edges[1:] + [math.inf]):
+        lo = lower.segments[bisect.bisect_right(lower.breaks, a)]
+        up = upper.segments[bisect.bisect_right(upper.breaks, a)]
+        numeric = marginal or not (isinstance(lo, ExpCdfSegment) and isinstance(up, ExpCdfSegment))
+        panels.append(_Panel(a, b, lo, up, numeric))
+    return panels
 
-    Monotonicity of all three curves reduces containment to a check on a
-    quantile-spaced grid of F_theta plus the band's breakpoints; `tol`
-    absorbs rounding at the contact points. Where a
-    boundary ends in a plain exponential cdf, the order of its tail and
-    F_theta's at +inf is decided exactly, by scale and then location: two
-    exponential tails cross at most once, so that check and the grid
-    together are exact beyond the grid's end.
-    """
-    if not band.increasing:
-        raise DomainError("containment check expects a cdf band")
-    point = (theta.sigma, theta.mu)
-    for boundary, upper in ((band.lower, False), (band.upper, True)):
-        tail = boundary.segments[-1] if isinstance(boundary, PiecewiseBoundary) else None
-        if _plain_exp(tail) and ((tail.scale, tail.loc) > point if upper
-                                 else point > (tail.scale, tail.loc)):
-            return False
-    q = np.linspace(0.5 / points, 1.0 - 0.5 / points, points)
-    xs = theta.mu - theta.sigma * np.log1p(-q)
-    extra = np.asarray(band.breakpoints() + (theta.mu,), dtype=float)
-    xs = np.concatenate([xs, extra, extra + 1e-9])
-    f = theta.cdf(xs)
-    return bool(np.all(band.lower(xs) <= f + tol) and np.all(f <= band.upper(xs) + tol))
+
+def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
+    """Interior stationary point of (up - lo) when both are live exponential
+    pieces; None when the difference is monotone."""
+    s_l, s_u = lo.scale, up.scale
+    if s_l == s_u:
+        return None
+    num = math.log(s_l / s_u) + up.loc / s_u - lo.loc / s_l
+    den = 1.0 / s_u - 1.0 / s_l
+    return num / den
+
+
+def _constant(seg: Segment, a: float, b: float) -> float | None:
+    """A piece's value on the panel (a, b) where it is constant there (left
+    of its location or kink, or clipped); None where it is live."""
+    if isinstance(seg, MinAreaEnvelopeSegment):
+        return 0.0 if b <= seg.kinks()[0] else None
+    if b <= seg.loc:
+        return seg.limit_left()
+    if seg.offset > 0.0 and a >= seg.kinks()[1]:
+        return 1.0
+    if seg.offset < 0.0 and b <= seg.kinks()[1]:
+        return 0.0
+    return None
+
+
+def _gaps(piece: Segment, f: ExpCdfSegment, a: float, b: float) -> list[float]:
+    """piece - F where its sign on the panel [a, b] is decided: at both ends,
+    at the one interior point where it can turn, and at +inf on the tail.
+    Two live exponential cdfs differ by a function with one stationary point
+    at most. Against the minimum-area envelope, whose scale s falls linearly
+    in x, log((1 - F)/(1 - envelope)) is a constant plus a (s/sigma - ln s),
+    a = (m + 1)/n, least at s = sigma. At +inf the difference tends to the
+    piece's offset, or for a plain cdf takes the sign of F's survival minus
+    the piece's: the larger scale, then location, has the slower tail."""
+    level = _constant(piece, a, b)
+    turn = (piece.x_at_scale(f.scale) if isinstance(piece, MinAreaEnvelopeSegment)
+            else _stationary_point(piece, f))
+    xs = [x for x in (a, b, turn) if x is not None and a <= x <= b and x < math.inf]
+    gaps = [(piece.value(x) if level is None else level) - f.value(x) for x in xs]
+    if b == math.inf:
+        f_tail, p_tail = (f.scale, f.loc), (piece.scale, piece.loc)
+        gaps.append(piece.offset or float(f_tail > p_tail) - float(f_tail < p_tail))
+    return gaps
+
+
+def graph_contained(band: Band, theta: LocScale) -> bool:
+    """Whether the graph of F_theta lies between the band's boundaries,
+    decided exactly, with no grid and no tolerance: on each panel between the
+    band's breakpoints and theta.mu, F_theta is 0 or live, and `_gaps` reads
+    each piece minus F_theta where its sign is decided. Left of the first
+    edge all three curves are constant. Reliability and marginal bands raise
+    DomainError."""
+    if not band.increasing or isinstance(band.lower, MarginalBoundary):
+        raise DomainError("containment check expects a cdf band, not a reliability or marginal one")
+    f = ExpCdfSegment(theta.mu, theta.sigma)
+    return all(max(_gaps(p.lower, f, p.a, p.b)) <= 0.0 <= min(_gaps(p.upper, f, p.a, p.b))
+               for p in _panels(band, (theta.mu,)))
 
 
 def default_grid(band: Band, points: int = 1024) -> np.ndarray:

@@ -98,11 +98,20 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if not 0.0 < float(cfg["level"]) < 1.0:
+    for key in ("seed", "reps", "level", "grid_points", "boundary_points", "replicates"):
+        try:   # to the type of the default, so a config file's values are checked too
+            cfg[key] = type(_DEFAULTS[key])(cfg[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{key} must be a number, got {cfg[key]!r}") from exc
+    formats = [f.strip() for f in str(cfg["formats"]).split(",") if f.strip()]
+    if not formats or not set(formats) <= {"json", "csv", "svg"}:
+        raise ParseError(f"formats must be a comma list of json, csv, svg; got {cfg['formats']!r}")
+    cfg["formats"] = ",".join(formats)
+    if not 0.0 < cfg["level"] < 1.0:
         raise DomainError(f"level must lie in (0, 1), got {cfg['level']}")
-    if int(cfg["reps"]) < 1 or int(cfg["replicates"]) < 1:
+    if cfg["reps"] < 1 or cfg["replicates"] < 1:
         raise DomainError("reps and replicates must be >= 1")
-    if int(cfg["grid_points"]) < 2:
+    if cfg["grid_points"] < 2:
         raise DomainError(f"grid points must be >= 2, got {cfg['grid_points']}")
     return cfg
 
@@ -133,7 +142,7 @@ def _metadata(cfg: dict, command: str, calibrations: list[dict] | None = None) -
         "version": __version__,
         "command": command,
         "config_hash": _config_hash(cfg, command),
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "calibration": calibrations or [],
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
@@ -172,10 +181,6 @@ def _resolve_constants(method: str, level: float, scheme, cfg: dict) -> tuple[di
     return {kind: res.value}, [_provenance(res)]
 
 
-def _build(method: str, est, scheme, level: float, constants: dict, cfg: dict):
-    return _bands.METHODS[method].build(est, scheme, level, constants)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -208,14 +213,14 @@ def cmd_fit(args, cfg) -> int:
 def cmd_region(args, cfg) -> int:
     _, working, transform = _load_data(args, cfg)
     est = mle(working)
-    level = float(cfg["level"])
+    level = cfg["level"]
     constants, provenance = _resolve_constants(args.method, level, working.scheme, cfg)
-    region = _build(args.method, est, working.scheme, level, constants, cfg)
+    region = _bands.METHODS[args.method].build(est, working.scheme, level, constants)
     payload = {
         "metadata": _metadata(cfg, f"region.{args.method}", provenance),
         "level": level,
         "transform": transform.kind,
-        **_regions.region_to_dict(region, points=int(cfg["boundary_points"])),
+        **_regions.region_to_dict(region, points=cfg["boundary_points"]),
     }
     out = Path(cfg["output_dir"]) / f"region_{args.method}.json"
     _write_json(out, payload)
@@ -226,16 +231,16 @@ def cmd_region(args, cfg) -> int:
 def cmd_band(args, cfg) -> int:
     _, working, transform = _load_data(args, cfg)
     est = mle(working)
-    level = float(cfg["level"])
+    level = cfg["level"]
     constants, provenance = _resolve_constants(args.method, level, working.scheme, cfg)
-    band = _build(args.method, est, working.scheme, level, constants, cfg)
+    band = _bands.METHODS[args.method].build(est, working.scheme, level, constants)
     if args.marginal:
         band = _bands.marginal_band(band, working.scheme.gammas)
     if args.reliability:
         band = _bands.reliability_band(band)
-    xs = _bands.default_grid(band, points=int(cfg["grid_points"]))
+    xs = _bands.default_grid(band, points=cfg["grid_points"])
     xs_original = transform.invert(xs)
-    formats = [f.strip() for f in str(cfg["formats"]).split(",") if f.strip()]
+    formats = cfg["formats"].split(",")
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -263,7 +268,7 @@ def cmd_band(args, cfg) -> int:
 def cmd_metrics(args, cfg) -> int:
     _, working, transform = _load_data(args, cfg)
     est = mle(working)
-    level = float(cfg["level"])
+    level = cfg["level"]
     methods = BAND_METHODS if args.methods in (None, "all") else tuple(
         m.strip() for m in args.methods.split(","))
     bad = set(methods) - set(BAND_METHODS)
@@ -273,7 +278,7 @@ def cmd_metrics(args, cfg) -> int:
     provenance_all: list[dict] = []
     for method in methods:
         constants, provenance = _resolve_constants(method, level, working.scheme, cfg)
-        band = _build(method, est, working.scheme, level, constants, cfg)
+        band = _bands.METHODS[method].build(est, working.scheme, level, constants)
         bm = _metrics.band_metrics(band)
         rows.append({"band": method, "level": level,
                      "max_width": bm.max_width, "width_argmax": bm.width_argmax,
@@ -291,7 +296,7 @@ def cmd_metrics(args, cfg) -> int:
 
 
 def cmd_calibrate(args, cfg) -> int:
-    level = float(cfg["level"])
+    level = cfg["level"]
     m = int(args.m)
     if args.kind == "dp" and args.n is None:
         raise DomainError("--n is required for kind dp")
@@ -316,14 +321,14 @@ def cmd_calibrate(args, cfg) -> int:
 def cmd_coverage(args, cfg) -> int:
     sample = read_sample_csv(args.data)
     scheme = sample.scheme
-    level = float(cfg["level"])
+    level = cfg["level"]
     kind = args.kind
     constants, provenance = _resolve_constants(kind, level, scheme, cfg)
     constants.pop("nominal_p", None)
     theta = LocScale(float(args.mu), float(args.sigma))
     report = _metrics.coverage_experiment(
-        kind, theta, scheme, level, int(cfg["replicates"]),
-        substream(int(cfg["seed"]), "coverage"), **constants)
+        kind, theta, scheme, level, cfg["replicates"],
+        substream(cfg["seed"], "coverage"), **constants)
     payload = {"metadata": _metadata(cfg, f"coverage.{kind}", provenance),
                **dataclasses.asdict(report)}
     _write_json(Path(cfg["output_dir"]) / f"coverage_{kind}.json", payload)
@@ -340,7 +345,7 @@ def cmd_simulate(args, cfg) -> int:
         removals = (0,) * (m - 1) + (n - m,)
     scheme = CensoringScheme(n=n, m=m, removals=removals)
     theta = LocScale(float(args.mu), float(args.sigma))
-    rng = batch_generator(substream(int(cfg["seed"]), "simulate"), 0)
+    rng = batch_generator(substream(cfg["seed"], "simulate"), 0)
     sample = simulate_sample(theta, scheme, rng)
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -354,7 +359,7 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_reproduce(args, cfg) -> int:
-    report = reproduce_paper(reps=int(cfg["reps"]), seed=int(cfg["seed"]))
+    report = reproduce_paper(reps=cfg["reps"], seed=cfg["seed"])
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.md").write_text(report.markdown())

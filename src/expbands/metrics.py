@@ -1,27 +1,22 @@
 """Band metrics (maximum width, area) and Monte-Carlo coverage experiments.
 
-Both metrics walk the band's panels: the gaps between consecutive boundary
-breakpoints, then the unbounded right tail. Left of the first breakpoint
-every piece is constant, so the width there is its left limit and adds no
-area to a band of finite area. On an exponential panel both pieces are
-(possibly offset and clipped) exponential cdfs: the width is monotone or
-has one stationary point, and its integral is elementary, so both metrics
-are closed form there, the right tail included. Only panels holding the
-minimum-area envelope or a marginal boundary are numeric: the width is
-scanned, then refined by one vectorized golden-section search over all
-such panels (the marginal right tail is scanned in the quantiles of its
-last exponential piece, so the scan follows the data's scale), and the
-area comes from panel quadrature, except the marginal right tail, whose
-transform is a signed mixture of exponentials. A band is reported as
-having infinite area only on structural grounds (its width does not vanish
-at infinity). Coverage experiments read the method registry of `bands`;
-the exact method counts the coverage events of each whole batch where
-`model.map_pivots` draws them, so no replicate-length array is built.
+Both metrics walk the band's panels (`bands._panels`). Left of the first
+breakpoint every piece is constant, so the width there is its left limit
+and adds no area to a band of finite area. Where both pieces are
+exponential cdfs the width is monotone or has one stationary point and its
+integral is elementary, so both metrics are closed form there, the right
+tail included. Panels holding the minimum-area envelope or a marginal
+boundary are numeric: the width is scanned, then refined by one vectorized
+golden-section search (the marginal right tail is scanned in the quantiles
+of its last exponential piece, so the scan follows the data's scale), and
+the area comes from panel quadrature, except on the marginal right tail, a
+signed mixture of exponentials. Infinite area is reported only on
+structural grounds (the width does not vanish at infinity). Coverage
+experiments read the method registry of `bands`.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -31,9 +26,9 @@ from . import bands as _bands
 from .bands import (
     Band,
     ExpCdfSegment,
-    MarginalBoundary,
-    Segment,
-    _plain_exp,
+    _constant,
+    _panels,
+    _stationary_point,
     reliability_band,
 )
 from .errors import DomainError, NumericError
@@ -67,56 +62,9 @@ class CoverageReport:
     constants: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# panels
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Panel:
-    """The gap (a, b) between consecutive breakpoints (b = inf on the right
-    tail) and the lower and upper pieces on it, those of the base for a
-    marginal band; numeric unless both pieces are exponential cdfs of a
-    plain band."""
-
-    a: float
-    b: float
-    lower: Segment
-    upper: Segment
-    numeric: bool
-
-
 def _cdf_band(band: Band) -> Band:
     # metrics are invariant under the reliability reflection: undo it
     return band if band.increasing else reliability_band(band)
-
-
-def _piece(boundary, a: float) -> Segment:
-    base = boundary.base if isinstance(boundary, MarginalBoundary) else boundary
-    return base.segments[bisect.bisect_right(base.breaks, a)]
-
-
-def _panels(band: Band) -> list[_Panel]:
-    edges = sorted(set(band.breakpoints()))
-    if not edges:
-        raise NumericError("band has no breakpoints to anchor panels")
-    marginal = isinstance(band.lower, MarginalBoundary)
-    panels = []
-    for a, b in zip(edges, edges[1:] + [math.inf]):
-        lo, up = _piece(band.lower, a), _piece(band.upper, a)
-        numeric = marginal or not (isinstance(lo, ExpCdfSegment) and isinstance(up, ExpCdfSegment))
-        panels.append(_Panel(a, b, lo, up, numeric))
-    return panels
-
-
-def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
-    """Interior stationary point of (up - lo) when both are live exponential
-    pieces; None when the difference is monotone."""
-    s_l, s_u = lo.scale, up.scale
-    if s_l == s_u:
-        return None
-    num = math.log(s_l / s_u) + up.loc / s_u - lo.loc / s_l
-    den = 1.0 / s_u - 1.0 / s_l
-    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +118,14 @@ def max_width(band: Band) -> tuple[float, float]:
 def _piece_integral(seg: ExpCdfSegment, a: float, b: float) -> float:
     """Integral of one exponential piece over a panel [a, b], on which it is
     constant (left of its location, or clipped) or live."""
-    mid = 0.5 * (a + b)
-    val = float(seg.evaluate(np.asarray(mid)))
-    if mid < seg.loc or val in (0.0, 1.0):
-        return val * (b - a)
-    return _exp_integral(seg, b) - _exp_integral(seg, a) + seg.offset * (b - a)
+    level = _constant(seg, a, b)
+    if level is not None:
+        return level * (b - a)
+    z_a, z_b = (a - seg.loc) / seg.scale, (b - seg.loc) / seg.scale
+    return (1.0 + seg.offset) * (b - a) - seg.scale * (math.exp(-z_a) - math.exp(-z_b))
 
 
-def _exp_integral(seg: ExpCdfSegment, x: float) -> float:
-    """Integral of the unclipped exponential cdf of `seg` over (-inf, x]."""
-    if x <= seg.loc:
-        return 0.0
-    z = (x - seg.loc) / seg.scale
-    return (x - seg.loc) + seg.scale * (math.exp(-z) - 1.0)
-
-
-def _tail_area(tail: _Panel, gammas) -> tuple[float, float]:
+def _tail_area(tail: _bands._Panel, gammas) -> tuple[float, float]:
     """Integral of the width over the right tail [a, inf), where both pieces
     are plain exponential cdfs past their locations, or their push-forwards
     by the marginal transform H with coefficients `gammas`; returns (value,
@@ -194,7 +134,7 @@ def _tail_area(tail: _Panel, gammas) -> tuple[float, float]:
     cancellation is summed in extended precision, and its rounding bound is
     the error bound."""
     lo, up = tail.lower, tail.upper
-    if not (_plain_exp(lo) and _plain_exp(up)):
+    if not all(isinstance(s, ExpCdfSegment) and s.offset == 0.0 for s in (lo, up)):
         raise NumericError("tail is not an exponential pair; cannot integrate")
     z_l, z_u = (tail.a - lo.loc) / lo.scale, (tail.a - up.loc) / up.scale
     if gammas is None:
@@ -256,10 +196,11 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
     frequency of covering the true parameter (regions) or the true cdf graph
     (bands); deterministic in (seed, replicates).
 
-    method "exact" uses the registry's closed-form coverage events (region
-    membership, hull membership, sup-distance pivot); method "grid" builds
-    each replicate's region or band through the registry and checks region
-    membership or graph containment on a grid, as an independent cross-check.
+    method "exact" counts the registry's closed-form coverage events (region
+    membership, hull membership, sup-distance pivot) of each batch as
+    `model.map_pivots` draws it; method "grid" (a name the benchmark passes)
+    builds each replicate's region or band and checks region membership or
+    `bands.graph_contained`, an independent exact decision.
     """
     entry, constants = _bands.method_constants(kind, c_p, d_p)
     level = check_probability(level, "level", open_interval=True)

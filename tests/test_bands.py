@@ -25,7 +25,7 @@ from expbands.bands import (
     reliability_band,
     trim_band,
 )
-from expbands.calibration import exact_dp
+from expbands.calibration import exact_dp, exact_p_of_tau
 from expbands.errors import DomainError, UnsupportedCaseError
 from expbands.metrics import max_width
 from expbands.model import CensoringScheme, LocScale, MleEstimate, mle, simulate_mles, simulate_sample
@@ -459,6 +459,56 @@ class TestContainmentIdentities:
                 else:
                     slow = graph_contained(built, std_theta)
                 assert bool(fast[i]) == slow, (kind, i)
+
+
+    @pytest.mark.parametrize("outside", (True, False))
+    def test_b1_witness_at_left_location_edge(self, fluid_est, fluid_scheme, outside):
+        # at mu_hat every left-edge cdf of c1 touches the upper boundary; a
+        # point 1e-9 sigma beyond the edge pokes out there by less than the
+        # old grid check's slack, which called it contained
+        p = 0.0975
+        region, band = build_c1(fluid_est, fluid_scheme, p), band_b1(fluid_est, fluid_scheme, p)
+        sigma = 0.5 * (region.sigma_lo + region.sigma_hi)
+        mu = float(region.location_edge(region.q1, sigma)) + (-1e-9 if outside else 1e-9) * sigma
+        assert bool(region.contains(mu, sigma)) is not outside
+        assert graph_contained(band, LocScale(mu, sigma)) is not outside
+
+    @pytest.mark.parametrize("outside", (True, False))
+    def test_b3_witness_at_curved_boundary(self, fluid_est, fluid_scheme, outside):
+        # below the scale of the curve's minimum, away from the hull notch, a
+        # point 1e-8 sigma left of c3's curved boundary leaves the hull; its
+        # cdf crosses the envelope only near the x whose envelope scale is sigma
+        nominal_p, c_p = exact_p_of_tau(fluid_scheme.m, LEVEL)
+        region = build_c3(fluid_est, fluid_scheme, c_p)
+        band = band_b3(fluid_est, fluid_scheme, c_p, nominal_p=nominal_p)
+        sigma = 0.5 * (region.z_lo + region.m * region.sigma_hat / region.z)
+        mu = region.mu_hat + region.g(sigma) + (-1e-8 if outside else 1e-8) * sigma
+        assert bool(region.hull_contains(mu, sigma)) is not outside
+        assert graph_contained(band, LocScale(mu, sigma)) is not outside
+
+    @pytest.mark.parametrize("complete", (False, True), ids=("bundled", "complete8"))
+    def test_containment_equals_events_on_every_replicate(self, fluid_scheme, std_theta,
+                                                          complete):
+        # no boundary shell is skipped: the panel decision is exact. The
+        # complete sample has (m + 1)/n > 1, the bundled scheme below 1
+        scheme = CensoringScheme.complete(8) if complete else fluid_scheme
+        nominal_p, c_p = exact_p_of_tau(scheme.m, LEVEL)
+        constants = {"c_p": c_p, "d_p": exact_dp(scheme.m, scheme.n, P)}
+        mu_hats, sigma_hats = simulate_mles(std_theta, scheme, 600, seed=43)
+        for kind in ("b1", "b2", "b3", "b4", "b4p", "b4pp"):
+            fast = coverage_indicator(kind, mu_hats, sigma_hats, std_theta, scheme,
+                                      level=LEVEL, **constants)
+            assert 0 < np.count_nonzero(fast) < fast.size
+            for i in range(fast.size):
+                est = MleEstimate(float(mu_hats[i]), float(sigma_hats[i]))
+                band = METHODS[kind].build(est, scheme, LEVEL, constants)
+                assert graph_contained(band, std_theta) == bool(fast[i]), (kind, i)
+
+    def test_transformed_bands_rejected(self, all_bands, fluid_scheme, std_theta):
+        for band in (reliability_band(all_bands["b1"]),
+                     marginal_band(all_bands["b1"], fluid_scheme.gammas)):
+            with pytest.raises(DomainError):
+                graph_contained(band, std_theta)
 
 
 class TestReliability:

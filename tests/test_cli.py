@@ -325,6 +325,31 @@ class TestErrorsAndConfig:
         assert _run("fit", "--data", data_csv, "--config", cfg,
                     "--output-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("formats", ("jsn", "", "json,pdf"))
+    def test_unknown_or_empty_formats_rejected(self, data_csv, tmp_path, capsys, formats):
+        # these used to exit 0, write nothing and print "wrote  (constants: {})"
+        out = tmp_path / "out"
+        assert _run("band", "--data", data_csv, "--method", "b1", "--formats", formats,
+                    "--output-dir", out) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+        assert not out.exists()
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"formats": formats}))
+        assert _run("band", "--data", data_csv, "--method", "b1", "--config", cfg,
+                    "--output-dir", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", ({"level": "abc"}, {"seed": "x"}, {"grid_points": None},
+                                     {"replicates": [3]}))
+    def test_non_numeric_config_value_rejected(self, data_csv, tmp_path, capsys, doc):
+        # these used to end in a bare ValueError or TypeError traceback
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert _run("fit", "--data", data_csv, "--config", cfg,
+                    "--output-dir", tmp_path / "out") == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+        assert not (tmp_path / "out").exists()
+
     def test_cache_env_var(self, data_csv, tmp_path, monkeypatch):
         cache = tmp_path / "custom-cache.jsonl"
         monkeypatch.setenv("EXPBANDS_CACHE", str(cache))
