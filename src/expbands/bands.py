@@ -5,7 +5,7 @@ Six constructions: two from the trapezoid regions, one from the
 minimum-area region, the constant-width KS band, and its two trimmed
 variants: the extrema of the cdf over the sup-distance regions, in closed
 form. Reliability (1 - cdf) and last-observation marginal transforms are
-monotone push-forwards of any band.
+monotone push-forwards of any band (the marginal one of a cdf band).
 
 Boundaries are pieces: (possibly offset and clipped) exponential cdfs and
 the analytic upper envelope of the minimum-area region. Their breakpoints
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibration import tau_of_p
-from .errors import DomainError, UnsupportedCaseError
+from .errors import DomainError, NumericError
 from .model import LocScale, MleEstimate, Scheme
 from .regions import (
     KsRegionC4,
@@ -181,7 +182,7 @@ class ReflectedBoundary:
 @dataclass(frozen=True)
 class MarginalBoundary:
     """H(base(x)) for the strictly increasing last-observation marginal
-    transform H determined by pairwise distinct risk coefficients."""
+    transform H of the risk coefficients (see `marginal_transform_h`)."""
 
     base: "Boundary"
     gammas: tuple[float, ...]
@@ -397,59 +398,98 @@ def reliability_band(band: Band) -> Band:
                 level=band.level, provenance=dict(band.provenance), increasing=False)
 
 
-def marginal_mixture(gamma: Sequence[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The last-observation marginal transform as a signed mixture,
-    H(y) = 1 - sum_i sign_i exp(log_coef_i) (1-y)^gamma_i, for pairwise
-    distinct positive coefficients; returns (gamma, sign, log_coef).
+_CHAIN_TAIL = 2.0 ** -55   # chain mass left where its table stops: 1 - it rounds to 1
+_WEIGHT_BLOCK = 1 << 16    # Poisson weights built per block, in elements
 
-    coef_i = (prod_j gamma_j) * a_i / gamma_i with
-    a_i = prod_{j!=i} 1/(gamma_j - gamma_i), kept as sign and log-magnitude.
-    """
+
+@functools.lru_cache(maxsize=16)
+def _marginal_chain(gamma: tuple[float, ...]) -> tuple[float, np.ndarray]:
+    """The standardized last observation S = sum_j E_j / gamma_j is the time
+    to pass phases left at rates gamma_j. Uniformized at Lam = max gamma, a
+    step moves phase j on with probability gamma_j / Lam. Returns Lam and the
+    rows (a_k, b_k): the probability of absorption within k steps, and the
+    mass still in the phases, summed from the phase vector, up to the first
+    b_k <= _CHAIN_TAIL. Tied coefficients are fine."""
     g = np.asarray(gamma, dtype=float)
-    if g.ndim != 1 or g.size < 1:
-        raise DomainError("need a one-dimensional coefficient vector")
-    if np.any(g <= 0):
-        raise DomainError("coefficients must be positive")
-    diff = g[:, None] - g[None, :]
-    off = ~np.eye(g.size, dtype=bool)
-    if np.any(diff[off] == 0.0):
-        raise UnsupportedCaseError(
-            "marginal transform requires pairwise distinct coefficients")
-    log_coef = (np.sum(np.log(g)) - np.log(g)
-                - np.sum(np.where(off, np.log(np.abs(np.where(off, diff, 1.0))), 0.0), axis=1))
-    sign = np.prod(np.where(off, np.sign(-diff), 1.0), axis=1)
-    return g, sign, log_coef
+    if g.ndim != 1 or g.size < 1 or not np.all(g > 0):
+        raise DomainError("coefficients must be a nonempty vector of positive numbers")
+    lam = float(g.max())
+    move, stay, phases = g / lam, (lam - g) / lam, np.eye(1, g.size)[0]
+    rows = [(0.0, 1.0)]
+    while rows[-1][1] > _CHAIN_TAIL:
+        if len(rows) > 1 << 20:
+            raise NumericError("marginal transform needs over 2^20 uniformization steps")
+        moved = phases * move
+        phases *= stay
+        phases[1:] += moved[:-1]
+        rows.append((rows[-1][0] + moved[-1], phases.sum()))
+    table = np.array(rows)
+    table.flags.writeable = False   # cached: shared by every caller
+    return lam, table
+
+
+@functools.lru_cache(maxsize=4)
+def _log_factorials(size: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1.0) for k in range(size)])
+
+
+def _poisson_mix(rate: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """sum_k Pois(k; rate_i) tables[k] for each rate_i >= 0, every column
+    carried at its last value past the end. The weights are >= 0, so with
+    nonnegative tables nothing cancels. A rate r takes the k within 10
+    standard deviations plus 20 of r, leaving out under e^-50 of the weight
+    on either side. A column still under 2^-20 of its last value up to some
+    k* gains relatively from the far upper tail, so there the k run on to
+    the same reach of max(r, k*). Rates go in ascending blocks of at most
+    _WEIGHT_BLOCK weights; rates whose k all lie past the end take the last
+    row."""
+    size, order = tables.shape[0], np.argsort(rate)
+    r = np.maximum(rate[order], np.finfo(float).tiny)
+    top = np.maximum(r, np.argmax(tables >= 2.0 ** -20 * tables[-1], axis=0).max())
+    lo = np.maximum(r - 10.0 * np.sqrt(r) - 20.0, 0.0).astype(int)
+    hi = np.ceil(top + 10.0 * np.sqrt(top) + 20.0).astype(int)   # both nondecreasing
+    log_fact = _log_factorials(1 << int(hi.max(initial=0)).bit_length())
+    out, i, stop = np.empty((r.size, tables.shape[1])), 0, np.searchsorted(lo, size - 1)
+    out[order[stop:]] = tables[-1]
+    while i < stop:   # the most rows whose common k-range fits in a block
+        ends = hi[i:min(stop, i + _WEIGHT_BLOCK // (hi[i] - lo[i] + 1) + 1)]
+        n = max(1, int(np.searchsorted((ends - lo[i] + 1) * np.arange(1, ends.size + 1),
+                                       _WEIGHT_BLOCK, side="right")))
+        k, rb = np.arange(lo[i], hi[i + n - 1] + 1), r[i:i + n, None]
+        w = np.log(rb) * k - rb - log_fact[k]
+        out[order[i:i + n]] = np.exp(w, out=w) @ tables[np.minimum(k, size - 1)]
+        i += n
+    return out
 
 
 def marginal_transform_h(gamma: Sequence[float], y):
     """Distribution transform mapping baseline cdf values to the cdf of the
-    last observed failure time (see `marginal_mixture`).
-
-    Strictly increasing bijection of [0, 1]; evaluated through signed
-    log-coefficients for numerical stability.
-    """
-    g, sign, log_coef = marginal_mixture(gamma)
+    last observed failure time, H(y) = P(S <= s) with s = -log(1 - y) (see
+    `_marginal_chain`). With a Poisson(Lam s) number of chain steps,
+    H = sum_k Pois(k) a_k and 1 - H = sum_k Pois(k) b_k, sums of positive
+    terms; H comes from the first below 1/2 and from the second above.
+    H(0) = 0 and H(1) = 1 exactly."""
+    lam, table = _marginal_chain(tuple(float(v) for v in gamma))
     y = np.asarray(y, dtype=float)
     if np.any((y < -1e-12) | (y > 1.0 + 1e-12)):
         raise DomainError("transform argument must lie in [0, 1]")
-    yc = np.clip(y, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        log1my = np.log1p(-np.atleast_1d(yc)).astype(np.longdouble)[..., None]
-    # signed mixture with heavy cancellation near y = 0; extended precision
-    # keeps the noise floor a few orders below any band-relevant value
-    terms = sign.astype(np.longdouble) * np.exp(log_coef.astype(np.longdouble)
-                                                + g.astype(np.longdouble) * log1my)
-    out = (1.0 - np.sum(terms, axis=-1)).astype(float)
-    out = np.clip(out, 0.0, 1.0)
-    out = out.reshape(np.shape(yc))
+    out = np.clip(np.atleast_1d(y), 0.0, 1.0)
+    live = (out > 0.0) & (out < 1.0)
+    below, above = _poisson_mix(-lam * np.log1p(-out[live]), table).T
+    out[live] = np.where(below < 0.5, below, 1.0 - above)
+    out = out.reshape(y.shape)
     return out if out.ndim else float(out)
 
 
 def marginal_band(band: Band, gamma: Sequence[float]) -> Band:
     """Push a baseline-cdf band through the marginal transform; the level is
-    unchanged because the transform is a monotone bijection."""
-    marginal_transform_h(gamma, 0.5)  # validate coefficients eagerly
+    unchanged because the transform is a monotone bijection. H maps cdf
+    values, so a reliability band is refused: reflect after the transform."""
+    if not band.increasing:
+        raise DomainError("the marginal transform maps a cdf band; apply it before the "
+                          "reliability reflection")
     g = tuple(float(v) for v in gamma)
+    _marginal_chain(g)   # validate coefficients eagerly
     return Band(f"marginal-of-{band.kind}",
                 lower=MarginalBoundary(band.lower, g),
                 upper=MarginalBoundary(band.upper, g),

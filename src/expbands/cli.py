@@ -99,10 +99,13 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     for key in ("seed", "reps", "level", "grid_points", "boundary_points", "replicates"):
+        raw, kind = cfg[key], type(_DEFAULTS[key])
         try:   # to the type of the default, so a config file's values are checked too
-            cfg[key] = type(_DEFAULTS[key])(cfg[key])
+            cfg[key] = kind(raw)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{key} must be a number, got {cfg[key]!r}") from exc
+            raise ParseError(f"{key} must be a number, got {raw!r}") from exc
+        if kind is int and isinstance(raw, float) and cfg[key] != raw:
+            raise ParseError(f"{key} must be a whole number, got {raw!r}")
     formats = [f.strip() for f in str(cfg["formats"]).split(",") if f.strip()]
     if not formats or not set(formats) <= {"json", "csv", "svg"}:
         raise ParseError(f"formats must be a comma list of json, csv, svg; got {cfg['formats']!r}")
@@ -234,11 +237,12 @@ def cmd_band(args, cfg) -> int:
     level = cfg["level"]
     constants, provenance = _resolve_constants(args.method, level, working.scheme, cfg)
     band = _bands.METHODS[args.method].build(est, working.scheme, level, constants)
+    # the cdf band's grid: its transforms are monotone in the cdf value
+    xs = _bands.default_grid(band, points=cfg["grid_points"])
     if args.marginal:
         band = _bands.marginal_band(band, working.scheme.gammas)
     if args.reliability:
         band = _bands.reliability_band(band)
-    xs = _bands.default_grid(band, points=cfg["grid_points"])
     xs_original = transform.invert(xs)
     formats = cfg["formats"].split(",")
     outdir = Path(cfg["output_dir"])

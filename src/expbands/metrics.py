@@ -9,8 +9,9 @@ tail included. Panels holding the minimum-area envelope or a marginal
 boundary are numeric: the width is scanned, then refined by one vectorized
 golden-section search (the marginal right tail is scanned in the quantiles
 of its last exponential piece, so the scan follows the data's scale), and
-the area comes from panel quadrature, except on the marginal right tail, a
-signed mixture of exponentials. Infinite area is reported only on
+the area comes from panel quadrature, except on the marginal right tail,
+whose area is a positive-term Poisson sum over the marginal transform's
+uniformized chain. Infinite area is reported only on
 structural grounds (the width does not vanish at infinity). Coverage
 experiments read the method registry of `bands`.
 """
@@ -27,7 +28,9 @@ from .bands import (
     Band,
     ExpCdfSegment,
     _constant,
+    _marginal_chain,
     _panels,
+    _poisson_mix,
     _stationary_point,
     reliability_band,
 )
@@ -125,23 +128,21 @@ def _piece_integral(seg: ExpCdfSegment, a: float, b: float) -> float:
     return (1.0 + seg.offset) * (b - a) - seg.scale * (math.exp(-z_a) - math.exp(-z_b))
 
 
-def _tail_area(tail: _bands._Panel, gammas) -> tuple[float, float]:
+def _tail_area(tail: _bands._Panel, gammas) -> float:
     """Integral of the width over the right tail [a, inf), where both pieces
     are plain exponential cdfs past their locations, or their push-forwards
-    by the marginal transform H with coefficients `gammas`; returns (value,
-    error bound). 1 - H(y) is a signed mixture of powers of 1 - y (see
-    `bands.marginal_mixture`), so both are closed form; the mixture's
-    cancellation is summed in extended precision, and its rounding bound is
-    the error bound."""
+    by the marginal transform H with coefficients `gammas`. A piece (loc mu,
+    scale sigma) contributes sigma E[(S - z)^+], z = (a - mu)/sigma, where S
+    is the time of `bands._marginal_chain`, Exp(1) for a plain band (one
+    coefficient 1): E[(S - z)^+] = (1/Lam) sum_k b_k P(Pois(Lam z) <= k), a
+    sum of positive terms, taken here as sum_j Pois(j; Lam z) sum_{k>=j} b_k."""
     lo, up = tail.lower, tail.upper
     if not all(isinstance(s, ExpCdfSegment) and s.offset == 0.0 for s in (lo, up)):
         raise NumericError("tail is not an exponential pair; cannot integrate")
-    z_l, z_u = (tail.a - lo.loc) / lo.scale, (tail.a - up.loc) / up.scale
-    if gammas is None:
-        return lo.scale * math.exp(-z_l) - up.scale * math.exp(-z_u), 0.0
-    g, sign, log_coef = (v.astype(np.longdouble) for v in _bands.marginal_mixture(gammas))
-    terms = sign * np.exp(log_coef) / g * (lo.scale * np.exp(-g * z_l) - up.scale * np.exp(-g * z_u))
-    return float(terms.sum()), float(g.size * np.finfo(np.longdouble).eps * np.abs(terms).sum())
+    lam, table = _marginal_chain(gammas or (1.0,))
+    z = np.array([(tail.a - lo.loc) / lo.scale, (tail.a - up.loc) / up.scale])
+    e_l, e_u = _poisson_mix(lam * z, np.cumsum(table[::-1, 1])[::-1, None])[:, 0] / lam
+    return float(lo.scale * e_l - up.scale * e_u)
 
 
 def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
@@ -168,11 +169,7 @@ def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
         v, e = integrate_panels(band.width, run, abs_tol=abs_tol / len(runs))
         total += v
         err += e
-    v, e = _tail_area(tail, getattr(band.lower, "gammas", None))
-    if e > abs_tol:
-        raise NumericError(f"marginal tail mixture cancels: rounding bound {e:.1e} "
-                           f"above tol {abs_tol:.1e}")
-    return total + v, err + e
+    return total + _tail_area(tail, getattr(band.lower, "gammas", None)), err
 
 
 def band_metrics(band: Band) -> BandMetrics:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from expbands.bands import (
     trim_band,
 )
 from expbands.calibration import exact_dp, exact_p_of_tau
-from expbands.errors import DomainError, UnsupportedCaseError
+from expbands.errors import DomainError
 from expbands.metrics import max_width
 from expbands.model import CensoringScheme, LocScale, MleEstimate, mle, simulate_mles, simulate_sample
 from expbands.regions import build_c1, build_c2, build_c3, build_c4, lower_slope, upper_slope
@@ -37,6 +38,8 @@ P = 1.0 - LEVEL
 CP_PAPER = -11.587
 NOMINAL_P_PAPER = 1.0 - 0.873
 DP_PAPER = 0.249
+# one unit withdrawn at every second failure, m = 100, n = 150
+SESSION_SCHEME = CensoringScheme(n=150, m=100, removals=tuple(i % 2 for i in range(100)))
 
 
 @pytest.fixture(scope="module")
@@ -568,9 +571,45 @@ class TestMarginalTransform:
             mc = float(np.mean(draws <= q))
             assert marginal_transform_h((float(n),), y) == pytest.approx(mc, abs=0.005)
 
-    def test_duplicate_coefficients_rejected(self):
-        with pytest.raises(UnsupportedCaseError):
-            marginal_transform_h((3.0, 3.0, 1.0), 0.5)
+    def test_matches_exact_mixture_at_m100(self):
+        # every coefficient of a censoring scheme is an integer, so the signed
+        # mixture 1 - H(y) = sum_i c_i (1 - y)^gamma_i, c_i = prod_{j != i}
+        # gamma_j / (gamma_j - gamma_i), is exact in rationals at a double y
+        g = [int(v) for v in SESSION_SCHEME.gammas]
+        coef = [math.prod(Fraction(gj, gj - gi) for gj in g if gj != gi) for gi in g]
+        for y in (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99, 0.999):
+            tail = sum(c * (1 - Fraction(y)) ** gi for c, gi in zip(coef, g))
+            h = marginal_transform_h(SESSION_SCHEME.gammas, y)
+            assert abs(Fraction(h) - (1 - tail)) <= Fraction(1e-12) * (1 - tail), y
+            assert abs(Fraction(1.0 - h) - tail) <= Fraction(1e-12) * tail, y
+
+    @pytest.mark.parametrize("gamma", [(3.0, 3.0), (2.0, 2.0, 2.0)])
+    def test_tied_coefficients_give_erlang(self, gamma):
+        # S is then Erlang(r, gamma): H(y) = P(Pois(gamma s) >= r), s = -log(1 - y),
+        # and 1 - H(y) = exp(-gamma s) sum_{j<r} (gamma s)^j / j!
+        r, rate = len(gamma), gamma[0]
+        for y in np.linspace(0.0, 1.0, 41)[1:-1]:
+            x = -rate * math.log1p(-y)
+            terms = [1.0]
+            for j in range(1, r + 200):
+                terms.append(terms[-1] * x / j)
+            below, above = (math.exp(-x) * math.fsum(t) for t in (terms[:r], terms[r:]))
+            h = marginal_transform_h(gamma, y)
+            assert h == pytest.approx(above if above < 0.5 else 1.0 - below, rel=1e-13, abs=0), y
+
+    @pytest.mark.parametrize("scheme", [SESSION_SCHEME, CensoringScheme.complete(150)],
+                             ids=["session", "complete-150"])
+    def test_nondecreasing_up_to_last_double(self, scheme):
+        ys = np.sort(np.concatenate([np.linspace(0.0, 1.0, 2001), 1.0 - np.logspace(-3, -16, 400),
+                                     [1.0 - 2.0 ** -53]]))
+        h = marginal_transform_h(scheme.gammas, ys)
+        assert np.all(np.diff(h) >= 0.0)
+        assert h[0] == 0.0 and h[-1] == 1.0
+
+    def test_reliability_band_refused(self, all_bands, fluid_scheme):
+        # H maps cdf values: the reflection comes after the transform
+        with pytest.raises(DomainError):
+            marginal_band(reliability_band(all_bands["b1"]), fluid_scheme.gammas)
 
     def test_marginal_band_metadata_and_monotonicity(self, all_bands, fluid_scheme):
         band = marginal_band(all_bands["b1"], fluid_scheme.gammas)

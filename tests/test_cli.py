@@ -96,6 +96,19 @@ class TestBand:
         band = band_from_dict(doc)
         assert not band.increasing
 
+    def test_marginal_band_at_m100(self, tmp_path):
+        # the marginal transform used to round to 0 across the whole grid here
+        from expbands.model import CensoringScheme, LocScale, simulate_sample
+        scheme = CensoringScheme(n=150, m=100, removals=tuple(i % 2 for i in range(100)))
+        path = tmp_path / "m100.csv"
+        write_sample_csv(simulate_sample(LocScale(2.0, 7.0), scheme, np.random.default_rng(5)), path)
+        assert _run("band", "--data", path, "--method", "b1", "--marginal", "--level", "0.9025",
+                    "--output-dir", tmp_path, "--formats", "csv") == 0
+        rows = np.loadtxt(tmp_path / "band_marginal-of-b1.csv", delimiter=",", skiprows=1)
+        lower, upper = rows[:, 1], rows[:, 2]
+        assert np.any(upper > 0.5) and np.all(lower <= upper)
+        assert np.all(np.diff(lower) >= 0) and np.all(np.diff(upper) >= 0)
+
     def test_log_transform_band_on_original_scale(self, tmp_path):
         # Pareto-type data: exponential machinery runs on the log scale and
         # the exported x column is back-transformed to the data scale
@@ -340,15 +353,21 @@ class TestErrorsAndConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("doc", ({"level": "abc"}, {"seed": "x"}, {"grid_points": None},
-                                     {"replicates": [3]}))
+                                     {"replicates": [3]}, {"seed": 7.9}, {"grid_points": 2.7}))
     def test_non_numeric_config_value_rejected(self, data_csv, tmp_path, capsys, doc):
-        # these used to end in a bare ValueError or TypeError traceback
+        # these used to end in a bare ValueError or TypeError traceback, or,
+        # for a fraction in an integer setting, to run truncated with exit 0
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         assert _run("fit", "--data", data_csv, "--config", cfg,
                     "--output-dir", tmp_path / "out") == 2
         assert json.loads(capsys.readouterr().err)["error"] == "parse"
         assert not (tmp_path / "out").exists()
+
+    def test_integral_float_config_value_accepted(self, data_csv, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"reps": 1e6}))
+        assert _run("fit", "--data", data_csv, "--config", cfg, "--output-dir", tmp_path / "out") == 0
 
     def test_cache_env_var(self, data_csv, tmp_path, monkeypatch):
         cache = tmp_path / "custom-cache.jsonl"

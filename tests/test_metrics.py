@@ -119,9 +119,7 @@ class TestMaxWidthOracle:
         sample = _sample(name)
         est = mle(sample)
         bands = _bands(sample, level)
-        if not name.startswith("session"):
-            # the marginal transform's signed mixture cancels at m = 100
-            bands["marginal-b1"] = marginal_band(bands["b1"], sample.scheme.gammas)
+        bands["marginal-b1"] = marginal_band(bands["b1"], sample.scheme.gammas)
         xs = est.mu_hat + est.sigma_hat * np.linspace(-5.0, 60.0, 200_001)
         for kind, band in bands.items():
             w, argx = max_width(band)
@@ -187,6 +185,14 @@ class TestArea:
                              fluid_sample.scheme.gammas)
         a, err = area(band)
         assert abs(a - _quad_area(band)) <= err + 1e-12
+
+    def test_session_marginal_b1_area_against_quad(self):
+        # at m = 100 the marginal transform's right tail is a long Poisson sum
+        sample = _sample("session-7")
+        band = marginal_band(_bands(sample, LEVEL, ("b1",))["b1"], sample.scheme.gammas)
+        a, err = area(band)
+        assert math.isfinite(a) and a > 0
+        assert abs(a - _quad_area(band)) <= err + 1e-10 * a
 
     def test_band_metrics_struct(self, b3):
         bm = band_metrics(b3)
