@@ -582,7 +582,9 @@ def graph_contained(band: Band, theta: LocScale) -> bool:
 def default_grid(band: Band, points: int = 1024) -> np.ndarray:
     """Default x-grid: from one fitted scale left of the fitted location to
     the last structural breakpoint, extended until the band width falls
-    below 1e-6 (skipped where the width does not vanish at infinity)."""
+    below 1e-6 with the lower boundary within 1e-6 of its right limit
+    (skipped where the width does not vanish at infinity). A marginal band
+    is about 0 at its base's breakpoints, where its width is tiny too."""
     prov = band.provenance
     try:
         start = float(prov["mu_hat"]) - float(prov["sigma_hat"])
@@ -590,10 +592,11 @@ def default_grid(band: Band, points: int = 1024) -> np.ndarray:
         start = min(band.breakpoints())
     end = max(band.breakpoints())
     end = max(end, start + 1e-6)
-    if band.upper.limit_right() - band.lower.limit_right() <= 1e-6:
+    limit = band.lower.limit_right()
+    if band.upper.limit_right() - limit <= 1e-6:
         step = max(end - start, 1.0)
         for _ in range(80):
-            if band.width(end) < 1e-6:
+            if band.width(end) < 1e-6 and abs(band.lower(end) - limit) <= 1e-6:
                 break
             end += step
             step *= 1.5

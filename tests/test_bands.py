@@ -690,3 +690,17 @@ class TestDefaultGrid:
         xs = default_grid(all_bands["b4"], points=128)
         clip_to_one = fluid_est.mu_hat - fluid_est.sigma_hat * math.log(DP_PAPER)
         assert xs[-1] == pytest.approx(clip_to_one, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", (11, 12))
+    def test_marginal_band_grid_reaches_the_upper_limit(self, seed):
+        # H of the base band is about 0 at the base's last breakpoint, where
+        # the marginal band's width is tiny too: the grid must run on to
+        # where both boundaries are near 1
+        sample = simulate_sample(LocScale(1.0, 7.0), SESSION_SCHEME, batch_generator(seed, 0))
+        base = band_b1(mle(sample), SESSION_SCHEME, P)
+        band = marginal_band(base, SESSION_SCHEME.gammas)
+        xs = default_grid(band)
+        assert band.upper(xs[-1]) >= 1.0 - 1e-6
+        assert band.lower(xs[-1]) >= 1.0 - 1e-6
+        assert band.width(xs[-1]) < 1e-6
+        assert xs[-1] > max(base.breakpoints())

@@ -24,6 +24,7 @@ from expbands.calibration import (
 )
 from expbands.errors import CacheIntegrityError, CalibrationError, DomainError
 from expbands.numerics import brent_root, integrate
+from expbands.reproduce import reproduce_paper
 from expbands.regions import c4_scale_limits, cp_supremum, h_curve
 from expbands.special import gamma_cdf, gamma_logpdf
 
@@ -373,13 +374,15 @@ class TestExactDp:
         assert calibration._ks_cdf_pdf(m, n, d)[1] == pytest.approx(slope, rel=1e-6)
 
     def test_table3_solves_take_few_quadratures(self, monkeypatch):
+        # count an uncached solve: the memoized exact_dp answers a repeat
+        # without any quadrature
         calls = []
         kernel = calibration._ks_cdf_pdf
         monkeypatch.setattr(calibration, "_ks_cdf_pdf",
                             lambda *args: calls.append(args) or kernel(*args))
         for m, n in TABLE3_GRID:
             calls.clear()
-            exact_dp(m, n, 0.10)
+            exact_dp.__wrapped__(m, n, 0.10)
             assert 1 <= len(calls) <= 7, (m, n, len(calls))
 
     @pytest.mark.parametrize("k", (1, 2, 64, 4096))
@@ -427,3 +430,50 @@ class TestExactDp:
             exact_dp(8, 5, 0.10)
         with pytest.raises(DomainError):
             exact_dp(8, 19, 1.0)
+
+
+# each exact kernel, the kernel evaluation it repeats, and a call of it
+MEMOIZED = [(exact_cp, "cp_tail", (8, 0.127)),
+            (exact_p_of_tau, "cp_tail", (8, 0.9025)),
+            (exact_dp, "_ks_cdf_pdf", (8, 19, 0.0975))]
+
+
+class TestMemo:
+    """The exact kernels are memoized per process: a repeat call is served
+    without recomputation, with the uncached value, and bad input is never
+    cached."""
+
+    @pytest.mark.parametrize("kernel, inner, args", MEMOIZED)
+    def test_repeat_call_evaluates_nothing(self, monkeypatch, kernel, inner, args):
+        calls = []
+        original = getattr(calibration, inner)
+        monkeypatch.setattr(calibration, inner,
+                            lambda *a: calls.append(a) or original(*a))
+        kernel.cache_clear()
+        first = kernel(*args)
+        assert calls
+        calls.clear()
+        assert kernel(*args) == first
+        assert calls == []
+
+    @pytest.mark.parametrize("kernel, inner, args", MEMOIZED)
+    def test_memoized_value_is_the_uncached_value(self, kernel, inner, args):
+        kernel(*args)
+        # a float's repr round-trips, so equal reprs are equal bits
+        assert repr(kernel(*args)) == repr(kernel.__wrapped__(*args))
+
+    @pytest.mark.parametrize("kernel, args", [
+        (exact_dp, (8, 19, 1.0)), (exact_dp, (8, 5, 0.1)), (exact_dp, (1, 5, 0.1)),
+        (exact_cp, (8, 0.0)), (exact_cp, (1, 0.1)),
+        (exact_p_of_tau, (8, 1.0)), (exact_p_of_tau, (1, 0.9))])
+    def test_bad_input_raises_on_every_call(self, kernel, args):
+        for _ in range(3):
+            with pytest.raises(DomainError):
+                kernel(*args)
+
+    def test_report_identical_from_the_memo_and_after_clearing_it(self):
+        first = reproduce_paper(20_000, 7).markdown()
+        assert reproduce_paper(20_000, 7).markdown() == first
+        for kernel, _, _ in MEMOIZED:
+            kernel.cache_clear()
+        assert reproduce_paper(20_000, 7).markdown() == first
