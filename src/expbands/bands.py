@@ -44,7 +44,6 @@ from .regions import (
     build_c3,
     build_c4,
     ks_distance_xy,
-    ks_slopes,
     lower_slope,
     upper_slope,
 )
@@ -687,31 +686,54 @@ class Method:
     """A region or band of the paper: the calibration constant it needs
     (None, "c_p", "d_p", or "p_of_tau": the c_p whose band level is the
     requested one), its builder build(est, scheme, level, constants), and
-    its exact coverage event event(est, scheme, level, constants, theta),
-    which broadcasts over estimates held as arrays. Both read c_p (b3 also
-    an optional nominal_p) or d_p from `constants`."""
+    its exact coverage event event(scheme, level, constants), which checks
+    the constants as the builder does and returns covers(z, t): whether the
+    object built from an estimate with pivots Z = n(mu_hat - mu)/sigma and
+    T = sigma_hat/sigma covers (mu, sigma), elementwise. Both read c_p (b3
+    also an optional nominal_p) or d_p from `constants`."""
 
     constant: str | None
     build: Callable[..., Region | Band]
-    event: Callable[..., np.ndarray]
+    event: Callable[..., Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
-def _inside(region: str, hull: bool = False):
-    # exhaustive regions and their bands cover exactly when the parameter
-    # lies in the region; b3 when it lies in the region's convex hull
-    def event(est, scheme, level, k, theta):
-        built = METHODS[region].build(est, scheme, level, k)
-        return (built.hull_contains if hull else built.contains)(theta.mu, theta.sigma)
+_UNIT = MleEstimate(0.0, 1.0)   # any estimate carries a level's region constants
+
+
+def _region_event(region: str, hull: bool = False):
+    # exhaustive regions and their bands cover exactly when the region holds
+    # the pivots; b3 when the region's convex hull does
+    def event(scheme, level, k):
+        built = METHODS[region].build(_UNIT, scheme, level, k)
+        return functools.partial(built.covers, hull=True) if hull else built.covers
     return event
 
 
-def _ks_pivot(est, scheme, level, k, theta):
+def _ks_covers(d_p: float, n: float, trimmed: bool = False):
+    # lower_slope(T) <= S = Z/n <= upper_slope(T), and S >= 0 if trimmed,
+    # without `ks_slopes`: T ln(1-d) <= S <= -ln(1-d) everywhere, and where
+    # h_curve is the tighter edge, outside [1-d, 1/(1-d)], (T-1)(h - S) >= 0
+    c, ln_d, t_lo, t_hi = -math.log(1.0 - d_p), math.log(d_p), 1.0 - d_p, 1.0 / (1.0 - d_p)
+
+    def covers(z, t):
+        s, u = z / n, t - 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):   # h(1) is NaN and unused
+            h = u * (ln_d - np.log(np.abs(u))) + t * np.log(t)
+        ok = ((u * (h - s) >= 0.0) | ((t_lo <= t) & (t <= t_hi))) & (s <= c) & (s >= -c * t)
+        return ok & (s >= 0.0) if trimmed else ok
+    return covers
+
+
+def _ks_event(scheme, level, k):
     # the KS-type bands cover exactly when the sup-distance pivot is within
-    # d_p, that is when S = (mu_hat - mu)/sigma lies between the slopes at
-    # T = sigma_hat/sigma; unlike build_c4, this holds for every d_p < 1
-    lo, hi = ks_slopes(est.sigma_hat / theta.sigma, k["d_p"])
-    s = (est.mu_hat - theta.mu) / theta.sigma
-    return (lo <= s) & (s <= hi)
+    # d_p; unlike build_c4, this holds for every d_p < 1
+    return _ks_covers(check_probability(k["d_p"], "d_p", open_interval=True), scheme.effective_n)
+
+
+def _c4_event(trimmed: bool):
+    # the sup-distance regions refuse what build_c4 refuses (d_p >= 0.5)
+    return lambda sch, lv, k: _ks_covers(build_c4(_UNIT, k["d_p"], trimmed).d_p,
+                                         sch.effective_n, trimmed)
 
 
 def _trimmed(trimmed: bool):
@@ -719,19 +741,19 @@ def _trimmed(trimmed: bool):
 
 
 METHODS: dict[str, Method] = {
-    "c1": Method(None, lambda est, sch, lv, k: build_c1(est, sch, 1.0 - lv), _inside("c1")),
-    "c2": Method(None, lambda est, sch, lv, k: build_c2(est, sch, 1.0 - lv), _inside("c2")),
-    "c3": Method("c_p", lambda est, sch, lv, k: build_c3(est, sch, k["c_p"]), _inside("c3")),
-    "c4p": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"]), _inside("c4p")),
+    "c1": Method(None, lambda est, sch, lv, k: build_c1(est, sch, 1.0 - lv), _region_event("c1")),
+    "c2": Method(None, lambda est, sch, lv, k: build_c2(est, sch, 1.0 - lv), _region_event("c2")),
+    "c3": Method("c_p", lambda est, sch, lv, k: build_c3(est, sch, k["c_p"]), _region_event("c3")),
+    "c4p": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"]), _c4_event(False)),
     "c4pp": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"], True),
-                   _inside("c4pp")),
-    "b1": Method(None, lambda est, sch, lv, k: band_b1(est, sch, 1.0 - lv), _inside("c1")),
-    "b2": Method(None, lambda est, sch, lv, k: band_b2(est, sch, 1.0 - lv), _inside("c2")),
+                   _c4_event(True)),
+    "b1": Method(None, lambda est, sch, lv, k: band_b1(est, sch, 1.0 - lv), _region_event("c1")),
+    "b2": Method(None, lambda est, sch, lv, k: band_b2(est, sch, 1.0 - lv), _region_event("c2")),
     "b3": Method("p_of_tau", lambda est, sch, lv, k: band_b3(
-        est, sch, k["c_p"], nominal_p=k.get("nominal_p")), _inside("c3", hull=True)),
-    "b4": Method("d_p", lambda est, sch, lv, k: band_b4(est, k["d_p"], level=lv), _ks_pivot),
-    "b4p": Method("d_p", _trimmed(False), _ks_pivot),
-    "b4pp": Method("d_p", _trimmed(True), _ks_pivot),
+        est, sch, k["c_p"], nominal_p=k.get("nominal_p")), _region_event("c3", hull=True)),
+    "b4": Method("d_p", lambda est, sch, lv, k: band_b4(est, k["d_p"], level=lv), _ks_event),
+    "b4p": Method("d_p", _trimmed(False), _ks_event),
+    "b4pp": Method("d_p", _trimmed(True), _ks_event),
 }
 
 
@@ -753,7 +775,10 @@ def coverage_indicator(kind: str, mu_hats: np.ndarray, sigma_hats: np.ndarray,
                        theta: LocScale, scheme: Scheme, *, level: float,
                        c_p: float | None = None, d_p: float | None = None) -> np.ndarray:
     """Vectorized exact coverage events, one per replicate estimate: the
-    registry's event on the region its builder returns for all replicates
-    at once. The test suite checks each event against graph containment."""
+    registry's event at the pivots Z = n(mu_hat - mu)/sigma and
+    T = sigma_hat/sigma of each estimate. The test suite checks each event
+    against region membership or graph containment."""
     method, constants = method_constants(kind, c_p, d_p)
-    return method.event(MleEstimate(mu_hats, sigma_hats), scheme, level, constants, theta)
+    est = MleEstimate(np.asarray(mu_hats, dtype=float), np.asarray(sigma_hats, dtype=float))
+    return method.event(scheme, level, constants)(
+        scheme.effective_n * (est.mu_hat - theta.mu) / theta.sigma, est.sigma_hat / theta.sigma)

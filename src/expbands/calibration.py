@@ -22,8 +22,9 @@ standard error and a provenance key with its size and seed. These
 samplers are the independent oracle for the exact kernels.
 
 The three exact kernels (`exact_cp`, `exact_dp`, `exact_p_of_tau`) are
-memoized per process in bounded LRU caches (`cache_clear()` empties one);
-bad input raises afresh on every call. A JSON-lines cache records the exact
+memoized per process in bounded LRU caches (`cache_clear()` empties one)
+that key a NumPy scalar or 0-d array argument as the number it holds; bad
+input raises afresh on every call. A JSON-lines cache records the exact
 constants the command line uses, with their provenance, across processes.
 """
 
@@ -243,14 +244,26 @@ def _solve_level(level_at, target: float, m: int) -> float:
     return brent_root(lambda c: level_at(c) - target, lo, hi, xtol=1e-12)
 
 
-@functools.lru_cache(maxsize=1024)
+def _memoized(solve):
+    """`functools.lru_cache(maxsize=1024)` of `solve` that keys (and solves)
+    a NumPy scalar or 0-d array argument as its `item()`. `__wrapped__` is
+    the uncached solve; `cache_clear()` empties the memo."""
+    cached = functools.lru_cache(maxsize=1024)(solve)
+    kernel = functools.wraps(solve)(lambda *args, **kwargs: cached(*(
+        a.item() if isinstance(a, np.ndarray | np.generic) and a.ndim == 0 else a
+        for a in args), **kwargs))
+    kernel.cache_clear = cached.cache_clear
+    return kernel
+
+
+@_memoized
 def exact_cp(m: int, p: float) -> float:
     """p-quantile of the log-likelihood pivot: the root of P(W >= c) = 1-p."""
     p = check_probability(p, "p", open_interval=True)
     return _solve_level(lambda c: cp_tail(m, c), 1.0 - p, m)
 
 
-@functools.lru_cache(maxsize=1024)
+@_memoized
 def exact_p_of_tau(m: int, tau: float) -> tuple[float, float]:
     """Region level and constant that give the minimum-area band exact
     level tau: one root find in c, then p = 1 - P(W >= c). Returns (p, c)."""
@@ -308,7 +321,7 @@ def ks_cdf(m: int, n: float, d: float) -> float:
     return _ks_cdf_pdf(m, n, d)[0]
 
 
-@functools.lru_cache(maxsize=1024)
+@_memoized
 def exact_dp(m: int, n: float, p: float) -> float:
     """(1-p)-quantile of the sup-distance pivot: the root of
     ks_cdf(d) = 1-p on [1e-9, 1 - 1e-9], to 1e-12.

@@ -35,8 +35,7 @@ from .bands import (
     reliability_band,
 )
 from .errors import DomainError, NumericError
-from .model import (LocScale, MleEstimate, Scheme, check_replicates, map_pivots,
-                    mles_from_pivots, simulate_mles)
+from .model import LocScale, MleEstimate, Scheme, check_replicates, map_pivots, simulate_mles
 from .numerics import golden_section, integrate_panels
 from .special import check_probability
 
@@ -193,11 +192,12 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
     frequency of covering the true parameter (regions) or the true cdf graph
     (bands); deterministic in (seed, replicates).
 
-    method "exact" counts the registry's closed-form coverage events (region
-    membership, hull membership, sup-distance pivot) of each batch as
-    `model.map_pivots` draws it; method "grid" (a name the benchmark passes)
-    builds each replicate's region or band and checks region membership or
-    `bands.graph_contained`, an independent exact decision.
+    method "exact" builds the registry's coverage event once, a predicate on
+    the pivots (Z, T) that does not depend on theta, and counts where it
+    holds in each batch as `model.map_pivots` draws it; method "grid" (a
+    name the benchmark passes) builds each replicate's region or band and
+    checks region membership or `bands.graph_contained`, an independent
+    exact decision.
     """
     entry, constants = _bands.method_constants(kind, c_p, d_p)
     level = check_probability(level, "level", open_interval=True)
@@ -205,12 +205,9 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
     if method not in ("exact", "grid"):
         raise DomainError(f"unknown coverage method {method!r}")
     if method == "exact":
-        def count(batch: slice, z: np.ndarray, t: np.ndarray) -> int:
-            mu_hats, sigma_hats = mles_from_pivots(theta, scheme, z, t)
-            return int(np.count_nonzero(_bands.coverage_indicator(
-                kind, mu_hats, sigma_hats, theta, scheme, level=level, **constants)))
-
-        hits = sum(map_pivots(scheme.m, replicates, seed, count))
+        covers = entry.event(scheme, level, constants)
+        hits = sum(map_pivots(scheme.m, replicates, seed,
+                              lambda batch, z, t: int(np.count_nonzero(covers(z, t)))))
     else:
         mu_hats, sigma_hats = simulate_mles(theta, scheme, replicates, seed)
         hits = 0

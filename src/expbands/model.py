@@ -225,8 +225,8 @@ def map_pivots(m: int, reps: int, seed: int, fn: Callable, width: int = BATCH_SI
     lone batch runs on the calling thread).
 
     A batch of `count` replicates draws its Z in one `standard_exponential`
-    call on its Z stream and its T in one `standard_gamma(m - 1)` call on
-    its T stream, divided by m in place (`streams`); nothing beyond `count`
+    call on its SFC64 Z stream and its T in one `standard_gamma(m - 1)` call
+    on its T stream, divided by m in place (`streams`); nothing beyond `count`
     is drawn. Every draw is therefore a function of (seed, replicate) alone:
     a longer run extends a shorter one replicate for replicate, and neither
     `width`, the number of workers nor the schedule changes a value. `fn`
@@ -274,22 +274,17 @@ def _pool():
         return _POOL[1]
 
 
-def mles_from_pivots(theta: LocScale, scheme: Scheme, z: np.ndarray,
-                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MLEs at pivot draws: mu_hat = mu + sigma Z / n, sigma_hat = sigma T."""
-    return theta.mu + theta.sigma * z / scheme.effective_n, theta.sigma * t
-
-
 def simulate_mles(theta: LocScale, scheme: Scheme, replicates: int,
                   seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """MLE vectors of `replicates` simulated samples, drawn from the pivots
-    of `map_pivots` (`mles_from_pivots`): the law of
+    """MLE vectors of `replicates` simulated samples, mu_hat = mu + sigma Z/n
+    and sigma_hat = sigma T at the pivots of `map_pivots`: the law of
     `mle(simulate_sample(...))` for any risk-set coefficients."""
     mu_hats = np.empty(check_replicates(replicates))
     sigma_hats = np.empty(replicates)
 
     def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
-        mu_hats[batch], sigma_hats[batch] = mles_from_pivots(theta, scheme, z, t)
+        mu_hats[batch] = theta.mu + theta.sigma * z / scheme.effective_n
+        sigma_hats[batch] = theta.sigma * t
 
     map_pivots(scheme.m, replicates, seed, fill)
     return mu_hats, sigma_hats

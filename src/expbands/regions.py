@@ -162,6 +162,12 @@ class TrapezoidRegionC1:
                 & (mu <= self.location_edge(self.q2, sigma))
                 & (self.sigma_lo <= sigma) & (sigma <= self.sigma_hi))
 
+    def covers(self, z, t):
+        """`contains` at the pivots Z = n(mu_hat - mu)/sigma and
+        T = sigma_hat/sigma, which needs no estimate: a box."""
+        return ((-math.log(self.q2) <= z) & (z <= -math.log(self.q1))
+                & (self.chi2_q1 / (2 * self.m) <= t) & (t <= self.chi2_q2 / (2 * self.m)))
+
     def boundary(self, points: int = 512) -> np.ndarray:
         per = max(points // 4, 2)
         sig = np.linspace(self.sigma_lo, self.sigma_hi, per)
@@ -212,6 +218,13 @@ class TrapezoidRegionC2:
                 & (self.scale_edge(self.q2, mu) <= sigma)
                 & (sigma <= self.scale_edge(self.q1, mu)))
 
+    def covers(self, z, t):
+        """`contains` at the pivots (`TrapezoidRegionC1.covers`): the location
+        cuts are rays Z = m f T/(m-1), the scale edges levels of Z + m T."""
+        a, w = self.m / (self.m - 1.0), z + self.m * t
+        return ((a * self.f_q1 * t <= z) & (z <= a * self.f_q2 * t)
+                & (self.chi2_q1 / 2 <= w) & (w <= self.chi2_q2 / 2))
+
     def boundary(self, points: int = 512) -> np.ndarray:
         per = max(points // 4, 2)
         mu = np.linspace(self.mu_lo, self.mu_hi, per)
@@ -248,24 +261,31 @@ class MinAreaRegionC3:
         return val if val.ndim else float(val)
 
     def _pivots(self, mu, sigma):
-        # (u, v) of `cp_pivot` at the parameter point (mu, sigma)
+        # (Z, T) of `covers` at the parameter point (mu, sigma)
         sigma = np.asarray(sigma, dtype=float)
-        u = self.n * (self.mu_hat - np.asarray(mu, dtype=float)) / sigma
-        return u, self.m * self.sigma_hat / sigma
+        return self.n * (self.mu_hat - np.asarray(mu, dtype=float)) / sigma, self.sigma_hat / sigma
 
     def contains(self, mu, sigma):
-        u, v = self._pivots(mu, sigma)
-        return (u >= 0.0) & (cp_pivot(u, v, self.m) >= self.c_p)
+        return self.covers(*self._pivots(mu, sigma))
 
     def hull_contains(self, mu, sigma):
         """Membership in the comprehensive convex hull (region plus the
         notch between the curved boundary and its minimum); this is the
         coverage event of the induced band."""
-        u, v = self._pivots(mu, sigma)
-        above = cp_pivot(u, v, self.m) >= self.c_p
-        in_notch = ((v >= self.y) & (v <= self.z) & ~above
-                    & (u <= ((self.m + 1) / self.z - 1.0) * v))
-        return ((u >= 0.0) & above) | in_notch
+        return self.covers(*self._pivots(mu, sigma), hull=True)
+
+    def covers(self, z, t, hull: bool = False):
+        """`contains` (`hull_contains` with `hull`) at the pivots
+        (`TrapezoidRegionC1.covers`): Z >= 0 and `cp_pivot` at (Z, v = m T)
+        at least c_p; the hull adds the notch y <= v <= z below the chord
+        Z = ((m+1)/z - 1) v."""
+        v = self.m * t
+        above = (self.m + 1) * np.log(t) - z - v >= self.c_p
+        inside = (z >= 0.0) & above
+        if not hull:
+            return inside
+        return inside | (~above & (self.y <= v) & (v <= self.z)
+                         & (z <= ((self.m + 1) / self.z - 1.0) * v))
 
     def boundary(self, points: int = 512) -> np.ndarray:
         per = max(points // 2, 2)

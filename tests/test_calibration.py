@@ -477,3 +477,18 @@ class TestMemo:
         for kernel, _, _ in MEMOIZED:
             kernel.cache_clear()
         assert reproduce_paper(20_000, 7).markdown() == first
+
+    @pytest.mark.parametrize("kernel, inner, args", MEMOIZED)
+    @pytest.mark.parametrize("wrap", (np.array, np.float64), ids=("0d-array", "numpy-scalar"))
+    def test_numpy_arguments_share_the_float_entry(self, monkeypatch, kernel, inner, args, wrap):
+        # a 0-d array is unhashable: the memo keys it (and a NumPy scalar)
+        # as its float, so it neither raises nor solves again
+        kernel.cache_clear()
+        expected = kernel(*args)
+        calls = []
+        original = getattr(calibration, inner)
+        monkeypatch.setattr(calibration, inner, lambda *a: calls.append(a) or original(*a))
+        assert repr(kernel(args[0], *map(wrap, args[1:]))) == repr(expected)
+        assert calls == []
+        with pytest.raises(DomainError):
+            kernel(args[0], *map(wrap, args[1:-1]), wrap(1.0))

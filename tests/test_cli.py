@@ -294,6 +294,16 @@ class TestCalibrateCoverageSimulate:
         sample = read_sample_csv(out1 / "sample.csv")
         assert sample.scheme.n == 12 and sample.scheme.m == 6
 
+    def test_simulate_sample_is_pinned(self, tmp_path):
+        # `simulate` draws from the whole-batch PCG64 generator of its
+        # subseed; a change of generator or key scheme changes these bytes
+        assert _run("simulate", "--mu", "0", "--sigma", "2", "--n", "12",
+                    "--m", "6", "--seed", "11", "--output-dir", tmp_path) == 0
+        assert (tmp_path / "sample.csv").read_text().splitlines() == [
+            "time,removed", "0.1585491402365852,0", "0.25399428873223867,0",
+            "0.40466227608862315,0", "0.5999070446394721,0", "0.7209464301632295,0",
+            "0.7730940290995052,6"]
+
     def test_simulate_custom_removals(self, tmp_path):
         assert _run("simulate", "--mu", "0", "--sigma", "1", "--n", "10",
                     "--m", "4", "--removals", "1,2,0,3",

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from expbands import regions
 from expbands.bands import (
     METHODS,
     band_b1,
@@ -16,17 +17,18 @@ from expbands.bands import (
     marginal_band,
     reliability_band,
 )
-from expbands.calibration import exact_dp, exact_p_of_tau, ks_cdf
+from expbands.calibration import exact_cp, exact_dp, exact_p_of_tau, ks_cdf
 from expbands.cli import _DEFAULTS, main
-from expbands.errors import DomainError
+from expbands.errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
 from expbands.metrics import (
     area,
     band_metrics,
     coverage_experiment,
     max_width,
 )
-from expbands.model import (CensoringScheme, LocScale, ProgressiveSample, load_insulating_fluid,
-                            mle, simulate_mles, simulate_sample, write_sample_csv)
+from expbands.model import (CensoringScheme, GeneralizedScheme, LocScale, ProgressiveSample,
+                            load_insulating_fluid, mle, simulate_mles, simulate_sample,
+                            write_sample_csv)
 from expbands.streams import BATCH_SIZE
 
 LEVEL = 0.9025
@@ -262,6 +264,55 @@ class TestCoverage:
             slow = coverage_experiment(kind, std_theta, fluid_scheme, 0.873,
                                        300, seed=8, method="grid", **kw)
             assert fast.coverage == slow.coverage, kind
+
+    @pytest.mark.parametrize("scheme", (GeneralizedScheme((6.0, 6.0, 4.0, 4.0, 2.0)),
+                                        CensoringScheme.complete(8)),
+                             ids=("tied-gammas", "complete8"))
+    def test_exact_matches_grid_method_beyond_the_bundled_scheme(self, scheme):
+        # the exact events are predicates on the pivots (Z, T): they must
+        # hold at any theta, for tied gammas (n = gamma_1) and for a complete
+        # sample, where (m + 1)/n > 1
+        theta, level = LocScale(5.0, 3.0), 0.873
+        constants = {None: {}, "c_p": {"c_p": exact_cp(scheme.m, 1.0 - level)},
+                     "p_of_tau": {"c_p": exact_p_of_tau(scheme.m, level)[1]},
+                     "d_p": {"d_p": exact_dp(scheme.m, scheme.effective_n, 1.0 - level)}}
+        for kind, method in METHODS.items():
+            kw = constants[method.constant]
+            fast = coverage_experiment(kind, theta, scheme, level, 200, seed=8, **kw)
+            slow = coverage_experiment(kind, theta, scheme, level, 200, seed=8, method="grid",
+                                       **kw)
+            assert 0.0 < fast.coverage < 1.0 and fast.coverage == slow.coverage, kind
+
+    @pytest.mark.parametrize("kind", ("c4p", "c4pp"))
+    def test_sup_distance_regions_refuse_unbounded_d_p(self, std_theta, kind):
+        # as build_c4 does: at d_p >= 0.5 the region is unbounded
+        with pytest.raises(UnsupportedCaseError):
+            coverage_experiment(kind, std_theta, CensoringScheme.type2_right(10, 3), 0.9,
+                                1000, seed=6, d_p=0.6)
+
+    @pytest.mark.parametrize("kind", ("c3", "b3"))
+    @pytest.mark.parametrize("c_p", (regions.cp_supremum(8), 5.0), ids=("supremum", "above"))
+    def test_min_area_events_refuse_empty_regions(self, fluid_scheme, std_theta, kind, c_p):
+        with pytest.raises(InfeasibleLevelError):
+            coverage_experiment(kind, std_theta, fluid_scheme, 0.9, 1000, seed=6, c_p=c_p)
+
+    def test_trimmed_ks_bands_run_where_the_region_is_unbounded(self, std_theta):
+        # the trimmed bands share b4's event, so they run at d_p >= 0.5 too
+        scheme, d_p = CensoringScheme.type2_right(10, 3), 0.5056
+        b4 = coverage_experiment("b4", std_theta, scheme, 0.9, 10_000, seed=6, d_p=d_p)
+        for kind in ("b4p", "b4pp"):
+            rep = coverage_experiment(kind, std_theta, scheme, 0.9, 10_000, seed=6, d_p=d_p)
+            assert rep.coverage == b4.coverage, kind
+
+    def test_sup_distance_limits_solved_once_per_call(self, monkeypatch, fluid_scheme,
+                                                      std_theta):
+        # the event's scalars are computed once per call, not once per batch
+        calls = []
+        solve = regions.c4_scale_limits
+        monkeypatch.setattr(regions, "c4_scale_limits", lambda d: calls.append(d) or solve(d))
+        coverage_experiment("c4p", std_theta, fluid_scheme, 0.9, 4 * BATCH_SIZE, seed=3,
+                            d_p=DP_PAPER)
+        assert len(calls) <= 1
 
     def test_trimmed_band_grid_coverage_close(self, fluid_scheme, std_theta):
         # the grid path rebuilds the optimization-backed band per replicate

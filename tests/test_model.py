@@ -317,6 +317,16 @@ class TestSimulation:
         se = (1.0 / 19.0) / math.sqrt(reps)
         assert abs(mu_hats.mean() - 1.0 / 19.0) <= 3 * se
 
+    def test_whole_batch_generator_is_not_a_pivot_stream(self):
+        # SeedSequence((5, 3)) and SeedSequence((5, 3, 0)) have one state:
+        # the whole-batch generator (PCG64) would repeat batch 3's Z stream
+        # if both used one bit generator
+        whole = batch_generator(5, 3).standard_exponential(5)
+        assert not np.any(whole == batch_generator(5, 3, 0).standard_exponential(5))
+        assert isinstance(batch_generator(5, 3).bit_generator, np.random.PCG64)
+        assert all(isinstance(batch_generator(5, 3, s).bit_generator, np.random.SFC64)
+                   for s in (0, 1))
+
     def test_spacings_pivot_ks(self, fluid_scheme):
         # normalized spacings of simulated samples are standard exponential
         reps = 100_000
