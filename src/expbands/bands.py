@@ -34,6 +34,7 @@ import numpy as np
 from .calibration import tau_of_p
 from .errors import DomainError, NumericError
 from .model import LocScale, MleEstimate, Scheme
+from .numerics import brent_root
 from .regions import (
     KsRegionC4,
     Region,
@@ -102,8 +103,7 @@ class MinAreaEnvelopeSegment:
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        scale = (self.n * (self.mu_hat - x) + self.m * self.sigma_hat) / (self.m + 1)
-        scale = np.maximum(scale, 1e-300)
+        scale = np.maximum(self.scale_at(x), 1e-300)
         offset = _c3_offset(scale, self.sigma_hat, self.m, self.n, self.c_p)
         z = (x - self.mu_hat - offset) / scale
         return -np.expm1(-np.maximum(z, 0.0))
@@ -113,6 +113,10 @@ class MinAreaEnvelopeSegment:
     def x_at_scale(self, scale: float) -> float:
         """The x whose extremizing scale is `scale`."""
         return self.mu_hat + (self.m * self.sigma_hat - (self.m + 1) * scale) / self.n
+
+    def scale_at(self, x):
+        """The extremizing scale at x, the inverse of `x_at_scale`."""
+        return (self.n * (self.mu_hat - x) + self.m * self.sigma_hat) / (self.m + 1)
 
     def kinks(self) -> tuple[float, ...]:
         return (self.x_at_scale(self.sigma_hat * math.exp(-1.0 - self.c_p / (self.m + 1))),)
@@ -500,9 +504,9 @@ def marginal_band(band: Band, gamma: Sequence[float]) -> Band:
 # panels and containment
 # ---------------------------------------------------------------------------
 
-# the gap (a, b) between consecutive edges (b = inf on the right tail), the lower and
-# upper pieces on it (of the base for a marginal band), and whether it is numeric
-_Panel = namedtuple("_Panel", "a b lower upper numeric")
+# the gap (a, b) between consecutive edges (b = inf on the right tail) and the lower
+# and upper pieces on it (of the base for a marginal band)
+_Panel = namedtuple("_Panel", "a b lower upper")
 
 
 def _panels(band: Band, extra: tuple[float, ...] = ()) -> list[_Panel]:
@@ -514,8 +518,7 @@ def _panels(band: Band, extra: tuple[float, ...] = ()) -> list[_Panel]:
     for a, b in zip(edges, edges[1:] + [math.inf]):
         lo = lower.segments[bisect.bisect_right(lower.breaks, a)]
         up = upper.segments[bisect.bisect_right(upper.breaks, a)]
-        numeric = marginal or not (isinstance(lo, ExpCdfSegment) and isinstance(up, ExpCdfSegment))
-        panels.append(_Panel(a, b, lo, up, numeric))
+        panels.append(_Panel(a, b, lo, up))
     return panels
 
 
@@ -528,6 +531,30 @@ def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
     num = math.log(s_l / s_u) + up.loc / s_u - lo.loc / s_l
     den = 1.0 / s_u - 1.0 / s_l
     return num / den
+
+
+def _envelope_peak(lo: ExpCdfSegment, env: MinAreaEnvelopeSegment, a: float,
+                   b: float) -> float | None:
+    """Interior maximum on the panel (a, b) of env - lo, for b3's plain lower
+    cdf lo (location lam, scale zeta); None if there is none. 1 - env = K s^al,
+    al = (m + 1)/n, K = e^((m + 1 + c_p)/n) sigma_hat^-al, and the scale s
+    falls linearly in x. With u = beta s, beta = (m + 1)/(n zeta), the width
+    falls exactly where g(u) = u - (al - 1) ln u - L > 0, L below. For al <= 1
+    (every censored sample) g rises in u: no interior maximum. For al > 1 it
+    is g's one root below u = al - 1, where g falls in u."""
+    m, n = env.m, env.n
+    al, beta = (m + 1) / n, (m + 1) / (n * lo.scale)
+    big_l = ((m + 1 + env.c_p) / n + math.log(al) - al * math.log(beta * env.sigma_hat)
+             + (env.mu_hat - lo.loc + m * env.sigma_hat / n) / lo.scale)
+
+    def g(u: float) -> float:
+        return u - (al - 1.0) * math.log(u) - big_l
+
+    u_lo, u_hi = beta * env.scale_at(b), min(beta * env.scale_at(a), al - 1.0)
+    if not (0.0 < u_lo < u_hi and g(u_hi) < 0.0 < g(u_lo)):   # u_hi <= 0 if al <= 1
+        return None
+    # the width is flat at its maximum, so a relative 1e-12 in u is ample
+    return env.x_at_scale(brent_root(g, u_lo, u_hi, xtol=1e-12 * u_hi) / beta)
 
 
 def _constant(seg: Segment, a: float, b: float) -> float | None:

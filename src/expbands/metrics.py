@@ -2,18 +2,18 @@
 
 Both metrics walk the band's panels (`bands._panels`). Left of the first
 breakpoint every piece is constant, so the width there is its left limit
-and adds no area to a band of finite area. Where both pieces are
-exponential cdfs the width is monotone or has one stationary point and its
-integral is elementary, so both metrics are closed form there, the right
-tail included. Panels holding the minimum-area envelope or a marginal
-boundary are numeric: the width is scanned, then refined by one vectorized
-golden-section search (the marginal right tail is scanned in the quantiles
-of its last exponential piece, so the scan follows the data's scale), and
-the area comes from panel quadrature, except on the marginal right tail,
-whose area is a positive-term Poisson sum over the marginal transform's
-uniformized chain. Infinite area is reported only on
-structural grounds (the width does not vanish at infinity). Coverage
-experiments read the method registry of `bands`.
+and adds no area to a band of finite area. On every panel of a cdf band
+the width is monotone or turns once, at a point in closed form (two
+exponential cdfs) or one root find away (against the minimum-area
+envelope, see `bands._envelope_peak`), and its integral is elementary,
+the right tail included. Only marginal bands are numeric: the width is
+scanned, then refined by one vectorized golden-section search (the right
+tail is scanned in the quantiles of its last exponential piece, so the
+scan follows the data's scale), and the area comes from one panel
+quadrature, except on the right tail, whose area is a positive-term
+Poisson sum over the marginal transform's uniformized chain. Infinite area
+is reported only on structural grounds (the width does not vanish at
+infinity). Coverage experiments read the method registry of `bands`.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .numerics import golden_section, integrate_panels
 from .special import check_probability
 
 _WIDTH_FLOOR = 1e-12
-_SCAN_POINTS = 65   # per numeric panel, before the golden-section refinement
+_SCAN_POINTS = 65   # per marginal panel, before the golden-section refinement
 _PLATEAU_ULPS = 4   # widths this close to the maximum count as attaining it
 
 
@@ -49,7 +49,7 @@ class BandMetrics:
     max_width: float
     width_argmax: float
     area: float                      # math.inf for structurally unbounded bands
-    quadrature_error_estimate: float
+    quadrature_error_estimate: float  # 0.0 for every cdf band: only marginal areas are numeric
 
 
 @dataclass(frozen=True)
@@ -86,28 +86,25 @@ def max_width(band: Band) -> tuple[float, float]:
     candidates = [(band.upper.limit_left() - band.lower.limit_left(), first - span),
                   (band.upper.limit_right() - band.lower.limit_right(), last + span)]
     probes = [p.a for p in panels]
-    scans = []
-    for p in panels:
-        if not p.numeric:
-            # the width is monotone unless both pieces are live, and then
-            # its one stationary point is the only interior candidate
-            x_star = _stationary_point(p.lower, p.upper)
-            if x_star is not None and p.a < x_star < p.b:
-                probes.append(x_star)
-        elif p.b < math.inf:
-            scans.append(np.linspace(p.a, p.b, _SCAN_POINTS))
-        else:
-            # where the slower last piece's survival falls by 2^(-k/4)
-            scale = max(p.lower.scale, p.upper.scale)
-            scans.append(p.a + scale * (math.log(2.0) / 4.0) * np.arange(_SCAN_POINTS))
-    if scans:
-        xs = np.asarray(scans)
-        i = np.argmax(band.width(xs), axis=1)
-        rows = np.arange(len(scans))
-        probes.extend(xs[rows, i])
+    if isinstance(band.lower, _bands.MarginalBoundary):
+        # scan each panel, the right tail where its slower last piece's survival
+        # falls by 2^(-k/4), then refine by one vectorized golden-section search
+        xs = np.asarray([np.linspace(p.a, p.b, _SCAN_POINTS) if p.b < math.inf else
+                         p.a + max(p.lower.scale, p.upper.scale) * (math.log(2.0) / 4.0)
+                         * np.arange(_SCAN_POINTS) for p in panels])
+        i, rows = np.argmax(band.width(xs), axis=1), np.arange(len(panels))
         x_ref, _ = golden_section(band.width, xs[rows, np.maximum(i - 1, 0)],
                                   xs[rows, np.minimum(i + 1, _SCAN_POINTS - 1)], maximize=True)
-        probes.extend(x_ref)
+        probes += [*xs[rows, i], *x_ref]
+    else:
+        for p in panels:
+            # the width is monotone unless both pieces are live, and then its
+            # one stationary point or interior maximum is the only candidate
+            x_star = (_bands._envelope_peak(p.lower, p.upper, p.a, p.b)
+                      if isinstance(p.upper, _bands.MinAreaEnvelopeSegment)
+                      else _stationary_point(p.lower, p.upper))
+            if x_star is not None and p.a < x_star < p.b:
+                probes.append(x_star)
     candidates += ((float(band.width(x)), float(x)) for x in probes)
     top = max(w for w, _ in candidates)
     return top, min(x for w, x in candidates if w >= top - _PLATEAU_ULPS * math.ulp(top))
@@ -117,12 +114,17 @@ def max_width(band: Band) -> tuple[float, float]:
 # area
 # ---------------------------------------------------------------------------
 
-def _piece_integral(seg: ExpCdfSegment, a: float, b: float) -> float:
-    """Integral of one exponential piece over a panel [a, b], on which it is
-    constant (left of its location, or clipped) or live."""
+def _piece_integral(seg: _bands.Segment, a: float, b: float) -> float:
+    """Integral of one piece over a panel [a, b], on which it is constant or
+    live. The minimum-area envelope has the primitive x + (m + 1)/(n + m + 1)
+    s (1 - env): 1 - env = K s^al, s linear in x (see `bands._envelope_peak`)."""
     level = _constant(seg, a, b)
     if level is not None:
         return level * (b - a)
+    if isinstance(seg, _bands.MinAreaEnvelopeSegment):
+        s_a, s_b = seg.scale_at(a), seg.scale_at(b)
+        return (b - a) - (seg.m + 1) / (seg.n + seg.m + 1) * float(
+            s_a * (1.0 - seg.value(a)) - s_b * (1.0 - seg.value(b)))
     z_a, z_b = (a - seg.loc) / seg.scale, (b - seg.loc) / seg.scale
     return (1.0 + seg.offset) * (b - a) - seg.scale * (math.exp(-z_a) - math.exp(-z_b))
 
@@ -154,21 +156,16 @@ def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
     if wl > _WIDTH_FLOOR or wr > _WIDTH_FLOOR:
         return math.inf, 0.0
     *panels, tail = _panels(band)
+    gammas = getattr(band.lower, "gammas", None)
     total = err = 0.0
-    runs: list[list[float]] = []   # edges of each run of adjacent numeric panels
-    for p in panels:
-        if not p.numeric:
+    if gammas is None:
+        for p in panels:
             total += _piece_integral(p.upper, p.a, p.b)
             total -= _piece_integral(p.lower, p.a, p.b)
-        elif runs and runs[-1][-1] == p.a:
-            runs[-1].append(p.b)
-        else:
-            runs.append([p.a, p.b])
-    for run in runs:
-        v, e = integrate_panels(band.width, run, abs_tol=abs_tol / len(runs))
-        total += v
-        err += e
-    return total + _tail_area(tail, getattr(band.lower, "gammas", None)), err
+    elif panels:   # a marginal band: one quadrature over its finite panels
+        edges = [p.a for p in panels] + [tail.a]
+        total, err = integrate_panels(band.width, edges, abs_tol=abs_tol)
+    return total + _tail_area(tail, gammas), err
 
 
 def band_metrics(band: Band) -> BandMetrics:

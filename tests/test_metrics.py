@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from expbands import regions
+from expbands import metrics, regions
 from expbands.bands import (
     METHODS,
     band_b1,
@@ -42,23 +42,38 @@ DP_PAPER = 0.249
 SESSION_SCHEME = CensoringScheme(n=150, m=100, removals=tuple(i % 2 for i in range(100)))
 
 
+# schemes where (m + 1)/n > 1, so that b3's width can peak inside its envelope
+# panel, and a nearly complete one where a Lambert-W form of that peak overflows
+NAMED_SCHEMES = {"complete2": CensoringScheme.complete(2),
+                 "complete3": CensoringScheme.complete(3),
+                 "gen4": GeneralizedScheme((2.5, 2.0, 1.5, 1.0)),
+                 "r800": CensoringScheme.type2_right(802, 800)}
+ENVELOPE_PEAK_CASES = [("complete2", 0.6), ("complete3", 0.99), ("gen4", 0.6), ("r800", 0.9025)]
+
+
 def _sample(name: str) -> ProgressiveSample:
     if name == "fluid":
         return load_insulating_fluid()
     if name.startswith("session-"):
         sigma = float(name.split("-")[1])
         return simulate_sample(LocScale(2.0, sigma), SESSION_SCHEME, np.random.default_rng(int(sigma)))
+    if name in NAMED_SCHEMES:
+        scheme = NAMED_SCHEMES[name]
+        return simulate_sample(LocScale(1.0, 2.0), scheme, np.random.default_rng(scheme.m))
     m = int(name[1:])
     return simulate_sample(LocScale(1.0, 2.0), CensoringScheme.type2_right(m + 8, m),
                            np.random.default_rng(m))
 
 
-def _bands(sample: ProgressiveSample, level: float,
-           kinds=("b1", "b2", "b3", "b4", "b4p", "b4pp")) -> dict:
+KINDS = ("b1", "b2", "b3", "b4", "b4p", "b4pp")
+
+
+def _bands(sample: ProgressiveSample, level: float, kinds=KINDS) -> dict:
     est, scheme = mle(sample), sample.scheme
     nominal_p, c_p = exact_p_of_tau(scheme.m, level)
-    constants = {"c_p": c_p, "nominal_p": nominal_p,
-                 "d_p": exact_dp(scheme.m, int(scheme.effective_n), 1.0 - level)}
+    constants = {"c_p": c_p, "nominal_p": nominal_p}
+    if not {"b4", "b4p", "b4pp"}.isdisjoint(kinds):
+        constants["d_p"] = exact_dp(scheme.m, int(scheme.effective_n), 1.0 - level)
     return {kind: METHODS[kind].build(est, scheme, level, constants)
             for kind in kinds}
 
@@ -116,11 +131,14 @@ class TestMaxWidth:
 class TestMaxWidthOracle:
     @pytest.mark.parametrize("name, level", [
         ("fluid", 0.8), ("fluid", 0.9025), ("m3", 0.8), ("m12", 0.9025),
-        ("session-1", 0.9025), ("session-7", 0.8), ("session-20", 0.9025)])
+        ("session-1", 0.9025), ("session-7", 0.8), ("session-20", 0.9025),
+        *ENVELOPE_PEAK_CASES])
     def test_at_least_dense_grid_maximum(self, name, level):
         sample = _sample(name)
         est = mle(sample)
-        bands = _bands(sample, level)
+        # the KS bands need an integer n, and the trimmed ones d_p < 0.5: the
+        # extra schemes are here for b3's envelope peak
+        bands = _bands(sample, level, ("b1", "b2", "b3") if name in NAMED_SCHEMES else KINDS)
         bands["marginal-b1"] = marginal_band(bands["b1"], sample.scheme.gammas)
         xs = est.mu_hat + est.sigma_hat * np.linspace(-5.0, 60.0, 200_001)
         for kind, band in bands.items():
@@ -152,10 +170,24 @@ class TestArea:
         a, _ = area(b4)
         assert math.isinf(a)
 
-    def test_b3_area_stable_under_tolerance_halving(self, b3):
-        a1, err1 = area(b3, abs_tol=1e-8)
-        a2, _ = area(b3, abs_tol=5e-9)
-        assert abs(a1 - a2) <= max(err1, 1e-9)
+    def test_b3_area_stable_under_tolerance_halving(self, b3, fluid_est, fluid_scheme):
+        # b3's area is closed form, so the tolerance steers only marginal bands
+        assert area(b3, abs_tol=1e-8) == area(b3, abs_tol=5e-9)
+        assert band_metrics(b3).quadrature_error_estimate == 0.0
+        band = marginal_band(band_b1(fluid_est, fluid_scheme, P), fluid_scheme.gammas)
+        a1, err1 = area(band, abs_tol=1e-8)
+        a2, _ = area(band, abs_tol=5e-9)
+        assert 0.0 < err1 and abs(a1 - a2) <= max(err1, 1e-9)
+
+    def test_cdf_bands_need_no_scan_or_quadrature(self, fluid_sample, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numeric path reached by a cdf band")
+
+        monkeypatch.setattr(metrics, "golden_section", refuse)
+        monkeypatch.setattr(metrics, "integrate_panels", refuse)
+        for kind, band in _bands(fluid_sample, LEVEL).items():
+            bm = band_metrics(band)
+            assert bm.max_width > 0 and bm.quadrature_error_estimate == 0.0, kind
 
     def test_reliability_area_unchanged(self, b3):
         a_base, _ = area(b3)
@@ -176,7 +208,8 @@ class TestArea:
         brute = float(np.trapezoid(band.width(xs), xs))
         assert a == pytest.approx(brute, rel=1e-3)
 
-    @pytest.mark.parametrize("name, level", [("fluid", 0.9025), ("m3", 0.95)])
+    @pytest.mark.parametrize("name, level", [("fluid", 0.9025), ("m3", 0.95),
+                                             *ENVELOPE_PEAK_CASES])
     def test_b3_area_against_quad(self, name, level):
         band = _bands(_sample(name), level, ("b3",))["b3"]
         a, err = area(band)

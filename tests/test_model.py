@@ -331,7 +331,7 @@ class TestSimulation:
         # normalized spacings of simulated samples are standard exponential
         reps = 100_000
         g = np.asarray(fluid_scheme.gammas)
-        rng = batch_generator(881, 0)
+        rng = np.random.Generator(np.random.PCG64(881))   # independent of `streams`
         e = rng.standard_exponential((reps, fluid_scheme.m))
         x = np.cumsum(e / g, axis=1)
         spacings = np.diff(np.concatenate([np.zeros((reps, 1)), x], axis=1), axis=1) * g
