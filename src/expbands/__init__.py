@@ -22,8 +22,8 @@ from .bands import (
     band_b3,
     band_b4,
     band_b4_trimmed,
+    event_probability,
     graph_contained,
-    ks_distance,
     marginal_band,
     marginal_transform_h,
     reliability_band,
@@ -69,7 +69,6 @@ from .regions import (
     build_c4,
     comprehensive_convex_hull_delta_prob,
     region_from_dict,
-    region_membership,
     region_to_dict,
 )
 

@@ -15,8 +15,10 @@ containment of a cdf graph, walk these panels (`_panels`).
 
 `METHODS` is the one table of the paper's regions (c1-c4pp) and bands
 (b1-b4pp): per method, the calibration constant it needs, its builder and
-its exact coverage event. The CLI, the coverage experiments and the
-paper reproduction all dispatch through it.
+its exact coverage event, one interval of the pivots (`regions.Event`)
+that one predicate counts (`regions.within`) and one quadrature integrates
+(`event_probability`). The CLI, the coverage experiments and the paper
+reproduction all dispatch through it.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import tau_of_p
+from .calibration import interval_probability, tau_of_p
 from .errors import DomainError, NumericError
 from .model import LocScale, MleEstimate, Scheme
 from .numerics import brent_root
 from .regions import (
+    Event,
     KsRegionC4,
     Region,
     _c3_offset,
@@ -44,15 +47,21 @@ from .regions import (
     build_c2,
     build_c3,
     build_c4,
-    ks_distance_xy,
-    lower_slope,
-    upper_slope,
+    ks_distance_xy,  # re-exported: the sup-distance pivot beside its grid oracle
+    ks_event,
+    ks_slopes,
+    within,
 )
 from .special import check_probability
 
 # ---------------------------------------------------------------------------
 # boundary segments
 # ---------------------------------------------------------------------------
+
+def _std_cdf(z):
+    # the standard exponential cdf, 0 below 0
+    return -np.expm1(-np.maximum(z, 0.0))
+
 
 @dataclass(frozen=True)
 class ExpCdfSegment:
@@ -63,8 +72,7 @@ class ExpCdfSegment:
     offset: float = 0.0
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        f = -np.expm1(-np.maximum(z, 0.0))
+        f = _std_cdf((np.asarray(x, dtype=float) - self.loc) / self.scale)
         return np.clip(f + self.offset, 0.0, 1.0)
 
     def value(self, x: float) -> float:
@@ -105,8 +113,7 @@ class MinAreaEnvelopeSegment:
         x = np.asarray(x, dtype=float)
         scale = np.maximum(self.scale_at(x), 1e-300)
         offset = _c3_offset(scale, self.sigma_hat, self.m, self.n, self.c_p)
-        z = (x - self.mu_hat - offset) / scale
-        return -np.expm1(-np.maximum(z, 0.0))
+        return _std_cdf((x - self.mu_hat - offset) / scale)
 
     value = evaluate   # at one float x too
 
@@ -309,20 +316,23 @@ def band_b4(est: MleEstimate, d_p: float, level: float | None = None) -> Band:
 # sup-distance statistic
 # ---------------------------------------------------------------------------
 
-def ks_distance(theta_rel: LocScale) -> float:
-    """Sup distance between the cdf at relative coordinates (mu, sigma) and
-    the standard exponential cdf."""
-    return float(ks_distance_xy(theta_rel.mu, theta_rel.sigma))
+@functools.lru_cache(maxsize=4)
+def _std_quantiles(points: int) -> tuple[np.ndarray, np.ndarray]:
+    # the (mu, sigma)-free half of `ks_distance_grid`: standard quantiles, cdf there
+    x = -np.log1p(-np.linspace(0.5 / points, 1.0 - 0.5 / points, points // 2))
+    f = _std_cdf(x)
+    x.flags.writeable = f.flags.writeable = False   # cached: shared by every caller
+    return x, f
 
 
 def ks_distance_grid(mu: float, sigma: float, points: int = 100_000) -> float:
     """Brute-force oracle: supremum of |F_(mu,sigma) - F_(0,1)| on a dense
-    quantile-spaced grid of both distributions."""
-    q = np.linspace(0.5 / points, 1.0 - 0.5 / points, points // 2)
-    xs = np.concatenate([-np.log1p(-q), mu - sigma * np.log1p(-q), [0.0, mu]])
-    f_std = -np.expm1(-np.maximum(xs, 0.0))
-    f_rel = -np.expm1(-np.maximum((xs - mu) / sigma, 0.0))
-    return float(np.max(np.abs(f_rel - f_std)))
+    quantile-spaced grid of both distributions (the standard quantiles x,
+    mu + sigma x, 0 and mu); the half at x is kept across calls."""
+    x, f_x = _std_quantiles(points)
+    xs = np.concatenate([mu + sigma * x, [0.0, mu]])
+    return float(max(np.max(np.abs(_std_cdf((x - mu) / sigma) - f_x)),
+                     np.max(np.abs(_std_cdf((xs - mu) / sigma) - _std_cdf(xs)))))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +358,8 @@ def trim_band(b4: Band, region: KsRegionC4) -> Band:
     d_p = region.d_p
     mu_hat, sigma_hat = region.mu_hat, region.sigma_hat
     t_lo, t_hi = region.t_lo, region.t_hi
+    (lower_lo, lower_hi), (upper_lo, upper_hi) = (
+        s.tolist() for s in ks_slopes(np.array([t_lo, t_hi]), d_p))
 
     def cdf_at(t: float, slope: float) -> ExpCdfSegment:
         # F_theta at scale ratio t and standardized location slope
@@ -357,16 +369,15 @@ def trim_band(b4: Band, region: KsRegionC4) -> Band:
         return mu_hat + sigma_hat * beta
 
     upper = PiecewiseBoundary(
-        (cdf_at(t_lo, float(upper_slope(t_lo, d_p))), b4.upper.segments[0],
-         cdf_at(t_hi, float(upper_slope(t_hi, d_p)))),
+        (cdf_at(t_lo, upper_lo), b4.upper.segments[0], cdf_at(t_hi, upper_hi)),
         breaks=(mu_hat, x_at(-_h_deriv(t_hi, d_p))))
     if region.trimmed:
         # past t_zero_lower the trimmed lower slope is 0
         left, beta_left = cdf_at(region.t_zero_lower, 0.0), -_h_deriv(region.t_zero_lower, d_p)
     else:
-        left, beta_left = cdf_at(t_hi, float(lower_slope(t_hi, d_p))), -math.log(1.0 - d_p)
+        left, beta_left = cdf_at(t_hi, lower_hi), -math.log(1.0 - d_p)
     lower = PiecewiseBoundary(
-        (left, b4.lower.segments[0], cdf_at(t_lo, float(lower_slope(t_lo, d_p)))),
+        (left, b4.lower.segments[0], cdf_at(t_lo, lower_lo)),
         breaks=(x_at(beta_left), x_at(-_h_deriv(t_lo, d_p))))
 
     kind = "b4pp" if region.trimmed else "b4p"
@@ -714,53 +725,38 @@ class Method:
     (None, "c_p", "d_p", or "p_of_tau": the c_p whose band level is the
     requested one), its builder build(est, scheme, level, constants), and
     its exact coverage event event(scheme, level, constants), which checks
-    the constants as the builder does and returns covers(z, t): whether the
-    object built from an estimate with pivots Z = n(mu_hat - mu)/sigma and
-    T = sigma_hat/sigma covers (mu, sigma), elementwise. Both read c_p (b3
-    also an optional nominal_p) or d_p from `constants`."""
+    the constants as the builder does and returns a `regions.Event`: the
+    object built from an estimate covers (mu, sigma) exactly when
+    Z = n(mu_hat - mu)/sigma lies in interval(T), T = sigma_hat/sigma. Both
+    read c_p (b3 also an optional nominal_p) or d_p from `constants`."""
 
     constant: str | None
     build: Callable[..., Region | Band]
-    event: Callable[..., Callable[[np.ndarray, np.ndarray], np.ndarray]]
+    event: Callable[..., Event]
 
 
 _UNIT = MleEstimate(0.0, 1.0)   # any estimate carries a level's region constants
 
 
-def _region_event(region: str, hull: bool = False):
-    # exhaustive regions and their bands cover exactly when the region holds
-    # the pivots; b3 when the region's convex hull does
+def _region_event(region: str):
+    # a region, and c1's and c2's bands, cover when the region holds the pivots
     def event(scheme, level, k):
         built = METHODS[region].build(_UNIT, scheme, level, k)
-        return functools.partial(built.covers, hull=True) if hull else built.covers
+        if isinstance(built, KsRegionC4):
+            return built.event(scheme.effective_n)
+        return Event(built.interval, built.edges)
     return event
 
 
-def _ks_covers(d_p: float, n: float, trimmed: bool = False):
-    # lower_slope(T) <= S = Z/n <= upper_slope(T), and S >= 0 if trimmed,
-    # without `ks_slopes`: T ln(1-d) <= S <= -ln(1-d) everywhere, and where
-    # h_curve is the tighter edge, outside [1-d, 1/(1-d)], (T-1)(h - S) >= 0
-    c, ln_d, t_lo, t_hi = -math.log(1.0 - d_p), math.log(d_p), 1.0 - d_p, 1.0 / (1.0 - d_p)
-
-    def covers(z, t):
-        s, u = z / n, t - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):   # h(1) is NaN and unused
-            h = u * (ln_d - np.log(np.abs(u))) + t * np.log(t)
-        ok = ((u * (h - s) >= 0.0) | ((t_lo <= t) & (t <= t_hi))) & (s <= c) & (s >= -c * t)
-        return ok & (s >= 0.0) if trimmed else ok
-    return covers
+def _b3_event(scheme, level, k):
+    # b3 covers exactly when the region's comprehensive convex hull holds the pivots
+    region = build_c3(_UNIT, scheme, k["c_p"])
+    return Event(region.hull_interval, region.edges + (region.z / region.m,))
 
 
 def _ks_event(scheme, level, k):
-    # the KS-type bands cover exactly when the sup-distance pivot is within
-    # d_p; unlike build_c4, this holds for every d_p < 1
-    return _ks_covers(check_probability(k["d_p"], "d_p", open_interval=True), scheme.effective_n)
-
-
-def _c4_event(trimmed: bool):
-    # the sup-distance regions refuse what build_c4 refuses (d_p >= 0.5)
-    return lambda sch, lv, k: _ks_covers(build_c4(_UNIT, k["d_p"], trimmed).d_p,
-                                         sch.effective_n, trimmed)
+    # unlike build_c4, the KS-type bands' event holds for every d_p < 1
+    return ks_event(k["d_p"], scheme.effective_n)
 
 
 def _trimmed(trimmed: bool):
@@ -771,13 +767,13 @@ METHODS: dict[str, Method] = {
     "c1": Method(None, lambda est, sch, lv, k: build_c1(est, sch, 1.0 - lv), _region_event("c1")),
     "c2": Method(None, lambda est, sch, lv, k: build_c2(est, sch, 1.0 - lv), _region_event("c2")),
     "c3": Method("c_p", lambda est, sch, lv, k: build_c3(est, sch, k["c_p"]), _region_event("c3")),
-    "c4p": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"]), _c4_event(False)),
+    "c4p": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"]), _region_event("c4p")),
     "c4pp": Method("d_p", lambda est, sch, lv, k: build_c4(est, k["d_p"], True),
-                   _c4_event(True)),
+                   _region_event("c4pp")),
     "b1": Method(None, lambda est, sch, lv, k: band_b1(est, sch, 1.0 - lv), _region_event("c1")),
     "b2": Method(None, lambda est, sch, lv, k: band_b2(est, sch, 1.0 - lv), _region_event("c2")),
     "b3": Method("p_of_tau", lambda est, sch, lv, k: band_b3(
-        est, sch, k["c_p"], nominal_p=k.get("nominal_p")), _region_event("c3", hull=True)),
+        est, sch, k["c_p"], nominal_p=k.get("nominal_p")), _b3_event),
     "b4": Method("d_p", lambda est, sch, lv, k: band_b4(est, k["d_p"], level=lv), _ks_event),
     "b4p": Method("d_p", _trimmed(False), _ks_event),
     "b4pp": Method("d_p", _trimmed(True), _ks_event),
@@ -807,5 +803,15 @@ def coverage_indicator(kind: str, mu_hats: np.ndarray, sigma_hats: np.ndarray,
     against region membership or graph containment."""
     method, constants = method_constants(kind, c_p, d_p)
     est = MleEstimate(np.asarray(mu_hats, dtype=float), np.asarray(sigma_hats, dtype=float))
-    return method.event(scheme, level, constants)(
-        scheme.effective_n * (est.mu_hat - theta.mu) / theta.sigma, est.sigma_hat / theta.sigma)
+    return within(method.event(scheme, level, constants).interval,
+                  scheme.effective_n * (est.mu_hat - theta.mu) / theta.sigma,
+                  est.sigma_hat / theta.sigma)
+
+
+def event_probability(kind: str, scheme: Scheme, level: float, constants: dict) -> float:
+    """Exact probability of a registry event, one panel quadrature over T
+    to 1e-12 (`calibration.interval_probability`): the level for c1/c2 and
+    their bands, 1 - p for c3 at exact_cp(m, p), band_level(m, c_p) for b3
+    and ks_cdf(m, n, d_p) for the KS family."""
+    method, _ = method_constants(kind, constants.get("c_p"), constants.get("d_p"))
+    return interval_probability(scheme.m, method.event(scheme, level, constants))

@@ -10,8 +10,8 @@ Newton root find over a panel quadrature that gives the density too.
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Both pivots are functions of the
 independent pair Z ~ Exp(1) and T ~ Gamma(m-1)/m, so every draw is one
-formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, 8,192
-replicates per call, to the contiguous Z and T arrays that
+formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, one
+`model.map_pivots` view per call, to the contiguous Z and T arrays that
 `model.map_pivots` draws on its thread pool (per batch, one
 `standard_exponential` call for Z and one `standard_gamma(m-1)`/m call for
 T, each on its own stream).
@@ -42,14 +42,10 @@ import numpy as np
 from .errors import CacheIntegrityError, CalibrationError, DomainError
 from .model import check_replicates, map_pivots
 from .numerics import brent_root, integrate_panels, newton_root
-from .regions import (c4_scale_limits, cp_pivot, cp_supremum, ks_distance_xy, ks_slopes,
-                      lambert_interval)
+from .regions import Event, cp_pivot, cp_supremum, ks_distance_xy, ks_event, lambert_interval
 from .special import check_probability, gamma_cdf
 
 _SECTIONS = 100
-# replicates per call of the array-filling samplers' pivot formulas: a
-# quarter batch keeps each worker's temporary arrays at 8,192 replicates
-_SAMPLER_WIDTH = 8192
 
 
 @dataclass(frozen=True)
@@ -112,18 +108,23 @@ def _section_std_error(draws: np.ndarray, q: float) -> float:
     return float(np.std(qs, ddof=1) / math.sqrt(k))
 
 
+def _draw(m: int, reps: int, seed: int, pivot) -> np.ndarray:
+    # pivot(z, t) on every view of `map_pivots`, in replicate order
+    out = np.empty(check_replicates(reps))
+
+    def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
+        out[batch] = pivot(z, t)
+
+    map_pivots(m, reps, seed, fill)
+    return out
+
+
 def draw_cp_statistic(m: int, reps: int, seed: int) -> np.ndarray:
     """Draws of the log-likelihood pivot W = (m+1) ln(T) - m T - Z, the
     `cp_pivot` at the (Z, T) of `map_pivots`."""
     if m < 2:
         raise DomainError("need m >= 2")
-    out = np.empty(check_replicates(reps))
-
-    def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
-        out[batch] = cp_pivot(z, m * t, m)
-
-    map_pivots(m, reps, seed, fill, _SAMPLER_WIDTH)
-    return out
+    return _draw(m, reps, seed, lambda z, t: cp_pivot(z, m * t, m))
 
 
 def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
@@ -131,13 +132,7 @@ def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
     `map_pivots`."""
     if m < 2 or n < m:
         raise DomainError("need m >= 2 and n >= m")
-    out = np.empty(check_replicates(reps))
-
-    def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
-        out[batch] = ks_distance_xy(z / n, t)
-
-    map_pivots(m, reps, seed, fill, _SAMPLER_WIDTH)
-    return out
+    return _draw(m, reps, seed, lambda z, t: ks_distance_xy(z / n, t))
 
 
 def calibrate_cp(m: int, p: float, reps: int, seed: int) -> CalibrationResult:
@@ -272,52 +267,54 @@ def exact_p_of_tau(m: int, tau: float) -> tuple[float, float]:
     return 1.0 - cp_tail(m, c), c
 
 
-def _ks_cdf_pdf(m: int, n: float, d: float) -> tuple[float, float]:
-    """(P(pivot <= d), its density at d) for the sup-distance pivot, 0 < d < 1,
-    from one panel quadrature.
-
-    The pivot is within d exactly when (S, T) = ((mu_hat-mu)/sigma,
-    sigma_hat/sigma) lies in the sup-distance region, whose location range
-    at scale ratio t is [l(t), o(t)] (`ks_slopes`). With S exponential of
-    mean 1/n and T ~ Gamma(m-1)/m independent, the cdf is the integral over
-    t of f_T(t) (e^{-n max(l,0)} - e^{-n o})_+. The integrand vanishes
-    outside [t1, t_zero_upper], where o < max(l, 0), and is smooth between
-    the kinks t_zero_lower, 1-d, 1 and 1/(1-d). Those and the powers of two
-    in between are the panel edges, so no panel is wide enough for the
-    Gamma density to hide between its nodes.
-
-    The density differentiates under the integral: where the cdf integrand
-    is positive it is f_T(t) n (e^{-n o} do/dd - e^{-n l} dl/dd 1{l>0}),
-    with dl/dd = (t-1)/d below 1-d (the only place l > 0) and do/dd =
-    1/(1-d) up to 1/(1-d), (t-1)/d beyond. The moving limits add nothing,
-    since the integrand is 0 there. The cdf steers the quadrature's error
-    control, to 1e-12; the density shares its panels.
-    """
-    if m < 2 or n < m:
-        raise DomainError("need m >= 2 and n >= m")
-    t1, t_zero_lower, _, t_zero_upper = c4_scale_limits(d)
-    top = 1.0 / (1.0 - d)
-    kinks = [t1, t_zero_lower, 1.0 - d, 1.0, top, t_zero_upper]
-    powers = [2.0**k for k in range(-60, 61) if t1 < 2.0**k < t_zero_upper]
+def interval_probability(m: int, event: Event, extra=()):
+    """P(lo(T) <= Z <= hi(T)) for a coverage event (`regions.Event`), to
+    1e-12: the integral of f_T(t) (e^{-lo+} - e^{-hi+})_+, (lo, hi) =
+    interval(t), with Z ~ Exp(1) and T ~ Gamma(m-1)/m independent. Its
+    panels run between the edges and the powers of two between them, so the
+    Gamma density cannot hide between nodes. Each f(t, lo, e^{-lo+},
+    e^{-hi+}) in `extra`, times f_T, is integrated on the same panels, which
+    the probability alone refines; all are then returned."""
+    interval, edges = event
     log_norm = math.log(m) - math.lgamma(m - 1)
 
     def integrand(t):
-        lo, hi = ks_slopes(t, d)
-        density = np.exp(log_norm + (m - 2) * np.log(m * t) - m * t)
-        upper = np.exp(-n * hi)
-        lower = np.exp(-n * np.maximum(lo, 0.0))
+        lo, hi = interval(t)
+        lower, upper = np.exp(-np.maximum(lo, 0.0)), np.exp(-np.maximum(hi, 0.0))
+        rows = [np.maximum(lower - upper, 0.0)] + [f(t, lo, lower, upper) for f in extra]
+        return np.exp(log_norm + (m - 2) * np.log(m * t) - m * t) * np.stack(rows)
+
+    powers = [2.0**k for k in range(-60, 61) if min(edges) < 2.0**k < max(edges)]
+    value, _ = integrate_panels(integrand, sorted(set(edges).union(powers)), abs_tol=1e-12)
+    return value if extra else float(value[0])
+
+
+def _ks_cdf_pdf(m: int, n: float, d: float) -> tuple[float, float]:
+    """(P(pivot <= d), its density at d) for the sup-distance pivot, 0 < d < 1:
+    the pivot is within d exactly when (S, T) = ((mu_hat-mu)/sigma,
+    sigma_hat/sigma) lies in the sup-distance region, so the cdf is the
+    `interval_probability` of `regions.ks_event`. The density differentiates
+    under the integral: where the cdf integrand is positive it is
+    f_T(t) n (e^{-n o} do/dd - e^{-n l} dl/dd 1{l>0}) for the slopes l and o
+    (`regions.ks_slopes`), with dl/dd = (t-1)/d below 1-d (the only place
+    l > 0) and do/dd = 1/(1-d) up to 1/(1-d), (t-1)/d beyond; the moving
+    limits add nothing, since the integrand is 0 there."""
+    if m < 2 or n < m:
+        raise DomainError("need m >= 2 and n >= m")
+    top = 1.0 / (1.0 - d)
+
+    def density(t, lo, lower, upper):
         d_hi = np.where(t <= top, top, (t - 1.0) / d)
         d_lo = np.where(lo > 0.0, (t - 1.0) / d, 0.0)
-        slope = np.where(lower > upper, n * (upper * d_hi - lower * d_lo), 0.0)
-        return density * np.stack([np.maximum(lower - upper, 0.0), slope])
+        return np.where(lower > upper, n * (upper * d_hi - lower * d_lo), 0.0)
 
-    (cdf, pdf), _ = integrate_panels(integrand, sorted(set(kinks + powers)), abs_tol=1e-12)
+    cdf, pdf = interval_probability(m, ks_event(d, n), (density,))
     return float(cdf), float(pdf)
 
 
 def ks_cdf(m: int, n: float, d: float) -> float:
-    """P(pivot <= d) for the sup-distance pivot, 0 < d < 1: the panel
-    quadrature of `_ks_cdf_pdf`, to 1e-12."""
+    """P(pivot <= d) for the sup-distance pivot, 0 < d < 1: the KS-family
+    case of `bands.event_probability`, from `_ks_cdf_pdf`, to 1e-12."""
     return _ks_cdf_pdf(m, n, d)[0]
 
 

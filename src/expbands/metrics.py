@@ -37,6 +37,7 @@ from .bands import (
 from .errors import DomainError, NumericError
 from .model import LocScale, MleEstimate, Scheme, check_replicates, map_pivots, simulate_mles
 from .numerics import golden_section, integrate_panels
+from .regions import within
 from .special import check_probability
 
 _WIDTH_FLOOR = 1e-12
@@ -105,7 +106,7 @@ def max_width(band: Band) -> tuple[float, float]:
                       else _stationary_point(p.lower, p.upper))
             if x_star is not None and p.a < x_star < p.b:
                 probes.append(x_star)
-    candidates += ((float(band.width(x)), float(x)) for x in probes)
+    candidates += zip(band.width(np.asarray(probes, dtype=float)).tolist(), map(float, probes))
     top = max(w for w, _ in candidates)
     return top, min(x for w, x in candidates if w >= top - _PLATEAU_ULPS * math.ulp(top))
 
@@ -179,9 +180,6 @@ def band_metrics(band: Band) -> BandMetrics:
 # coverage experiments
 # ---------------------------------------------------------------------------
 
-COVERAGE_KINDS = tuple(_bands.METHODS)
-
-
 def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float,
                         replicates: int, seed: int, *, c_p: float | None = None,
                         d_p: float | None = None, method: str = "exact") -> CoverageReport:
@@ -189,12 +187,12 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
     frequency of covering the true parameter (regions) or the true cdf graph
     (bands); deterministic in (seed, replicates).
 
-    method "exact" builds the registry's coverage event once, a predicate on
-    the pivots (Z, T) that does not depend on theta, and counts where it
-    holds in each batch as `model.map_pivots` draws it; method "grid" (a
-    name the benchmark passes) builds each replicate's region or band and
-    checks region membership or `bands.graph_contained`, an independent
-    exact decision.
+    method "exact" builds the registry's coverage event once, an interval
+    of the pivots that does not depend on theta, and counts where it holds
+    (`regions.within`) in each view as `model.map_pivots` draws it; method
+    "grid" (a name the benchmark passes) builds each replicate's region or
+    band and checks region membership or `bands.graph_contained`, an
+    independent exact decision.
     """
     entry, constants = _bands.method_constants(kind, c_p, d_p)
     level = check_probability(level, "level", open_interval=True)
@@ -202,9 +200,9 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
     if method not in ("exact", "grid"):
         raise DomainError(f"unknown coverage method {method!r}")
     if method == "exact":
-        covers = entry.event(scheme, level, constants)
+        interval = entry.event(scheme, level, constants).interval
         hits = sum(map_pivots(scheme.m, replicates, seed,
-                              lambda batch, z, t: int(np.count_nonzero(covers(z, t)))))
+                              lambda batch, z, t: int(np.count_nonzero(within(interval, z, t)))))
     else:
         mu_hats, sigma_hats = simulate_mles(theta, scheme, replicates, seed)
         hits = 0

@@ -27,6 +27,10 @@ from .errors import (
 )
 from .streams import BATCH_SIZE, batch_generator
 
+# replicates per call of `map_pivots`'s fn, half a batch: fewer calls make
+# the coverage events faster, smaller ones the samplers' temporaries smaller
+VIEW_WIDTH = 16384
+
 
 @dataclass(frozen=True)
 class CensoringScheme:
@@ -216,10 +220,10 @@ def check_replicates(reps: int) -> int:
     return reps
 
 
-def map_pivots(m: int, reps: int, seed: int, fn: Callable, width: int = BATCH_SIZE) -> list:
+def map_pivots(m: int, reps: int, seed: int, fn: Callable) -> list:
     """Apply fn(slice, z, t) to draws of the independent pivots
     Z = n(mu_hat - mu)/sigma ~ Exp(1) and T = sigma_hat/sigma ~ Gamma(m-1)/m
-    for replicates 0..reps-1, one call per run of at most `width`
+    for replicates 0..reps-1, one call per view of at most VIEW_WIDTH
     consecutive replicates inside a batch; returns the results in replicate
     order. Each batch is one task on a thread pool shared by every call (a
     lone batch runs on the calling thread).
@@ -229,10 +233,10 @@ def map_pivots(m: int, reps: int, seed: int, fn: Callable, width: int = BATCH_SI
     on its T stream, divided by m in place (`streams`); nothing beyond `count`
     is drawn. Every draw is therefore a function of (seed, replicate) alone:
     a longer run extends a shorter one replicate for replicate, and neither
-    `width`, the number of workers nor the schedule changes a value. `fn`
-    runs on worker threads, so it may only write to the slice of a shared
-    array it is given, and it must not call map_pivots itself. An exception
-    raised in `fn` reaches the caller.
+    the number of workers nor the schedule changes a value. `fn` runs on
+    worker threads, so it may only write to the slice of a shared array it
+    is given, and it must not call map_pivots itself. An exception raised in
+    `fn` reaches the caller.
     """
     check_replicates(reps)
 
@@ -241,11 +245,8 @@ def map_pivots(m: int, reps: int, seed: int, fn: Callable, width: int = BATCH_SI
         z = batch_generator(seed, first // BATCH_SIZE, 0).standard_exponential(count)
         t = batch_generator(seed, first // BATCH_SIZE, 1).standard_gamma(m - 1.0, count)
         t /= m
-        results = []
-        for i in range(0, count, width):
-            j = min(i + width, count)
-            results.append(fn(slice(first + i, first + j), z[i:j], t[i:j]))
-        return results
+        return [fn(slice(first + i, first + min(i + VIEW_WIDTH, count)),
+                   z[i:i + VIEW_WIDTH], t[i:i + VIEW_WIDTH]) for i in range(0, count, VIEW_WIDTH)]
 
     if reps <= BATCH_SIZE:
         return task(0)

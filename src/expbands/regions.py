@@ -11,20 +11,23 @@ Five constructions from one progressively type-II censored sample:
   fitted cdf) and its trimmed variant restricted to locations below the
   first failure time.
 
-All membership tests are closed-form and broadcast over numpy arrays; the
-same formulas therefore serve single-point queries, randomized property
-tests, and the Monte-Carlo coverage experiments.
+At each T = sigma_hat/sigma a region holds the (mu, sigma) whose
+Z = n(mu_hat - mu)/sigma lies in one interval [lo(T), hi(T)], closed-form
+and broadcast over numpy arrays. Every membership test but C1's and every
+boundary polyline reads it, and with the T where it changes form (`Event`)
+it is the coverage event of `bands.METHODS`.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
-from .model import LocScale, MleEstimate, Scheme
+from .model import MleEstimate, Scheme
 from .numerics import brent_root, integrate
 from .special import (
     chi2_quantile,
@@ -55,40 +58,32 @@ def cp_pivot(u, v, m):
     return (m + 1) * np.log(v / m) - u - v
 
 
+def _pick(mask, a, b):
+    # np.where(mask, a, b) for finite a and b, exact (a * 1 + b * 0 is a) and
+    # branch-free: np.where costs about twice as much on a random mask
+    mask = np.asarray(mask)   # ~ of a Python bool is an integer
+    return a * mask + b * ~mask
+
+
 def h_curve(t, d_p):
     """The transcendental boundary function of the sup-distance region:
     h(t) = ln(d_p/|1-t|)(t-1) + t ln(t) for t > 0, with h(1) = 0."""
     t = np.asarray(t, dtype=float)
-    one = t == 1.0
-    safe = np.where(one, 2.0, t)
-    val = np.log(d_p / np.abs(1.0 - safe)) * (safe - 1.0) + safe * np.log(safe)
-    out = np.where(one, 0.0, val)
-    return out if out.ndim else float(out)
-
-
-def lower_slope(t, d_p):
-    """Lower bound u(t) on the standardized location (mu_hat - mu)/sigma."""
-    t = np.asarray(t, dtype=float)
-    out = np.where(t < 1.0 - d_p, h_curve(t, d_p), t * math.log(1.0 - d_p))
-    return out if out.ndim else float(out)
-
-
-def upper_slope(t, d_p):
-    """Upper bound o(t) on the standardized location."""
-    t = np.asarray(t, dtype=float)
-    out = np.where(t <= 1.0 / (1.0 - d_p), -math.log(1.0 - d_p), h_curve(t, d_p))
+    u = t - 1.0
+    out = np.log(d_p / np.maximum(np.abs(u), 1e-300)) * u + t * np.log(t)
     return out if out.ndim else float(out)
 
 
 def ks_slopes(t, d_p):
-    """(lower_slope(t), upper_slope(t)), bit for bit, from one h_curve
-    evaluation: the sup-distance region at scale ratio t is
-    lower <= (mu_hat - mu)/sigma <= upper."""
+    """The lower and upper slopes (l(t), o(t)) of the sup-distance region:
+    at scale ratio t it is l(t) <= (mu_hat - mu)/sigma <= o(t), with
+    l = h below 1 - d_p and t ln(1 - d_p) above, o = -ln(1 - d_p) up to
+    1/(1 - d_p) and h beyond, from one h_curve evaluation."""
     t = np.asarray(t, dtype=float)
     h = h_curve(t, d_p)
     ln1md = math.log(1.0 - d_p)
-    lo = np.where(t < 1.0 - d_p, h, t * ln1md)
-    hi = np.where(t <= 1.0 / (1.0 - d_p), -ln1md, h)
+    lo = _pick(t < 1.0 - d_p, h, t * ln1md)
+    hi = _pick(t <= 1.0 / (1.0 - d_p), -ln1md, h)
     return (lo, hi) if lo.ndim else (float(lo), float(hi))
 
 
@@ -127,12 +122,47 @@ def _c3_offset(scale, sigma_hat, m, n, c_p):
     return ((c_p - (m + 1) * (math.log(sigma_hat) - np.log(scale))) * scale + m * sigma_hat) / n
 
 
+# a coverage event lo(T) <= Z <= hi(T): interval(t) = (lo, hi) and the T where they change form
+Event = namedtuple("Event", "interval edges")
+
+
+def within(interval, z, t):
+    """lo <= z <= hi elementwise, (lo, hi) = interval(t)."""
+    lo, hi = interval(t)
+    return (lo <= z) & (z <= hi)
+
+
+def _trace(mu_hat, sigma_hat, interval, scale, ts, points):
+    # boundary polyline: mu = mu_hat - sigma Z/scale at both ends Z of interval(T),
+    # sigma = sigma_hat/T, at points // 2 T over [min ts, max ts] and at the T in ts
+    t = np.union1d(np.linspace(min(ts), max(ts), max(points // 2, 2)), ts)
+    sig = sigma_hat / t
+    lo, hi = interval(t)
+    return np.vstack([np.column_stack([mu_hat - sig * hi / scale, sig]),
+                      np.column_stack([mu_hat - sig * lo / scale, sig])[::-1]])
+
+
+class _PivotRegion:
+    """A region that holds (mu, sigma) exactly when Z = n(mu_hat - mu)/sigma
+    lies in interval(T), T = sigma_hat/sigma, empty outside the outer edges."""
+
+    def _pivots(self, mu, sigma):
+        sigma = np.asarray(sigma, dtype=float)
+        return self.n * (self.mu_hat - np.asarray(mu, dtype=float)) / sigma, self.sigma_hat / sigma
+
+    def contains(self, mu, sigma):
+        return within(self.interval, *self._pivots(mu, sigma))
+
+    def boundary(self, points: int = 512) -> np.ndarray:
+        return _trace(self.mu_hat, self.sigma_hat, self.interval, self.n, self.edges, points)
+
+
 # ---------------------------------------------------------------------------
 # region types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TrapezoidRegionC1:
+class TrapezoidRegionC1(_PivotRegion):
     """Trapezoid with horizontal scale cuts and diagonal location edges."""
 
     mu_hat: float
@@ -156,36 +186,27 @@ class TrapezoidRegionC1:
         return self.mu_hat + np.asarray(sigma) * math.log(q) / self.n
 
     def contains(self, mu, sigma):
+        # in (mu, sigma), so that the corners are members exactly
         mu = np.asarray(mu, dtype=float)
         sigma = np.asarray(sigma, dtype=float)
         return ((self.location_edge(self.q1, sigma) <= mu)
                 & (mu <= self.location_edge(self.q2, sigma))
                 & (self.sigma_lo <= sigma) & (sigma <= self.sigma_hi))
 
-    def covers(self, z, t):
-        """`contains` at the pivots Z = n(mu_hat - mu)/sigma and
-        T = sigma_hat/sigma, which needs no estimate: a box."""
-        return ((-math.log(self.q2) <= z) & (z <= -math.log(self.q1))
-                & (self.chi2_q1 / (2 * self.m) <= t) & (t <= self.chi2_q2 / (2 * self.m)))
+    def interval(self, t):
+        """[-ln q2, -ln q1] inside the scale cut, the edges; empty outside it,
+        where hi is the most negative float."""
+        t_lo, t_hi = self.edges
+        cut = (t_lo <= t) & (t <= t_hi)
+        return -math.log(self.q2), _pick(cut, -math.log(self.q1), -np.finfo(float).max)
 
-    def boundary(self, points: int = 512) -> np.ndarray:
-        per = max(points // 4, 2)
-        sig = np.linspace(self.sigma_lo, self.sigma_hi, per)
-        left = np.column_stack([self.location_edge(self.q1, sig), sig])
-        right = np.column_stack([self.location_edge(self.q2, sig), sig])
-        top_mu = np.linspace(left[-1, 0], right[-1, 0], per)
-        bottom_mu = np.linspace(right[0, 0], left[0, 0], per)
-        loop = np.vstack([
-            left,
-            np.column_stack([top_mu, np.full(per, self.sigma_hi)]),
-            right[::-1],
-            np.column_stack([bottom_mu, np.full(per, self.sigma_lo)]),
-        ])
-        return loop
+    @property
+    def edges(self) -> tuple[float, float]:
+        return self.chi2_q1 / (2 * self.m), self.chi2_q2 / (2 * self.m)
 
 
 @dataclass(frozen=True)
-class TrapezoidRegionC2:
+class TrapezoidRegionC2(_PivotRegion):
     """Trapezoid with vertical location cuts and diagonal scale edges."""
 
     mu_hat: float
@@ -211,37 +232,22 @@ class TrapezoidRegionC2:
         x = self.chi2_q1 if q == self.q1 else self.chi2_q2
         return 2.0 * (self.n * (self.mu_hat - np.asarray(mu)) + self.m * self.sigma_hat) / x
 
-    def contains(self, mu, sigma):
-        mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        return ((self.mu_lo <= mu) & (mu <= self.mu_hi)
-                & (self.scale_edge(self.q2, mu) <= sigma)
-                & (sigma <= self.scale_edge(self.q1, mu)))
+    def interval(self, t):
+        """The location cuts are rays Z = a f T, a = m/(m-1), and the scale
+        edges levels w = chi2/2 of Z + m T; the edges are where they meet."""
+        a, v = self.m / (self.m - 1.0), self.m * t
+        return (np.maximum(a * self.f_q1 * t, self.chi2_q1 / 2 - v),
+                np.minimum(a * self.f_q2 * t, self.chi2_q2 / 2 - v))
 
-    def covers(self, z, t):
-        """`contains` at the pivots (`TrapezoidRegionC1.covers`): the location
-        cuts are rays Z = m f T/(m-1), the scale edges levels of Z + m T."""
-        a, w = self.m / (self.m - 1.0), z + self.m * t
-        return ((a * self.f_q1 * t <= z) & (z <= a * self.f_q2 * t)
-                & (self.chi2_q1 / 2 <= w) & (w <= self.chi2_q2 / 2))
-
-    def boundary(self, points: int = 512) -> np.ndarray:
-        per = max(points // 4, 2)
-        mu = np.linspace(self.mu_lo, self.mu_hi, per)
-        lower = np.column_stack([mu, self.scale_edge(self.q2, mu)])
-        upper = np.column_stack([mu, self.scale_edge(self.q1, mu)])
-        left_sig = np.linspace(lower[0, 1], upper[0, 1], per)
-        right_sig = np.linspace(upper[-1, 1], lower[-1, 1], per)
-        return np.vstack([
-            lower,
-            np.column_stack([np.full(per, self.mu_hi), right_sig])[::-1],
-            upper[::-1],
-            np.column_stack([np.full(per, self.mu_lo), left_sig]),
-        ])
+    @property
+    def edges(self) -> tuple[float, ...]:
+        a = self.m / (self.m - 1.0)
+        return tuple(sorted(w / (a * f + self.m) for w in (self.chi2_q1 / 2, self.chi2_q2 / 2)
+                            for f in (self.f_q1, self.f_q2)))
 
 
 @dataclass(frozen=True)
-class MinAreaRegionC3:
+class MinAreaRegionC3(_PivotRegion):
     """Smallest-area region based on the joint pivot; locations below the
     first failure, scales between the two Lambert W roots."""
 
@@ -260,39 +266,27 @@ class MinAreaRegionC3:
         val = _c3_offset(np.asarray(scale, dtype=float), self.sigma_hat, self.m, self.n, self.c_p)
         return val if val.ndim else float(val)
 
-    def _pivots(self, mu, sigma):
-        # (Z, T) of `covers` at the parameter point (mu, sigma)
-        sigma = np.asarray(sigma, dtype=float)
-        return self.n * (self.mu_hat - np.asarray(mu, dtype=float)) / sigma, self.sigma_hat / sigma
-
-    def contains(self, mu, sigma):
-        return self.covers(*self._pivots(mu, sigma))
-
     def hull_contains(self, mu, sigma):
         """Membership in the comprehensive convex hull (region plus the
         notch between the curved boundary and its minimum); this is the
         coverage event of the induced band."""
-        return self.covers(*self._pivots(mu, sigma), hull=True)
+        return within(self.hull_interval, *self._pivots(mu, sigma))
 
-    def covers(self, z, t, hull: bool = False):
-        """`contains` (`hull_contains` with `hull`) at the pivots
-        (`TrapezoidRegionC1.covers`): Z >= 0 and `cp_pivot` at (Z, v = m T)
-        at least c_p; the hull adds the notch y <= v <= z below the chord
-        Z = ((m+1)/z - 1) v."""
+    def interval(self, t):
+        """Z >= 0 and `cp_pivot` at (Z, v = m T) at least c_p; the edges are
+        the Lambert roots, where the upper end crosses 0."""
+        return 0.0, (self.m + 1) * np.log(t) - self.m * t - self.c_p
+
+    def hull_interval(self, t):
+        """On y <= v = m T <= z the upper end rises to the chord
+        ((m+1)/z - 1) v, the tangent at v = z of the concave upper end."""
+        lo, hi = self.interval(t)
         v = self.m * t
-        above = (self.m + 1) * np.log(t) - z - v >= self.c_p
-        inside = (z >= 0.0) & above
-        if not hull:
-            return inside
-        return inside | (~above & (self.y <= v) & (v <= self.z)
-                         & (z <= ((self.m + 1) / self.z - 1.0) * v))
+        return lo, _pick((self.y <= v) & (v <= self.z), ((self.m + 1) / self.z - 1.0) * v, hi)
 
-    def boundary(self, points: int = 512) -> np.ndarray:
-        per = max(points // 2, 2)
-        sig = np.linspace(self.z_lo, self.z_hi, per)
-        curve = np.column_stack([self.mu_hat + self.g(sig), sig])
-        line = np.column_stack([np.full(per, self.mu_hat), sig[::-1]])
-        return np.vstack([curve, line])
+    @property
+    def edges(self) -> tuple[float, float]:
+        return self.y / self.m, self.sigma_hat / self.z_lo
 
 
 @dataclass(frozen=True)
@@ -311,24 +305,23 @@ class KsRegionC4:
 
     def slopes(self, t):
         lo, hi = ks_slopes(t, self.d_p)
-        if self.trimmed:
-            lo = np.maximum(lo, 0.0)
-        return lo, hi
+        return (np.maximum(lo, 0.0) if self.trimmed else lo), hi
 
     def contains(self, mu, sigma):
         sigma = np.asarray(sigma, dtype=float)
-        lo, hi = self.slopes(self.sigma_hat / sigma)
-        s = (self.mu_hat - np.asarray(mu, dtype=float)) / sigma
-        return (lo <= s) & (s <= hi)
+        return within(self.slopes, (self.mu_hat - np.asarray(mu, dtype=float)) / sigma,
+                      self.sigma_hat / sigma)
+
+    def event(self, n: float) -> Event:
+        """The coverage event at sample size n: Z = n S in n times the
+        slopes, with edges the scale limits, 1 - d_p, 1 and 1/(1 - d_p)."""
+        d = self.d_p
+        return Event(lambda t: tuple(n * s for s in self.slopes(t)), (
+            self.t_lo, self.t_zero_lower, 1.0 - d, 1.0, 1.0 / (1.0 - d), self.t_zero_upper))
 
     def boundary(self, points: int = 512) -> np.ndarray:
-        per = max(points // 2, 2)
-        t = np.linspace(self.t_lo, self.t_hi, per)
-        sig = self.sigma_hat / t
-        lo, hi = self.slopes(t)
-        upper_edge = np.column_stack([self.mu_hat - sig * lo, sig])
-        lower_edge = np.column_stack([self.mu_hat - sig * hi, sig])
-        return np.vstack([lower_edge, upper_edge[::-1]])
+        return _trace(self.mu_hat, self.sigma_hat, self.slopes, 1.0, (self.t_lo, self.t_hi),
+                      points)
 
 
 Region = TrapezoidRegionC1 | TrapezoidRegionC2 | MinAreaRegionC3 | KsRegionC4
@@ -441,9 +434,12 @@ def build_c4(est: MleEstimate, d_p: float, trimmed: bool = False) -> KsRegionC4:
                       t_zero_lower=t_zero_lower, t_zero_upper=t_zero_upper)
 
 
-def region_membership(region: Region, theta: LocScale) -> bool:
-    """Closed-region membership test (boundary points are members)."""
-    return bool(region.contains(theta.mu, theta.sigma))
+def ks_event(d_p: float, n: float) -> Event:
+    """The KS-type bands' event: `KsRegionC4.event` for every 0 < d_p < 1."""
+    d_p = check_probability(d_p, "d_p", open_interval=True)
+    t1, t_zero_lower, t2, t_zero_upper = c4_scale_limits(d_p)
+    return KsRegionC4(mu_hat=0.0, sigma_hat=1.0, d_p=d_p, trimmed=False, t_lo=t1, t_hi=t2,
+                      t_zero_lower=t_zero_lower, t_zero_upper=t_zero_upper).event(n)
 
 
 # ---------------------------------------------------------------------------

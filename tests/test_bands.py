@@ -17,8 +17,8 @@ from expbands.bands import (
     band_to_dict,
     coverage_indicator,
     default_grid,
+    event_probability,
     graph_contained,
-    ks_distance,
     ks_distance_grid,
     ks_distance_xy,
     marginal_band,
@@ -26,11 +26,12 @@ from expbands.bands import (
     reliability_band,
     trim_band,
 )
-from expbands.calibration import exact_dp, exact_p_of_tau
-from expbands.errors import DomainError
+from expbands.calibration import band_level, exact_cp, exact_dp, exact_p_of_tau, ks_cdf
+from expbands.errors import DomainError, UnsupportedCaseError
 from expbands.metrics import max_width
-from expbands.model import CensoringScheme, LocScale, MleEstimate, mle, simulate_mles, simulate_sample
-from expbands.regions import build_c1, build_c2, build_c3, build_c4, lower_slope, upper_slope
+from expbands.model import (CensoringScheme, GeneralizedScheme, LocScale, MleEstimate, mle,
+                            simulate_mles, simulate_sample)
+from expbands.regions import build_c1, build_c2, build_c3, build_c4, ks_slopes
 from expbands.streams import batch_generator
 
 LEVEL = 0.9025
@@ -152,11 +153,11 @@ class TestClosedFormBands:
 
 class TestKsDistance:
     def test_identical_parameters(self):
-        assert ks_distance(LocScale(0.0, 1.0)) == 0.0
+        assert ks_distance_xy(0.0, 1.0) == 0.0
 
     def test_pure_shift(self):
         for mu in (0.1, 0.7, 2.0):
-            assert ks_distance(LocScale(mu, 1.0)) == pytest.approx(
+            assert ks_distance_xy(mu, 1.0) == pytest.approx(
                 -math.expm1(-mu), abs=1e-12)
 
     def test_closed_form_equals_grid_supremum(self, rng):
@@ -188,10 +189,9 @@ def _envelope_oracle(est: MleEstimate, d_p: float, trimmed: bool, xs: np.ndarray
                         [region.t_lo, region.t_hi, region.t_zero_lower,
                          1.0 - d_p, 1.0 / (1.0 - d_p)]])
     t = t[(t >= region.t_lo) & (t <= region.t_hi)]
-    lo_slope = lower_slope(t, d_p)
+    lo_slope, hi_slope = ks_slopes(t, d_p)
     if trimmed:
         lo_slope = np.maximum(lo_slope, 0.0)
-    hi_slope = upper_slope(t, d_p)
     lower, upper = np.empty_like(xs), np.empty_like(xs)
     for i, x in enumerate(xs):
         beta = (x - est.mu_hat) / est.sigma_hat
@@ -512,6 +512,77 @@ class TestContainmentIdentities:
                      marginal_band(all_bands["b1"], fluid_scheme.gammas)):
             with pytest.raises(DomainError):
                 graph_contained(band, std_theta)
+
+
+# the bundled scheme, a complete sample, tied coefficients and m = 3, where
+# d_p >= 0.5 at the higher levels
+EVENT_SCHEMES = {"bundled": CensoringScheme(19, 8, (0, 0, 3, 0, 3, 0, 0, 5)),
+                 "complete8": CensoringScheme.complete(8),
+                 "tied-gammas": GeneralizedScheme((6.0, 6.0, 4.0, 4.0, 2.0)),
+                 "m3": CensoringScheme(6, 3, (0, 0, 3))}
+
+
+def _event_constants(scheme, level: float) -> dict:
+    # the exact constant of each kind at a level: c3's c_p, b3's c_p of band
+    # level `level`, the KS family's d_p
+    m, n = scheme.m, scheme.effective_n
+    return {None: {}, "c_p": {"c_p": exact_cp(m, 1.0 - level)},
+            "p_of_tau": {"c_p": exact_p_of_tau(m, level)[1]},
+            "d_p": {"d_p": exact_dp(m, n, 1.0 - level)}}
+
+
+class TestEventProbability:
+    @pytest.mark.parametrize("level", (0.5, LEVEL, 0.99))
+    @pytest.mark.parametrize("name", EVENT_SCHEMES)
+    def test_equals_calibration_identity(self, name, level):
+        # c1/c2 and their bands: the level; c3 at exact_cp: 1 - p; b3: its
+        # exact band level; the KS family: the pivot cdf at d_p
+        scheme = EVENT_SCHEMES[name]
+        m, n = scheme.m, scheme.effective_n
+        constants = _event_constants(scheme, level)
+        for kind, method in METHODS.items():
+            k = constants[method.constant]
+            if kind in ("c4p", "c4pp") and k["d_p"] >= 0.5:
+                with pytest.raises(UnsupportedCaseError):
+                    event_probability(kind, scheme, level, k)
+                continue
+            if method.constant == "p_of_tau":
+                identity = band_level(m, k["c_p"])
+            elif method.constant == "d_p":
+                identity = ks_cdf(m, n, k["d_p"])
+            else:
+                identity = level
+            got = event_probability(kind, scheme, level, k)
+            assert abs(got - identity) <= 1e-12, (kind, got, identity)
+
+    def test_m3_reaches_the_unbounded_sup_distance_regions(self):
+        assert exact_dp(3, 6, 1.0 - 0.99) >= 0.5 > exact_dp(3, 6, 0.5)
+
+    @pytest.mark.parametrize("kind", ("c2", "b3", "b4"))
+    def test_against_scipy_quad(self, fluid_scheme, kind):
+        # an independent oracle: scipy's Gamma(m-1)/m density times
+        # P(lo <= Z <= hi), integrated by QUADPACK between the event's edges
+        pytest.importorskip("scipy")
+        from scipy import integrate, stats
+        m = fluid_scheme.m
+        k = _event_constants(fluid_scheme, LEVEL)[METHODS[kind].constant]
+        interval, edges = METHODS[kind].event(fluid_scheme, LEVEL, k)
+        f_t = stats.gamma(m - 1, scale=1.0 / m).pdf
+
+        def integrand(t: float) -> float:
+            lo, hi = (float(np.asarray(v)) for v in interval(np.asarray(t)))
+            return float(f_t(t)) * max(math.exp(-max(lo, 0.0)) - math.exp(-max(hi, 0.0)), 0.0)
+
+        ends = sorted(set(edges))
+        oracle = sum(integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                     for a, b in zip(ends, ends[1:]))
+        assert event_probability(kind, fluid_scheme, LEVEL, k) == pytest.approx(oracle, abs=1e-10)
+
+    def test_events_need_their_constants(self, fluid_scheme):
+        with pytest.raises(DomainError):
+            event_probability("b4", fluid_scheme, LEVEL, {})
+        with pytest.raises(DomainError):
+            event_probability("b9", fluid_scheme, LEVEL, {"d_p": DP_PAPER})
 
 
 class TestReliability:

@@ -23,6 +23,7 @@ from expbands.errors import (
 from expbands.model import (
     IDENTITY,
     LOG,
+    VIEW_WIDTH,
     CensoringScheme,
     GeneralizedScheme,
     LocScale,
@@ -227,9 +228,8 @@ class TestSimulation:
             for a, b in zip(short, long):
                 assert np.array_equal(a, b[:short_reps])
 
-    # runs ending inside a pivot sampler's first 8,192-replicate view, at
-    # the edges of the first batch, and after 5 and 33 batches (the last
-    # holding 17 replicates)
+    # runs ending inside the first view, at the edges of the first batch,
+    # and after 5 and 33 batches (the last holding 17 replicates)
     @pytest.mark.parametrize("reps", (1, 4095, 4096, 4097, BATCH_SIZE - 1, BATCH_SIZE,
                                       BATCH_SIZE + 1, 4 * BATCH_SIZE + 17,
                                       32 * BATCH_SIZE + 17))
@@ -241,22 +241,13 @@ class TestSimulation:
             assert np.array_equal(a, b)
 
     def test_map_pivots_results_in_task_order(self):
-        # views of at most `width` replicates, cut at every batch edge
-        reps, width = 2 * BATCH_SIZE + 3, 3 * BATCH_SIZE // 4
-        bounds = map_pivots(8, reps, 1, lambda batch, z, t: (batch.start, batch.stop, z.size),
-                            width)
-        starts = (0, width, BATCH_SIZE, BATCH_SIZE + width, 2 * BATCH_SIZE)
-        stops = starts[1:] + (reps,)
-        assert bounds == [(a, b, b - a) for a, b in zip(starts, stops)]
-
-    def test_view_width_does_not_change_draws(self):
+        # views of VIEW_WIDTH replicates, which divides a batch, then the rest
         reps = 2 * BATCH_SIZE + 3
-
-        def pivots(width: int) -> tuple[np.ndarray, np.ndarray]:
-            views = map_pivots(8, reps, 4, lambda batch, z, t: (z.copy(), t.copy()), width)
-            return tuple(np.concatenate(parts) for parts in zip(*views))
-
-        assert all(np.array_equal(a, b) for a, b in zip(pivots(8192), pivots(BATCH_SIZE)))
+        bounds = map_pivots(8, reps, 1, lambda batch, z, t: (batch.start, batch.stop, z.size))
+        starts = tuple(range(0, reps, VIEW_WIDTH))
+        stops = starts[1:] + (reps,)
+        assert BATCH_SIZE % VIEW_WIDTH == 0 and len(starts) == 2 * BATCH_SIZE // VIEW_WIDTH + 1
+        assert bounds == [(a, b, b - a) for a, b in zip(starts, stops)]
 
     def test_worker_count_does_not_change_draws(self, pivot_pool):
         reps = 3 * BATCH_SIZE + 11

@@ -6,7 +6,7 @@ import pytest
 from expbands.bands import ks_distance_xy
 from expbands.calibration import calibrate_cp, tau_of_p
 from expbands.errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
-from expbands.model import LocScale, MleEstimate
+from expbands.model import MleEstimate
 from expbands.numerics import integrate
 from expbands.regions import (
     build_c1,
@@ -16,14 +16,10 @@ from expbands.regions import (
     comprehensive_convex_hull_delta_prob,
     cp_supremum,
     h_curve,
-    ks_slopes,
     lambert_interval,
-    lower_slope,
     region_from_dict,
-    region_membership,
     region_to_dict,
     split_level,
-    upper_slope,
 )
 
 LEVEL = 0.9025
@@ -106,7 +102,7 @@ class TestC3:
 
     def test_mu_above_estimate_excluded(self, fluid_est, fluid_scheme):
         region = build_c3(fluid_est, fluid_scheme, CP_PAPER)
-        assert not region_membership(region, LocScale(fluid_est.mu_hat + 1e-9, 10.0))
+        assert not region.contains(fluid_est.mu_hat + 1e-9, 10.0)
 
 
 class TestC4:
@@ -120,16 +116,6 @@ class TestC4:
             assert abs(h_curve(1.0 + 1e-6, d)) <= 1e-4
             assert abs(h_curve(1.0 - 1e-6, d)) <= 1e-4
             assert h_curve(1.0, d) == 0.0
-
-    @pytest.mark.parametrize("d", (0.05, DP_PAPER, 0.5056, 0.9))
-    def test_ks_slopes_bit_identical_to_one_sided_slopes(self, d):
-        ts = (1e-12, 1.0 - d, 1.0, 1.0 / (1.0 - d), 1e6)
-        lo, hi = ks_slopes(np.array(ts), d)
-        assert lo.tobytes() == lower_slope(np.array(ts), d).tobytes()
-        assert hi.tobytes() == upper_slope(np.array(ts), d).tobytes()
-        for t in ts:
-            lo, hi = ks_slopes(t, d)
-            assert (lo.hex(), hi.hex()) == (lower_slope(t, d).hex(), upper_slope(t, d).hex())
 
     def test_membership_equals_ks_oracle(self, fluid_est, rng):
         region = build_c4(fluid_est, DP_PAPER)
@@ -267,6 +253,17 @@ class TestFeasibilityBound:
             with pytest.raises(InfeasibleLevelError):
                 lambert_interval(m, c)
         lambert_interval(m, cp_supremum(m) - 1e-9)
+
+
+@pytest.mark.parametrize("t", (0.3, 0.9, 1.0, 1.3, 9.0))
+def test_interval_of_a_float_equals_its_array_form(fluid_est, fluid_scheme, t):
+    # a scale ratio given as a Python float takes the same branch of each end
+    c3 = build_c3(fluid_est, fluid_scheme, CP_PAPER)
+    for interval in (build_c1(fluid_est, fluid_scheme, P).interval,
+                     build_c2(fluid_est, fluid_scheme, P).interval, c3.interval,
+                     c3.hull_interval, build_c4(fluid_est, DP_PAPER, trimmed=True).slopes):
+        for end, ends in zip(interval(t), interval(np.array([t]))):
+            assert float(end) == float(np.broadcast_to(ends, (1,))[0])
 
 
 class TestEquivarianceAndExport:
