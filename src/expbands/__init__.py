@@ -50,7 +50,6 @@ from .model import (
     MonotoneTransform,
     ProgressiveSample,
     g_transform,
-    gammas,
     load_insulating_fluid,
     mle,
     read_sample_csv,

@@ -238,19 +238,14 @@ class Band:
 def band_b1(est: MleEstimate, scheme: Scheme, p: float) -> Band:
     """Band induced by the scale-cut trapezoid; exact level 1-p."""
     region = build_c1(est, scheme, p)
-    mu_hat, n = est.mu_hat, scheme.effective_n
-    s_lo, s_hi = region.sigma_lo, region.sigma_hi
-
-    def loc(q: float, sigma: float) -> float:
-        return mu_hat + sigma * math.log(q) / n
-
+    loc, s_lo, s_hi = region.location_edge, region.sigma_lo, region.sigma_hi
     lower = PiecewiseBoundary(
         (ExpCdfSegment(loc(region.q2, s_lo), s_lo), ExpCdfSegment(loc(region.q2, s_hi), s_hi)),
-        breaks=(mu_hat,))
+        breaks=(est.mu_hat,))
     upper = PiecewiseBoundary(
         (ExpCdfSegment(loc(region.q1, s_hi), s_hi), ExpCdfSegment(loc(region.q1, s_lo), s_lo)),
-        breaks=(mu_hat,))
-    prov = {"mu_hat": est.mu_hat, "sigma_hat": est.sigma_hat, "m": scheme.m, "n": n,
+        breaks=(est.mu_hat,))
+    prov = {"mu_hat": est.mu_hat, "sigma_hat": est.sigma_hat, "m": scheme.m, "n": region.n,
             "q1": region.q1, "q2": region.q2}
     return Band("b1", lower, upper, level=1.0 - p, provenance=prov)
 
@@ -260,18 +255,14 @@ def band_b2(est: MleEstimate, scheme: Scheme, p: float) -> Band:
     region = build_c2(est, scheme, p)
     m, n = scheme.m, scheme.effective_n
     split = est.mu_hat + m * est.sigma_hat / n
-    mu_lo, mu_hi = region.mu_lo, region.mu_hi
-
-    def scale(chi2: float, mu: float) -> float:
-        return 2.0 * (n * (est.mu_hat - mu) + m * est.sigma_hat) / chi2
-
+    mu_lo, mu_hi, scale = region.mu_lo, region.mu_hi, region.scale_edge
     lower = PiecewiseBoundary(
-        (ExpCdfSegment(mu_hi, scale(region.chi2_q1, mu_hi)),
-         ExpCdfSegment(mu_lo, scale(region.chi2_q1, mu_lo))),
+        (ExpCdfSegment(mu_hi, scale(region.q1, mu_hi)),
+         ExpCdfSegment(mu_lo, scale(region.q1, mu_lo))),
         breaks=(split,))
     upper = PiecewiseBoundary(
-        (ExpCdfSegment(mu_lo, scale(region.chi2_q2, mu_lo)),
-         ExpCdfSegment(mu_hi, scale(region.chi2_q2, mu_hi))),
+        (ExpCdfSegment(mu_lo, scale(region.q2, mu_lo)),
+         ExpCdfSegment(mu_hi, scale(region.q2, mu_hi))),
         breaks=(split,))
     prov = {"mu_hat": est.mu_hat, "sigma_hat": est.sigma_hat, "m": m, "n": n,
             "q1": region.q1, "q2": region.q2}

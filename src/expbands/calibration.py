@@ -55,7 +55,7 @@ class CalibrationKey:
     `reps` and `seed` size a Monte-Carlo estimate; both are None for an
     exact constant."""
 
-    kind: str       # "c_p" | "d_p" | "tau" | "p_of_tau"
+    kind: str       # "c_p" | "d_p" | "p_of_tau"
     m: int
     n: int
     level: float
@@ -63,7 +63,7 @@ class CalibrationKey:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("c_p", "d_p", "tau", "p_of_tau"):
+        if self.kind not in ("c_p", "d_p", "p_of_tau"):
             raise DomainError(f"unknown calibration kind {self.kind!r}")
         if self.reps is not None and self.reps < 1:
             raise DomainError("reps must be >= 1")
@@ -202,8 +202,6 @@ def cp_tail(m: int, c: float) -> float:
     G(v+) - G(v-) - e^c m^(m+1) / (2 Gamma(m-1)) (v-^-2 - v+^-2), G the
     Gamma(m-1) cdf; 0 at and above the pivot's supremum.
     """
-    if m < 2:
-        raise DomainError("need m >= 2")
     if not c < cp_supremum(m):
         return 0.0
     if _level_is_one(m, c):
@@ -349,10 +347,8 @@ def _compute_exact(key: CalibrationKey) -> CalibrationResult:
         value = exact_cp(key.m, key.level)
     elif key.kind == "d_p":
         value = exact_dp(key.m, key.n, key.level)
-    elif key.kind == "p_of_tau":
-        value, extra["c"] = exact_p_of_tau(key.m, key.level)
     else:
-        raise CalibrationError(f"cannot compute kind {key.kind!r} from a key alone")
+        value, extra["c"] = exact_p_of_tau(key.m, key.level)
     return CalibrationResult(value=value, mc_std_error=0.0, key=key, extra=extra)
 
 

@@ -344,10 +344,9 @@ def cmd_coverage(args, cfg) -> int:
 def cmd_simulate(args, cfg) -> int:
     n, m = int(args.n), int(args.m)
     if args.removals:
-        removals = tuple(int(r) for r in args.removals.split(","))
+        scheme = CensoringScheme(n, m, tuple(int(r) for r in args.removals.split(",")))
     else:
-        removals = (0,) * (m - 1) + (n - m,)
-    scheme = CensoringScheme(n=n, m=m, removals=removals)
+        scheme = CensoringScheme.type2_right(n, m)
     theta = LocScale(float(args.mu), float(args.sigma))
     rng = batch_generator(substream(cfg["seed"], "simulate"), 0)
     sample = simulate_sample(theta, scheme, rng)
@@ -357,7 +356,7 @@ def cmd_simulate(args, cfg) -> int:
     _write_json(outdir / "sample_meta.json", {
         "metadata": _metadata(cfg, "simulate"),
         "theta": {"mu": theta.mu, "sigma": theta.sigma},
-        "scheme": {"n": n, "m": m, "removals": list(removals)}})
+        "scheme": {"n": n, "m": m, "removals": list(scheme.removals)}})
     print(f"wrote {outdir / 'sample.csv'}")
     return EXIT_OK
 

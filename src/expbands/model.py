@@ -1,8 +1,8 @@
 """Progressively type-II censored experiments under the two-parameter
 exponential model: schemes and their risk-set coefficients, maximum
 likelihood and UMVU estimation, sample simulation, the threaded pivot
-sampler every Monte-Carlo draw comes from (`map_pivots`), and monotone data
-transforms for related location-scale families (e.g. Pareto via log).
+sampler every Monte-Carlo draw comes from (`map_pivots`), and the identity
+and log data transforms (the log one reduces Pareto data to this model).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import csv
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -119,11 +119,6 @@ class GeneralizedScheme:
 
 
 Scheme = CensoringScheme | GeneralizedScheme
-
-
-def gammas(scheme: Scheme) -> tuple[float, ...]:
-    """Risk-set coefficients gamma_j of a scheme."""
-    return scheme.gammas
 
 
 @dataclass(frozen=True)
@@ -297,55 +292,31 @@ def simulate_mles(theta: LocScale, scheme: Scheme, replicates: int,
 
 @dataclass(frozen=True)
 class MonotoneTransform:
-    """Strictly increasing map applied elementwise before estimation.
-
-    kind "identity" and "log" are closed-form; kind "table" interpolates a
-    user-supplied strictly increasing table of (x, g(x)) pairs linearly and
-    is invertible on its range.
-    """
+    """Strictly increasing closed-form map applied elementwise before
+    estimation: kind "identity", or "log", which makes Pareto data
+    two-parameter exponential."""
 
     kind: str
-    table_x: tuple[float, ...] = field(default=())
-    table_y: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
-        if self.kind not in ("identity", "log", "table"):
+        if self.kind not in ("identity", "log"):
             raise InvalidTransformError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "table":
-            xs, ys = self.table_x, self.table_y
-            if len(xs) < 2 or len(xs) != len(ys):
-                raise InvalidTransformError("table transform needs >= 2 (x, y) pairs")
-            if any(b <= a for a, b in zip(xs, xs[1:])) or any(b <= a for a, b in zip(ys, ys[1:])):
-                raise InvalidTransformError("table transform must be strictly increasing")
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
         if self.kind == "identity":
             out = x.copy()
-        elif self.kind == "log":
+        else:
             if np.any(x <= 0):
                 raise InvalidTransformError("log transform requires positive data")
             out = np.log(x)
-        else:
-            if np.any(x < self.table_x[0]) or np.any(x > self.table_x[-1]):
-                raise InvalidTransformError("data outside the transform table range")
-            out = np.interp(x, self.table_x, self.table_y)
         return out if out.ndim else float(out)
 
     def invert(self, y):
         """Back-transform band x-coordinates to the original scale."""
         y = np.asarray(y, dtype=float)
-        if self.kind == "identity":
-            out = y.copy()
-        elif self.kind == "log":
-            out = np.exp(y)
-        else:
-            out = np.interp(y, self.table_y, self.table_x)
+        out = y.copy() if self.kind == "identity" else np.exp(y)
         return out if out.ndim else float(out)
-
-
-IDENTITY = MonotoneTransform("identity")
-LOG = MonotoneTransform("log")
 
 
 def g_transform(sample: ProgressiveSample, g: MonotoneTransform) -> ProgressiveSample:

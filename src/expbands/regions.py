@@ -41,9 +41,10 @@ from .special import (
 
 def split_level(p: float) -> tuple[float, float]:
     """Uniform allocation of an overall level 1-p to two pivots and their
-    tails: q1 = (1 - sqrt(1-p))/2 and q2 = 1 - q1."""
+    tails: q1 = (1 - sqrt(1-p))/2, written p/(2(1 + sqrt(1-p))) so that it
+    keeps its digits as p -> 0, and q2 = 1 - q1."""
     p = check_probability(p, "p", open_interval=True)
-    q1 = (1.0 - math.sqrt(1.0 - p)) / 2.0
+    q1 = p / (2.0 * (1.0 + math.sqrt(1.0 - p)))
     return q1, 1.0 - q1
 
 
@@ -183,7 +184,9 @@ class TrapezoidRegionC1(_PivotRegion):
         return 2.0 * self.m * self.sigma_hat / self.chi2_q1
 
     def location_edge(self, q: float, sigma):
-        return self.mu_hat + np.asarray(sigma) * math.log(q) / self.n
+        """The location edge mu_hat + sigma ln(q)/n at quantile q1 or q2."""
+        out = self.mu_hat + np.asarray(sigma) * math.log(q) / self.n
+        return out if out.ndim else float(out)
 
     def contains(self, mu, sigma):
         # in (mu, sigma), so that the corners are members exactly
@@ -229,8 +232,10 @@ class TrapezoidRegionC2(_PivotRegion):
         return self.mu_hat - self.m * self.sigma_hat * self.f_q2 / ((self.m - 1) * self.n)
 
     def scale_edge(self, q: float, mu):
+        """The scale edge 2(n(mu_hat - mu) + m sigma_hat)/chi2_q at q1 or q2."""
         x = self.chi2_q1 if q == self.q1 else self.chi2_q2
-        return 2.0 * (self.n * (self.mu_hat - np.asarray(mu)) + self.m * self.sigma_hat) / x
+        out = 2.0 * (self.n * (self.mu_hat - np.asarray(mu)) + self.m * self.sigma_hat) / x
+        return out if out.ndim else float(out)
 
     def interval(self, t):
         """The location cuts are rays Z = a f T, a = m/(m-1), and the scale
@@ -346,7 +351,7 @@ def build_c2(est: MleEstimate, scheme: Scheme, p: float) -> TrapezoidRegionC2:
     return TrapezoidRegionC2(
         mu_hat=est.mu_hat, sigma_hat=est.sigma_hat, n=scheme.effective_n, m=m,
         q1=q1, q2=q2,
-        f_q1=f_quantile(q1, 2, 2 * m - 2), f_q2=f_quantile(q2, 2, 2 * m - 2),
+        f_q1=f_quantile(q1, 2 * m - 2), f_q2=f_quantile(q2, 2 * m - 2),
         chi2_q1=chi2_quantile(q1, 2 * m), chi2_q2=chi2_quantile(q2, 2 * m))
 
 
@@ -354,7 +359,9 @@ def cp_supremum(m: int) -> float:
     """Supremum (m+1)(ln((m+1)/m) - 1) of the log-likelihood pivot
     (m+1) ln(V/m) - V, attained at V = m+1. The minimum-area region is
     nonempty, and the Lambert W argument of its scale range at least -1/e,
-    exactly for constants c_p below it."""
+    exactly for constants c_p below it. Raises DomainError for m < 2."""
+    if m < 2:
+        raise DomainError("need m >= 2")
     return (m + 1.0) * (math.log((m + 1.0) / m) - 1.0)
 
 
@@ -456,8 +463,6 @@ def comprehensive_convex_hull_delta_prob(m: int, c_p: float,
     Serves as the independent oracle for the closed-form excess
     tau - (1 - p) of the induced band's exact level.
     """
-    if m < 2:
-        raise DomainError("need m >= 2")
     _, _, y, z = lambert_interval(m, c_p)
 
     def outer(v: float) -> float:

@@ -1,13 +1,15 @@
 """Self-contained special functions: the regularized incomplete gamma
-function, chi-square quantiles, F(2, k) quantiles in closed form, and both
-real branches of the Lambert W function.
+function, chi-square quantiles, F(2, k) quantiles in closed form, and the
+two real branches of the Lambert W function on [-1/e, 0].
 
 Everything here is scalar float arithmetic built on the math module, in the
 style of the classic Cephes routines. Shapes are general positive reals even
 though the package only ever calls with integer and half-integer shapes.
-All functions are pure; gamma and chi-square quantiles are found by
-bracketed bisection refined with Newton steps (tolerance 1e-12 absolute or relative, whichever is
-larger), which is cheap since they are computed once per calibration.
+All functions are pure. Gamma and chi-square quantiles are Brent roots
+(`numerics.brent_root`) of the incomplete gamma function, to a few ulps,
+on a bracket doubled upward; F quantiles have numerator degrees of freedom
+2, the only ones the pivots need. The Lambert W branches cover the
+arguments of the minimum-area region's scale range, -1/e <= x <= 0.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError, NumericError, UnsupportedCaseError
+from .errors import DomainError, NumericError
+from .numerics import brent_root
 
 _MACHEP = 2.220446049250313e-16
-_QUANTILE_TOL = 1e-12
 _MAX_LAMBERT_ITER = 50
 _INV_E = math.exp(-1.0)
 
@@ -117,33 +119,12 @@ def gamma_quantile(shape: float, q: float) -> float:
     q = check_probability(q, "quantile level", open_interval=True)
     if shape <= 0:
         raise DomainError(f"gamma shape must be positive, got {shape}")
-    lo, hi = 0.0, max(shape, 1.0)
+    hi = max(shape, 1.0)
     while gamma_cdf(shape, hi) < q:
         hi *= 2.0
         if hi > 1e300:
             raise NumericError("gamma quantile bracket blew up")
-    # bisect until tight, then polish with Newton on log-safe ground
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if gamma_cdf(shape, mid) < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _QUANTILE_TOL * max(1.0, hi):
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        pdf = math.exp(gamma_logpdf(shape, x)) if x > 0 else 0.0
-        if pdf <= 0.0:
-            break
-        step = (gamma_cdf(shape, x) - q) / pdf
-        x_new = x - step
-        if not lo <= x_new <= hi:
-            break
-        x = x_new
-        if abs(step) <= _QUANTILE_TOL * max(1.0, abs(x)):
-            break
-    return x
+    return brent_root(lambda x: gamma_cdf(shape, x) - q, 0.0, hi, xtol=0.0)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -154,26 +135,17 @@ def chi2_quantile(beta: float, k: int) -> float:
     return 2.0 * gamma_quantile(0.5 * k, beta)
 
 
-def chi2_cdf(x: float, k: int) -> float:
-    k = check_degrees_of_freedom(k)
-    return gamma_cdf(0.5 * k, 0.5 * x)
-
-
 # ---------------------------------------------------------------------------
 # F quantiles
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1024)
-def f_quantile(beta: float, k1: int, k2: int) -> float:
-    """beta-quantile of the F(k1, k2) distribution for k1 = 2, the only
-    numerator degrees of freedom the pivots need: the closed form
-    (k2/2) * ((1-beta)^(-2/k2) - 1). Other k1 raise UnsupportedCaseError.
-    """
+def f_quantile(beta: float, k2: int) -> float:
+    """beta-quantile of the F(2, k2) distribution, the only numerator degrees
+    of freedom the pivots need: the closed form (k2/2) ((1-beta)^(-2/k2) - 1),
+    written with log1p and expm1 so that it keeps its digits as beta -> 0."""
     beta = check_probability(beta, "beta", open_interval=True)
     k2 = check_degrees_of_freedom(k2, "k2")
-    if k1 != 2:
-        raise UnsupportedCaseError(f"F quantiles are implemented for k1 = 2 only, got k1={k1}")
-    return 0.5 * k2 * ((1.0 - beta) ** (-2.0 / k2) - 1.0)
+    return 0.5 * k2 * math.expm1(-(2.0 / k2) * math.log1p(-beta))
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +182,17 @@ def _branch_point_series(x: float, sign: float) -> float:
 
 
 def lambert_w0(x: float) -> float:
-    """Principal branch W0: the solution w >= -1 of w*exp(w) = x, x >= -1/e."""
+    """Principal branch W0: the solution -1 <= w <= 0 of w*exp(w) = x, for
+    -1/e <= x <= 0."""
     x = float(x)
-    if math.isnan(x) or x < -_INV_E - 1e-15:
-        raise DomainError(f"lambert_w0 requires x >= -1/e, got {x}")
+    if math.isnan(x) or x < -_INV_E - 1e-15 or x > 0.0:
+        raise DomainError(f"lambert_w0 requires -1/e <= x <= 0, got {x}")
     if x == 0.0:
         return 0.0
     if x < -_INV_E + 1e-4:
         w = _branch_point_series(max(x, -_INV_E), +1.0)
-    elif x < 0.0:
-        w = x * (1.0 - x)       # inside Halley's basin on (-1/e, 0)
-    elif x <= math.e:
-        w = math.log1p(x)       # mild overestimate, safely in the basin
     else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
+        w = x * (1.0 - x)       # inside Halley's basin on (-1/e, 0)
     w = max(w, -1.0)
     return _halley(max(x, -_INV_E), w, 0)
 

@@ -259,6 +259,13 @@ class TestCalibrateCoverageSimulate:
         assert _run("calibrate", "--kind", "dp", "--m", "8",
                     "--output-dir", tmp_path) == 3
 
+    @pytest.mark.parametrize("kind", ("cp", "tau", "p-of-tau"))
+    @pytest.mark.parametrize("m", (-1, 0, 1))
+    def test_calibrate_needs_two_failures(self, tmp_path, kind, m):
+        # a typed domain error (exit 3), not a ZeroDivisionError or a math
+        # domain error from the pivot's supremum
+        assert _run("calibrate", "--kind", kind, "--m", m, "--output-dir", tmp_path) == 3
+
     def test_calibrate_tau(self, tmp_path):
         assert _run("calibrate", "--kind", "tau", "--m", "8", "--level", "0.9",
                     "--reps", "200000", "--output-dir", tmp_path) == 0

@@ -21,8 +21,6 @@ from expbands.errors import (
     ParseError,
 )
 from expbands.model import (
-    IDENTITY,
-    LOG,
     VIEW_WIDTH,
     CensoringScheme,
     GeneralizedScheme,
@@ -30,7 +28,6 @@ from expbands.model import (
     MonotoneTransform,
     ProgressiveSample,
     g_transform,
-    gammas,
     load_insulating_fluid,
     map_pivots,
     mle,
@@ -47,7 +44,6 @@ from expbands.streams import BATCH_SIZE, batch_generator
 class TestScheme:
     def test_table4_gammas(self, fluid_scheme):
         assert fluid_scheme.gammas == (19.0, 18.0, 17.0, 13.0, 12.0, 8.0, 7.0, 6.0)
-        assert gammas(fluid_scheme) == fluid_scheme.gammas
 
     def test_complete_sample(self):
         scheme = CensoringScheme.complete(6)
@@ -370,36 +366,33 @@ class TestSimulation:
 
 class TestTransforms:
     def test_identity(self, fluid_sample):
-        assert g_transform(fluid_sample, IDENTITY).x == fluid_sample.x
+        assert g_transform(fluid_sample, MonotoneTransform("identity")).x == fluid_sample.x
 
     def test_log_small_example(self):
         sample = ProgressiveSample(CensoringScheme(3, 3, (0, 0, 0)),
                                    (1.0, math.e, math.e ** 2))
-        assert g_transform(sample, LOG).x == pytest.approx((0.0, 1.0, 2.0), abs=1e-15)
+        assert g_transform(sample, MonotoneTransform("log")).x == pytest.approx(
+            (0.0, 1.0, 2.0), abs=1e-15)
 
     def test_pareto_reduces_to_exponential_of_logs(self, fluid_scheme, rng):
         exp_sample = simulate_sample(LocScale(0.5, 2.0), fluid_scheme, rng)
         pareto = ProgressiveSample(fluid_scheme, tuple(math.exp(v) for v in exp_sample.x))
-        est_transf = mle(g_transform(pareto, LOG))
+        est_transf = mle(g_transform(pareto, MonotoneTransform("log")))
         est_direct = mle(ProgressiveSample(fluid_scheme,
                                            tuple(math.log(v) for v in pareto.x)))
         assert est_transf == est_direct
 
-    def test_table_transform_roundtrip(self):
-        g = MonotoneTransform("table", table_x=(0.0, 1.0, 2.0), table_y=(0.0, 10.0, 40.0))
-        assert g.apply(0.5) == 5.0
-        assert g.invert(25.0) == 1.5
-
     def test_non_monotone_table_rejected(self):
+        # "table" is no transform kind: only closed forms are left
         with pytest.raises(InvalidTransformError):
-            MonotoneTransform("table", table_x=(0.0, 1.0, 2.0), table_y=(0.0, 5.0, 4.0))
+            MonotoneTransform("table")
         with pytest.raises(InvalidTransformError):
             MonotoneTransform("bogus")
 
     def test_log_requires_positive(self, fluid_scheme):
         sample = ProgressiveSample(fluid_scheme, (-1.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
         with pytest.raises(InvalidTransformError):
-            g_transform(sample, LOG)
+            g_transform(sample, MonotoneTransform("log"))
 
 
 class TestCsv:

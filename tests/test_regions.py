@@ -34,6 +34,23 @@ def test_split_level_uniform_allocation():
     assert q2 == pytest.approx(0.975, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", (0.5, 0.0975, 1e-6, 1e-12))
+def test_split_level_keeps_its_digits_as_p_falls(p):
+    # 4 q1 (1 - q1) = p: (1 - sqrt(1-p))/2 cancels, losing all digits at p = 1e-12
+    q1, q2 = split_level(p)
+    assert abs(4.0 * q1 * (1.0 - q1) - p) <= 4.0 * math.ulp(p)
+    assert q2 == 1.0 - q1
+
+
+def test_trapezoid_edges_keep_the_argument_type(fluid_est, fluid_scheme):
+    # the bands build their segments from these edges on floats
+    c1, c2 = build_c1(fluid_est, fluid_scheme, P), build_c2(fluid_est, fluid_scheme, P)
+    assert type(c1.location_edge(c1.q1, 2.0)) is float
+    assert type(c2.scale_edge(c2.q2, 0.5)) is float
+    assert c1.location_edge(c1.q1, np.array([1.0, 2.0])).shape == (2,)
+    assert c2.scale_edge(c2.q2, np.array([0.5])).shape == (1,)
+
+
 class TestC1:
     def test_corner_membership(self, fluid_est, fluid_scheme):
         region = build_c1(fluid_est, fluid_scheme, P)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from expbands.errors import DomainError, UnsupportedCaseError
+from expbands.errors import DomainError
+from expbands.regions import split_level
 from expbands.special import (
-    chi2_cdf,
     chi2_quantile,
     f_quantile,
     gamma_cdf,
@@ -18,7 +18,6 @@ from expbands.special import (
 GAMMA_CDF_7_7 = 0.5502889441513011      # Erlang sum: 1 - e^-7 sum_{k<7} 7^k/k!
 CHI2_Q_975_14 = 26.118948045037357      # bisection on gamma_cdf
 F_Q_975_2_14 = 4.856697860675169        # closed form 7*((0.025)^(-1/7) - 1)
-OMEGA = 0.5671432904097838              # Newton iteration on w*e^w = 1
 
 
 class TestGammaCdf:
@@ -68,7 +67,7 @@ class TestChi2Quantile:
     @pytest.mark.parametrize("k", [1, 2, 5, 14, 16])
     def test_cdf_quantile_roundtrip(self, k):
         for beta in np.arange(0.01, 1.0, 0.01):
-            assert chi2_cdf(chi2_quantile(beta, k), k) == pytest.approx(beta, abs=1e-9)
+            assert gamma_cdf(0.5 * k, 0.5 * chi2_quantile(beta, k)) == pytest.approx(beta, abs=1e-9)
 
     def test_monotone_in_beta(self):
         betas = np.linspace(0.01, 0.99, 50)
@@ -86,11 +85,11 @@ class TestChi2Quantile:
 class TestFQuantile:
     def test_median_2_2(self):
         # the F(2,2) ratio is symmetric under inversion, so the median is 1
-        assert f_quantile(0.5, 2, 2) == pytest.approx(1.0, abs=1e-10)
+        assert f_quantile(0.5, 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_closed_form_upper_quantile(self):
         assert 7.0 * ((0.025) ** (-1.0 / 7.0) - 1.0) == pytest.approx(F_Q_975_2_14, abs=1e-14)
-        assert f_quantile(0.975, 2, 14) == pytest.approx(F_Q_975_2_14, abs=1e-10)
+        assert f_quantile(0.975, 14) == pytest.approx(F_Q_975_2_14, abs=1e-10)
 
     def test_monte_carlo_ratio_oracle(self, rng):
         # F(2,14) as a ratio of scaled chi-squares
@@ -99,14 +98,10 @@ class TestFQuantile:
         den = rng.standard_exponential((reps, 7)).sum(axis=1) * 2.0 / 14.0
         draws = np.sort(num / den)
         mc = draws[int(math.ceil(0.975 * reps)) - 1]
-        assert f_quantile(0.975, 2, 14) == pytest.approx(mc, abs=0.06)
-
-    def test_numerator_df_other_than_two_unsupported(self):
-        with pytest.raises(UnsupportedCaseError):
-            f_quantile(0.5, 3, 7)
+        assert f_quantile(0.975, 14) == pytest.approx(mc, abs=0.06)
 
     def test_upper_tail_blows_up(self):
-        assert f_quantile(1.0 - 1e-9, 2, 4) > 1e3
+        assert f_quantile(1.0 - 1e-9, 4) > 1e3
 
 
 class TestLambertW:
@@ -118,17 +113,8 @@ class TestLambertW:
         assert lambert_w0(x) == pytest.approx(-1.0, abs=1e-7)
         assert lambert_wm1(x) == pytest.approx(-1.0, abs=1e-7)
 
-    def test_omega_constant(self):
-        # independent Newton iteration oracle for W0(1)
-        w = 1.0
-        for _ in range(100):
-            w -= (w * math.exp(w) - 1.0) / (math.exp(w) * (1.0 + w))
-        assert w == pytest.approx(OMEGA, abs=1e-15)
-        assert lambert_w0(1.0) == pytest.approx(OMEGA, abs=1e-12)
-
     def test_roundtrip_w0(self):
-        for x in np.concatenate([np.linspace(-math.exp(-1) + 1e-12, 0.0, 300),
-                                 np.geomspace(1e-6, 1e6, 300)]):
+        for x in np.linspace(-math.exp(-1) + 1e-12, 0.0, 300):
             w = lambert_w0(x)
             assert abs(w * math.exp(w) - x) <= 1e-10 * max(1.0, abs(x))
 
@@ -145,6 +131,8 @@ class TestLambertW:
         with pytest.raises(DomainError):
             lambert_w0(-0.5)
         with pytest.raises(DomainError):
+            lambert_w0(1e-300)   # the principal branch is kept on [-1/e, 0]
+        with pytest.raises(DomainError):
             lambert_wm1(0.1)
         with pytest.raises(DomainError):
             lambert_wm1(-1.0)
@@ -155,3 +143,54 @@ def test_gamma_quantile_roundtrip():
         for q in (0.01, 0.3, 0.9, 0.999):
             x = gamma_quantile(shape, q)
             assert gamma_cdf(shape, x) == pytest.approx(q, abs=1e-10)
+
+
+# independent oracles: scipy and mpmath are test-only, so each check skips
+# where they are not installed; every tolerance sits above the measured error
+def _production_chi2_levels():
+    # both split-level quantiles of each level, at 2m-2 and 2m degrees of freedom
+    for m in (2, 3, 5, 8, 13, 20, 50, 100, 200):
+        for level in (0.5, 0.9, 0.9025, 0.95, 0.99, 0.999, 0.9999, 0.99999, 0.999999):
+            for q in split_level(1.0 - level):
+                yield q, 2 * m - 2
+                yield q, 2 * m
+
+
+class TestIndependentOracles:
+    def test_gamma_cdf_against_scipy(self):
+        sp = pytest.importorskip("scipy.special")
+        for a in (1.0, 1.5, 2.0, 3.5, 7.0, 12.5, 25.0, 49.5, 99.0, 150.0, 199.0, 200.0):
+            for x in np.union1d(np.geomspace(1e-6, 2e3, 80), a * np.linspace(0.5, 1.5, 21)):
+                ref = sp.gammainc(a, x)
+                if ref < 0.5:   # measured 2.3e-13 relative
+                    assert gamma_cdf(a, x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+                else:           # measured 5.0e-14 absolute
+                    assert gamma_cdf(a, x) == pytest.approx(ref, rel=0.0, abs=1e-13)
+
+    def test_chi2_quantile_against_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for q, k in _production_chi2_levels():
+            # ppf below the median, isf above it, so the tail keeps its digits
+            ref = stats.chi2.ppf(q, k) if q < 0.5 else stats.chi2.isf(1.0 - q, k)
+            assert chi2_quantile(q, k) == pytest.approx(ref, rel=5e-11)   # measured 9.5e-12
+
+    def test_f_quantile_against_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for k in (2, 4, 14, 98, 389, 398):
+            for beta in (1e-12, 1e-10, 2.5e-7, 1e-3, 0.025, 0.5, 0.975, 0.999999):
+                assert f_quantile(beta, k) == pytest.approx(stats.f.ppf(beta, 2, k), rel=1e-14)
+
+    def test_lambert_branches_against_mpmath(self):
+        # mpmath, not scipy, for branch -1: scipy's lambertw(x, -1) at
+        # x = -0.3678794393699223 gives -1.0000000147 against -1.0000989683
+        mpmath = pytest.importorskip("mpmath")
+        gap = np.concatenate([np.geomspace(1e-16, 1e-8, 40),
+                              np.geomspace(1e-8, math.exp(-1), 200)])
+        xs = np.concatenate([-math.exp(-1) + gap, -np.geomspace(1e-300, 1e-2, 60)])
+        for x in (float(v) for v in xs if v < 0.0):
+            # e x + 1 cancels next to -1/e: measured 2.7e-9 there, 4.6e-13 elsewhere
+            tol = 1e-12 if x + math.exp(-1) >= 1e-8 else 1e-8
+            for branch, w in ((0, lambert_w0), (-1, lambert_wm1)):
+                with mpmath.workdps(30):
+                    ref = float(mpmath.lambertw(x, branch).real)
+                assert w(x) == pytest.approx(ref, rel=tol)
