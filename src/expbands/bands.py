@@ -35,7 +35,7 @@ import numpy as np
 
 from .calibration import interval_probability, tau_of_p
 from .errors import DomainError, NumericError
-from .model import LocScale, MleEstimate, Scheme
+from .model import LocScale, MleEstimate, Scheme, _std_cdf
 from .numerics import brent_root
 from .regions import (
     Event,
@@ -57,11 +57,6 @@ from .special import check_probability
 # ---------------------------------------------------------------------------
 # boundary segments
 # ---------------------------------------------------------------------------
-
-def _std_cdf(z):
-    # the standard exponential cdf, 0 below 0
-    return -np.expm1(-np.maximum(z, 0.0))
-
 
 @dataclass(frozen=True)
 class ExpCdfSegment:

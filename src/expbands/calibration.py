@@ -10,11 +10,10 @@ Newton root find over a panel quadrature that gives the density too.
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Both pivots are functions of the
 independent pair Z ~ Exp(1) and T ~ Gamma(m-1)/m, so every draw is one
-formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, one
-`model.map_pivots` view per call, to the contiguous Z and T arrays that
-`model.map_pivots` draws on its thread pool (per batch, one
-`standard_exponential` call for Z and one `standard_gamma(m-1)`/m call for
-T, each on its own stream).
+formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, one half
+batch at a time, to the contiguous Z and T arrays that `model.map_pivots`
+draws on its thread pool (per batch, one `standard_exponential` call for Z
+and one `standard_gamma(m-1)`/m call for T, each on its own stream).
 Quantiles are order statistics taken by selection (`ndarray.partition`),
 not by a full sort, except along the level inversion, which reads the
 whole quantile curve. Every Monte-Carlo result carries a sectioning
@@ -44,6 +43,7 @@ from .model import check_replicates, map_pivots
 from .numerics import brent_root, integrate_panels, newton_root
 from .regions import Event, cp_pivot, cp_supremum, ks_distance_xy, ks_event, lambert_interval
 from .special import check_probability, gamma_cdf
+from .streams import BATCH_SIZE
 
 _SECTIONS = 100
 
@@ -109,11 +109,14 @@ def _section_std_error(draws: np.ndarray, q: float) -> float:
 
 
 def _draw(m: int, reps: int, seed: int, pivot) -> np.ndarray:
-    # pivot(z, t) on every view of `map_pivots`, in replicate order
+    # pivot(z, t) on every batch of `map_pivots`, in replicate order, half a
+    # batch at a time: the formulas' temporaries set the samplers' peak memory
     out = np.empty(check_replicates(reps))
+    half = BATCH_SIZE // 2
 
     def fill(batch: slice, z: np.ndarray, t: np.ndarray) -> None:
-        out[batch] = pivot(z, t)
+        for i in range(0, z.size, half):
+            out[batch][i:i + half] = pivot(z[i:i + half], t[i:i + half])
 
     map_pivots(m, reps, seed, fill)
     return out
@@ -135,24 +138,24 @@ def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
     return _draw(m, reps, seed, lambda z, t: ks_distance_xy(z / n, t))
 
 
+def _quantile_result(raw: np.ndarray, q: float, key: CalibrationKey) -> CalibrationResult:
+    # the sectioning error first: the selection reorders raw
+    se = _section_std_error(raw, q)
+    return CalibrationResult(value=_select_quantile(raw, q), mc_std_error=se, key=key)
+
+
 def calibrate_cp(m: int, p: float, reps: int, seed: int) -> CalibrationResult:
     """p-quantile of the log-likelihood pivot; depends only on p and m."""
     p = check_probability(p, "p", open_interval=True)
-    raw = draw_cp_statistic(m, reps, seed)
-    se = _section_std_error(raw, p)   # before the selection reorders raw
-    value = _select_quantile(raw, p)
-    key = CalibrationKey("c_p", m=m, n=0, level=p, reps=reps, seed=seed)
-    return CalibrationResult(value=value, mc_std_error=se, key=key)
+    return _quantile_result(draw_cp_statistic(m, reps, seed), p,
+                            CalibrationKey("c_p", m=m, n=0, level=p, reps=reps, seed=seed))
 
 
 def calibrate_dp(m: int, n: int, p: float, reps: int, seed: int) -> CalibrationResult:
     """(1-p)-quantile of the sup-distance pivot for the KS-type band."""
     p = check_probability(p, "p", open_interval=True)
-    raw = draw_ks_statistic(m, n, reps, seed)
-    se = _section_std_error(raw, 1.0 - p)   # before the selection reorders raw
-    value = _select_quantile(raw, 1.0 - p)
-    key = CalibrationKey("d_p", m=m, n=n, level=p, reps=reps, seed=seed)
-    return CalibrationResult(value=value, mc_std_error=se, key=key)
+    return _quantile_result(draw_ks_statistic(m, n, reps, seed), 1.0 - p,
+                            CalibrationKey("d_p", m=m, n=n, level=p, reps=reps, seed=seed))
 
 
 def _inverse_square_gap(m: int, c: float, a: float, b: float) -> float:

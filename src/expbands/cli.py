@@ -284,9 +284,12 @@ def cmd_metrics(args, cfg) -> int:
         constants, provenance = _resolve_constants(method, level, working.scheme, cfg)
         band = _bands.METHODS[method].build(est, working.scheme, level, constants)
         bm = _metrics.band_metrics(band)
+        # the width and its maximum are invariant under the monotone transform,
+        # so the argmax maps exactly; the area is still on the transformed axis
         rows.append({"band": method, "level": level,
-                     "max_width": bm.max_width, "width_argmax": bm.width_argmax,
+                     "max_width": bm.max_width, "width_argmax": transform.invert(bm.width_argmax),
                      "area": None if bm.area == float("inf") else bm.area,
+                     "area_axis": "data" if transform.kind == "identity" else "log",
                      "area_infinite": bm.area == float("inf"),
                      "quadrature_error_estimate": bm.quadrature_error_estimate,
                      "constants": constants})

@@ -22,7 +22,8 @@ class InvalidSchemeError(DomainError):
 
 
 class DegenerateSampleError(DomainError):
-    """All observed failure times equal; the scale estimate is zero."""
+    """The scale estimate is zero (all observed failure times equal) or
+    infinite (the weighted spacings overflow)."""
 
 
 class InvalidTransformError(DomainError):

@@ -189,7 +189,7 @@ def coverage_experiment(kind: str, theta: LocScale, scheme: Scheme, level: float
 
     method "exact" builds the registry's coverage event once, an interval
     of the pivots that does not depend on theta, and counts where it holds
-    (`regions.within`) in each view as `model.map_pivots` draws it; method
+    (`regions.within`) in each batch as `model.map_pivots` draws it; method
     "grid" (a name the benchmark passes) builds each replicate's region or
     band and checks region membership or `bands.graph_contained`, an
     independent exact decision.

@@ -27,10 +27,6 @@ from .errors import (
 )
 from .streams import BATCH_SIZE, batch_generator
 
-# replicates per call of `map_pivots`'s fn, half a batch: fewer calls make
-# the coverage events faster, smaller ones the samplers' temporaries smaller
-VIEW_WIDTH = 16384
-
 
 @dataclass(frozen=True)
 class CensoringScheme:
@@ -121,6 +117,11 @@ class GeneralizedScheme:
 Scheme = CensoringScheme | GeneralizedScheme
 
 
+def _std_cdf(z):
+    # the standard exponential cdf, 0 below 0
+    return -np.expm1(-np.maximum(z, 0.0))
+
+
 @dataclass(frozen=True)
 class LocScale:
     """Location-scale parameter point (mu, sigma), sigma > 0."""
@@ -136,9 +137,7 @@ class LocScale:
 
     def cdf(self, x):
         """Exponential location-scale cdf at x (vectorized)."""
-        x = np.asarray(x, dtype=float)
-        z = (x - self.mu) / self.sigma
-        out = -np.expm1(-np.maximum(z, 0.0))
+        out = _std_cdf((np.asarray(x, dtype=float) - self.mu) / self.sigma)
         return out if out.ndim else float(out)
 
 
@@ -176,7 +175,7 @@ class ProgressiveSample:
 
 def mle(sample: ProgressiveSample) -> MleEstimate:
     """MLE of (mu, sigma): the first failure time and the mean of the
-    gamma-weighted spacings."""
+    gamma-weighted spacings; DegenerateSampleError unless 0 < sigma_hat < inf."""
     g = sample.scheme.gammas
     m = sample.scheme.m
     x = sample.x
@@ -184,8 +183,9 @@ def mle(sample: ProgressiveSample) -> MleEstimate:
     for j in range(1, m):
         total += g[j] * (x[j] - x[j - 1])
     sigma_hat = total / m
-    if sigma_hat <= 0.0:
-        raise DegenerateSampleError("all failure times equal; scale estimate is zero")
+    if not 0.0 < sigma_hat < math.inf:
+        raise DegenerateSampleError(f"scale estimate is {sigma_hat}: all failure times are "
+                                    "equal, or their weighted spacings overflow")
     return MleEstimate(mu_hat=x[0], sigma_hat=sigma_hat)
 
 
@@ -218,10 +218,10 @@ def check_replicates(reps: int) -> int:
 def map_pivots(m: int, reps: int, seed: int, fn: Callable) -> list:
     """Apply fn(slice, z, t) to draws of the independent pivots
     Z = n(mu_hat - mu)/sigma ~ Exp(1) and T = sigma_hat/sigma ~ Gamma(m-1)/m
-    for replicates 0..reps-1, one call per view of at most VIEW_WIDTH
-    consecutive replicates inside a batch; returns the results in replicate
-    order. Each batch is one task on a thread pool shared by every call (a
-    lone batch runs on the calling thread).
+    for replicates 0..reps-1, one call per batch of at most BATCH_SIZE
+    consecutive replicates; returns the results in replicate order. Each
+    batch is one task on a thread pool shared by every call (a lone batch
+    runs on the calling thread).
 
     A batch of `count` replicates draws its Z in one `standard_exponential`
     call on its SFC64 Z stream and its T in one `standard_gamma(m - 1)` call
@@ -235,17 +235,16 @@ def map_pivots(m: int, reps: int, seed: int, fn: Callable) -> list:
     """
     check_replicates(reps)
 
-    def task(first: int) -> list:
+    def task(first: int):
         count = min(BATCH_SIZE, reps - first)
         z = batch_generator(seed, first // BATCH_SIZE, 0).standard_exponential(count)
         t = batch_generator(seed, first // BATCH_SIZE, 1).standard_gamma(m - 1.0, count)
         t /= m
-        return [fn(slice(first + i, first + min(i + VIEW_WIDTH, count)),
-                   z[i:i + VIEW_WIDTH], t[i:i + VIEW_WIDTH]) for i in range(0, count, VIEW_WIDTH)]
+        return fn(slice(first, first + count), z, t)
 
     if reps <= BATCH_SIZE:
-        return task(0)
-    return [r for results in _pool().map(task, range(0, reps, BATCH_SIZE)) for r in results]
+        return [task(0)]
+    return list(_pool().map(task, range(0, reps, BATCH_SIZE)))
 
 
 _POOL: tuple[int, object] | None = None   # (creating process id, executor)
@@ -336,7 +335,8 @@ def read_sample_csv(path: str | Path) -> ProgressiveSample:
     times: list[float] = []
     removed: list[int] = []
     try:
-        with path.open(newline="") as fh:
+        # utf-8-sig drops the byte-order mark a spreadsheet export may lead with
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["time", "removed"]:
                 raise ParseError(f"{path}: expected header 'time,removed', got {reader.fieldnames}")

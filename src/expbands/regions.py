@@ -59,13 +59,6 @@ def cp_pivot(u, v, m):
     return (m + 1) * np.log(v / m) - u - v
 
 
-def _pick(mask, a, b):
-    # np.where(mask, a, b) for finite a and b, exact (a * 1 + b * 0 is a) and
-    # branch-free: np.where costs about twice as much on a random mask
-    mask = np.asarray(mask)   # ~ of a Python bool is an integer
-    return a * mask + b * ~mask
-
-
 def h_curve(t, d_p):
     """The transcendental boundary function of the sup-distance region:
     h(t) = ln(d_p/|1-t|)(t-1) + t ln(t) for t > 0, with h(1) = 0."""
@@ -83,8 +76,8 @@ def ks_slopes(t, d_p):
     t = np.asarray(t, dtype=float)
     h = h_curve(t, d_p)
     ln1md = math.log(1.0 - d_p)
-    lo = _pick(t < 1.0 - d_p, h, t * ln1md)
-    hi = _pick(t <= 1.0 / (1.0 - d_p), -ln1md, h)
+    lo = np.where(t < 1.0 - d_p, h, t * ln1md)
+    hi = np.where(t <= 1.0 / (1.0 - d_p), -ln1md, h)
     return (lo, hi) if lo.ndim else (float(lo), float(hi))
 
 
@@ -201,7 +194,7 @@ class TrapezoidRegionC1(_PivotRegion):
         where hi is the most negative float."""
         t_lo, t_hi = self.edges
         cut = (t_lo <= t) & (t <= t_hi)
-        return -math.log(self.q2), _pick(cut, -math.log(self.q1), -np.finfo(float).max)
+        return -math.log(self.q2), np.where(cut, -math.log(self.q1), -np.finfo(float).max)
 
     @property
     def edges(self) -> tuple[float, float]:
@@ -287,7 +280,7 @@ class MinAreaRegionC3(_PivotRegion):
         ((m+1)/z - 1) v, the tangent at v = z of the concave upper end."""
         lo, hi = self.interval(t)
         v = self.m * t
-        return lo, _pick((self.y <= v) & (v <= self.z), ((self.m + 1) / self.z - 1.0) * v, hi)
+        return lo, np.where((self.y <= v) & (v <= self.z), ((self.m + 1) / self.z - 1.0) * v, hi)
 
     @property
     def edges(self) -> tuple[float, float]:

@@ -558,7 +558,7 @@ class TestEventProbability:
     def test_m3_reaches_the_unbounded_sup_distance_regions(self):
         assert exact_dp(3, 6, 1.0 - 0.99) >= 0.5 > exact_dp(3, 6, 0.5)
 
-    @pytest.mark.parametrize("kind", ("c2", "b3", "b4"))
+    @pytest.mark.parametrize("kind", METHODS)
     def test_against_scipy_quad(self, fluid_scheme, kind):
         # an independent oracle: scipy's Gamma(m-1)/m density times
         # P(lo <= Z <= hi), integrated by QUADPACK between the event's edges

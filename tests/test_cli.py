@@ -188,6 +188,24 @@ class TestMetricsCommand:
         assert _run("metrics", "--data", data_csv, "--methods", "b9",
                     "--output-dir", tmp_path) == 3
 
+    def test_log_transform_rows_name_their_axis(self, tmp_path):
+        # the rows of Pareto data under --transform log equal those of its log
+        # sample, but for the argmax, which is mapped back to the data axis
+        from expbands.model import MonotoneTransform, ProgressiveSample, g_transform
+        base = load_insulating_fluid()
+        pareto = ProgressiveSample(base.scheme, tuple(np.exp(np.asarray(base.x) / 4.0)))
+        write_sample_csv(pareto, tmp_path / "pareto.csv")
+        write_sample_csv(g_transform(pareto, MonotoneTransform("log")), tmp_path / "log.csv")
+        rows = {}
+        for name, extra in (("pareto", ("--transform", "log")), ("log", ())):
+            assert _run("metrics", "--data", tmp_path / f"{name}.csv", "--level", "0.9025",
+                        "--output-dir", tmp_path / name, *extra) == 0
+            rows[name] = _load(tmp_path / name / "metrics.json")["rows"]
+        for row, plain in zip(rows["pareto"], rows["log"], strict=True):
+            assert (row["area_axis"], plain["area_axis"]) == ("log", "data")
+            assert row["width_argmax"] == float(np.exp(plain["width_argmax"]))
+            assert row["max_width"] == plain["max_width"] and row["area"] == plain["area"]
+
     def test_trimmed_rows_ignore_grid_points(self, data_csv, tmp_path):
         # --grid-points sizes only the output x-grid; the trimmed bands are
         # closed-form, so their metrics do not depend on it
@@ -329,6 +347,17 @@ class TestErrorsAndConfig:
         assert _run("band", "--data", data_csv, "--method", "b4",
                     "--level", "1.5") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
+
+    @pytest.mark.parametrize("command", (("fit",), ("band", "--method", "b1"), ("metrics",)))
+    def test_overflowing_scale_estimate_rejected(self, tmp_path, capsys, command):
+        # the weighted spacings overflow: fit wrote "sigma_hat": Infinity and
+        # band b1 all-NaN rows, both with exit 0, and metrics raised IndexError
+        path = tmp_path / "huge.csv"
+        path.write_text("time,removed\n0,0\n1e308,0\n1.7e308,1\n")
+        out = tmp_path / "out"
+        assert _run(*command, "--data", path, "--output-dir", out) == 3
+        assert json.loads(capsys.readouterr().err)["type"] == "DegenerateSampleError"
+        assert not out.exists()
 
     @pytest.mark.parametrize("method, points", [("b4", "0"), ("b4pp", "0"), ("b4", "-5")])
     def test_grid_points_below_two_rejected(self, data_csv, tmp_path, capsys, method, points):

@@ -21,7 +21,6 @@ from expbands.errors import (
     ParseError,
 )
 from expbands.model import (
-    VIEW_WIDTH,
     CensoringScheme,
     GeneralizedScheme,
     LocScale,
@@ -115,6 +114,12 @@ class TestMle:
 
     def test_degenerate_sample(self):
         sample = ProgressiveSample(CensoringScheme(3, 3, (0, 0, 0)), (2.0, 2.0, 2.0))
+        with pytest.raises(DegenerateSampleError):
+            mle(sample)
+
+    def test_overflowing_spacings_rejected(self):
+        # finite times whose weighted spacings overflow gave sigma_hat = inf
+        sample = ProgressiveSample(CensoringScheme(4, 3, (0, 0, 1)), (0.0, 1e308, 1.7e308))
         with pytest.raises(DegenerateSampleError):
             mle(sample)
 
@@ -224,7 +229,7 @@ class TestSimulation:
             for a, b in zip(short, long):
                 assert np.array_equal(a, b[:short_reps])
 
-    # runs ending inside the first view, at the edges of the first batch,
+    # runs ending inside the first half batch, at the edges of the first batch,
     # and after 5 and 33 batches (the last holding 17 replicates)
     @pytest.mark.parametrize("reps", (1, 4095, 4096, 4097, BATCH_SIZE - 1, BATCH_SIZE,
                                       BATCH_SIZE + 1, 4 * BATCH_SIZE + 17,
@@ -237,13 +242,11 @@ class TestSimulation:
             assert np.array_equal(a, b)
 
     def test_map_pivots_results_in_task_order(self):
-        # views of VIEW_WIDTH replicates, which divides a batch, then the rest
+        # one call per batch, the last holding the rest
         reps = 2 * BATCH_SIZE + 3
         bounds = map_pivots(8, reps, 1, lambda batch, z, t: (batch.start, batch.stop, z.size))
-        starts = tuple(range(0, reps, VIEW_WIDTH))
-        stops = starts[1:] + (reps,)
-        assert BATCH_SIZE % VIEW_WIDTH == 0 and len(starts) == 2 * BATCH_SIZE // VIEW_WIDTH + 1
-        assert bounds == [(a, b, b - a) for a, b in zip(starts, stops)]
+        assert bounds == [(0, BATCH_SIZE, BATCH_SIZE), (BATCH_SIZE, 2 * BATCH_SIZE, BATCH_SIZE),
+                          (2 * BATCH_SIZE, reps, 3)]
 
     def test_worker_count_does_not_change_draws(self, pivot_pool):
         reps = 3 * BATCH_SIZE + 11
@@ -401,6 +404,13 @@ class TestCsv:
         write_sample_csv(fluid_sample, path)
         back = read_sample_csv(path)
         assert back == fluid_sample
+
+    def test_byte_order_mark_read_as_plain_file(self, fluid_sample, tmp_path):
+        # a spreadsheet export leads with a UTF-8 byte-order mark
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_sample_csv(fluid_sample, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_sample_csv(marked) == read_sample_csv(plain) == fluid_sample
 
     def test_n_inferred(self, fluid_sample):
         assert fluid_sample.scheme.n == fluid_sample.scheme.m + sum(
