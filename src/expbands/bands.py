@@ -4,8 +4,10 @@ censoring, plus the sup-distance statistic that powers the KS-type bands.
 Six constructions: two from the trapezoid regions, one from the
 minimum-area region, the constant-width KS band, and its two trimmed
 variants: the extrema of the cdf over the sup-distance regions, in closed
-form. Reliability (1 - cdf) and last-observation marginal transforms are
-monotone push-forwards of any band (the marginal one of a cdf band).
+form. A `Band` always holds its cdf boundaries; a reliability (1 - cdf) or
+last-observation marginal band is the same band shown through one
+pointwise monotone map (`Band.push`), H for a marginal band, then the
+reflection for a reliability one.
 
 Boundaries are pieces: (possibly offset and clipped) exponential cdfs and
 the analytic upper envelope of the minimum-area region. Their breakpoints
@@ -83,12 +85,6 @@ class ExpCdfSegment:
             pts.append(self.loc - self.scale * math.log1p(self.offset))    # leaves 0
         return tuple(pts)
 
-    def limit_left(self) -> float:
-        return min(max(self.offset, 0.0), 1.0)
-
-    def limit_right(self) -> float:
-        return min(1.0 + self.offset, 1.0)
-
 
 @dataclass(frozen=True)
 class MinAreaEnvelopeSegment:
@@ -158,72 +154,42 @@ class PiecewiseBoundary:
             pts.update(seg.kinks())
         return tuple(sorted(pts))
 
-    def limit_left(self) -> float:
-        return self.segments[0].limit_left()
-
-    def limit_right(self) -> float:
-        return self.segments[-1].limit_right()
-
-
-@dataclass(frozen=True)
-class ReflectedBoundary:
-    """1 - base(x); turns a cdf envelope into a reliability envelope."""
-
-    base: "Boundary"
-
-    def __call__(self, x):
-        return 1.0 - self.base(x)
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.base.breakpoints()
-
-    def limit_left(self) -> float:
-        return 1.0 - self.base.limit_left()
-
-    def limit_right(self) -> float:
-        return 1.0 - self.base.limit_right()
-
-
-@dataclass(frozen=True)
-class MarginalBoundary:
-    """H(base(x)) for the strictly increasing last-observation marginal
-    transform H of the risk coefficients (see `marginal_transform_h`)."""
-
-    base: "Boundary"
-    gammas: tuple[float, ...]
-
-    def __call__(self, x):
-        return marginal_transform_h(self.gammas, self.base(x))
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.base.breakpoints()
-
-    def limit_left(self) -> float:
-        return float(marginal_transform_h(self.gammas, self.base.limit_left()))
-
-    def limit_right(self) -> float:
-        return float(marginal_transform_h(self.gammas, self.base.limit_right()))
-
-
-Boundary = PiecewiseBoundary | ReflectedBoundary | MarginalBoundary
-
 
 @dataclass(frozen=True)
 class Band:
-    """Evaluable confidence band with level and construction provenance."""
+    """Evaluable confidence band with level and construction provenance.
+
+    It holds the boundaries of a cdf band and shows them through `push`: H
+    of the last-observation marginal transform when `gammas` (its
+    coefficients) is set, then 1 - . when the band is not increasing (a
+    reliability band), where the boundaries swap. Both maps are monotone, so
+    the shown band has the cdf band's level."""
 
     kind: str
-    lower: Boundary
-    upper: Boundary
+    cdf_lower: PiecewiseBoundary
+    cdf_upper: PiecewiseBoundary
     level: float | None
     provenance: dict = field(default_factory=dict)
+    gammas: tuple[float, ...] | None = None
     increasing: bool = True
+
+    def push(self, y):
+        """The shown values of cdf values y."""
+        if self.gammas is not None:
+            y = marginal_transform_h(self.gammas, y)
+        return y if self.increasing else 1.0 - y
+
+    def lower(self, x):
+        return self.push((self.cdf_lower if self.increasing else self.cdf_upper)(x))
+
+    def upper(self, x):
+        return self.push((self.cdf_upper if self.increasing else self.cdf_lower)(x))
 
     def width(self, x):
         return self.upper(x) - self.lower(x)
 
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.lower.breakpoints()) | set(self.upper.breakpoints())))
+        return tuple(sorted(set(self.cdf_lower.breakpoints()) | set(self.cdf_upper.breakpoints())))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +321,7 @@ def trim_band(b4: Band, region: KsRegionC4) -> Band:
         return mu_hat + sigma_hat * beta
 
     upper = PiecewiseBoundary(
-        (cdf_at(t_lo, upper_lo), b4.upper.segments[0], cdf_at(t_hi, upper_hi)),
+        (cdf_at(t_lo, upper_lo), b4.cdf_upper.segments[0], cdf_at(t_hi, upper_hi)),
         breaks=(mu_hat, x_at(-_h_deriv(t_hi, d_p))))
     if region.trimmed:
         # past t_zero_lower the trimmed lower slope is 0
@@ -363,7 +329,7 @@ def trim_band(b4: Band, region: KsRegionC4) -> Band:
     else:
         left, beta_left = cdf_at(t_hi, lower_hi), -math.log(1.0 - d_p)
     lower = PiecewiseBoundary(
-        (left, b4.lower.segments[0], cdf_at(t_lo, lower_lo)),
+        (left, b4.cdf_lower.segments[0], cdf_at(t_lo, lower_lo)),
         breaks=(x_at(beta_left), x_at(-_h_deriv(t_lo, d_p))))
 
     kind = "b4pp" if region.trimmed else "b4p"
@@ -387,15 +353,10 @@ def band_b4_trimmed(est: MleEstimate, d_p: float, trimmed: bool,
 def reliability_band(band: Band) -> Band:
     """Band for the reliability function 1 - F: boundaries swap and reflect.
     Applying the transform twice returns the original band."""
-    if (isinstance(band.lower, ReflectedBoundary)
-            and isinstance(band.upper, ReflectedBoundary)
-            and band.kind.startswith("reliability-of-")):
-        return Band(band.kind[len("reliability-of-"):], band.upper.base, band.lower.base,
-                    band.level, dict(band.provenance), increasing=True)
-    return Band(f"reliability-of-{band.kind}",
-                lower=ReflectedBoundary(band.upper),
-                upper=ReflectedBoundary(band.lower),
-                level=band.level, provenance=dict(band.provenance), increasing=False)
+    kind = (f"reliability-of-{band.kind}" if band.increasing
+            else band.kind.removeprefix("reliability-of-"))
+    return dataclasses.replace(band, kind=kind, provenance=dict(band.provenance),
+                               increasing=not band.increasing)
 
 
 _CHAIN_TAIL = 2.0 ** -55   # chain mass left where its table stops: 1 - it rounds to 1
@@ -483,18 +444,19 @@ def marginal_transform_h(gamma: Sequence[float], y):
 
 def marginal_band(band: Band, gamma: Sequence[float]) -> Band:
     """Push a baseline-cdf band through the marginal transform; the level is
-    unchanged because the transform is a monotone bijection. H maps cdf
-    values, so a reliability band is refused: reflect after the transform."""
+    unchanged because the transform is a monotone bijection. H maps baseline
+    cdf values, so a reliability band (reflect after the transform) and a
+    band that is already marginal are refused."""
     if not band.increasing:
         raise DomainError("the marginal transform maps a cdf band; apply it before the "
                           "reliability reflection")
+    if band.gammas is not None:
+        raise DomainError("the band is already marginal; the marginal transform maps a "
+                          "baseline cdf band")
     g = tuple(float(v) for v in gamma)
     _marginal_chain(g)   # validate coefficients eagerly
-    return Band(f"marginal-of-{band.kind}",
-                lower=MarginalBoundary(band.lower, g),
-                upper=MarginalBoundary(band.upper, g),
-                level=band.level, provenance=dict(band.provenance),
-                increasing=band.increasing)
+    return dataclasses.replace(band, kind=f"marginal-of-{band.kind}",
+                               provenance=dict(band.provenance), gammas=g)
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +464,14 @@ def marginal_band(band: Band, gamma: Sequence[float]) -> Band:
 # ---------------------------------------------------------------------------
 
 # the gap (a, b) between consecutive edges (b = inf on the right tail) and the lower
-# and upper pieces on it (of the base for a marginal band)
+# and upper pieces of the cdf band on it
 _Panel = namedtuple("_Panel", "a b lower upper")
 
 
 def _panels(band: Band, extra: tuple[float, ...] = ()) -> list[_Panel]:
     # every piece has a kink at its location, so there is at least one edge
     edges = sorted(set(band.breakpoints()).union(extra))
-    marginal = isinstance(band.lower, MarginalBoundary)
-    lower, upper = (band.lower.base, band.upper.base) if marginal else (band.lower, band.upper)
+    lower, upper = band.cdf_lower, band.cdf_upper
     panels = []
     for a, b in zip(edges, edges[1:] + [math.inf]):
         lo = lower.segments[bisect.bisect_right(lower.breaks, a)]
@@ -560,7 +521,7 @@ def _constant(seg: Segment, a: float, b: float) -> float | None:
     if isinstance(seg, MinAreaEnvelopeSegment):
         return 0.0 if b <= seg.kinks()[0] else None
     if b <= seg.loc:
-        return seg.limit_left()
+        return seg.value(-math.inf)
     if seg.offset > 0.0 and a >= seg.kinks()[1]:
         return 1.0
     if seg.offset < 0.0 and b <= seg.kinks()[1]:
@@ -595,7 +556,7 @@ def graph_contained(band: Band, theta: LocScale) -> bool:
     each piece minus F_theta where its sign is decided. Left of the first
     edge all three curves are constant. Reliability and marginal bands raise
     DomainError."""
-    if not band.increasing or isinstance(band.lower, MarginalBoundary):
+    if not band.increasing or band.gammas is not None:
         raise DomainError("containment check expects a cdf band, not a reliability or marginal one")
     f = ExpCdfSegment(theta.mu, theta.sigma)
     return all(max(_gaps(p.lower, f, p.a, p.b)) <= 0.0 <= min(_gaps(p.upper, f, p.a, p.b))
@@ -607,7 +568,7 @@ def default_grid(band: Band, points: int = 1024) -> np.ndarray:
     the last structural breakpoint, extended until the band width falls
     below 1e-6 with the lower boundary within 1e-6 of its right limit
     (skipped where the width does not vanish at infinity). A marginal band
-    is about 0 at its base's breakpoints, where its width is tiny too."""
+    is about 0 at its cdf boundaries' breakpoints, where its width is tiny too."""
     prov = band.provenance
     try:
         start = float(prov["mu_hat"]) - float(prov["sigma_hat"])
@@ -615,8 +576,8 @@ def default_grid(band: Band, points: int = 1024) -> np.ndarray:
         start = min(band.breakpoints())
     end = max(band.breakpoints())
     end = max(end, start + 1e-6)
-    limit = band.lower.limit_right()
-    if band.upper.limit_right() - limit <= 1e-6:
+    limit = band.lower(math.inf)
+    if band.width(math.inf) <= 1e-6:
         step = max(end - start, 1.0)
         for _ in range(80):
             if band.width(end) < 1e-6 and abs(band.lower(end) - limit) <= 1e-6:
@@ -631,65 +592,42 @@ def default_grid(band: Band, points: int = 1024) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _SEGMENT_TAGS = {ExpCdfSegment: "expcdf", MinAreaEnvelopeSegment: "minarea_envelope"}
+_SEGMENT_CLASSES = {tag: cls for cls, tag in _SEGMENT_TAGS.items()}
 
 
-def _segment_to_dict(seg: Segment) -> dict:
-    if type(seg) not in _SEGMENT_TAGS:
-        raise DomainError(f"cannot serialize segment type {type(seg).__name__}")
-    return {"type": _SEGMENT_TAGS[type(seg)], **dataclasses.asdict(seg)}
+def _boundary_to_dict(boundary: PiecewiseBoundary) -> dict:
+    return {"segments": [{"type": _SEGMENT_TAGS[type(s)], **dataclasses.asdict(s)}
+                         for s in boundary.segments],
+            "breaks": list(boundary.breaks)}
 
 
-def _segment_from_dict(doc: dict) -> Segment:
-    classes = {tag: cls for cls, tag in _SEGMENT_TAGS.items()}
-    if doc.get("type") not in classes:
-        raise DomainError(f"unknown segment type {doc.get('type')!r}")
-    params = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items() if k != "type"}
-    try:
-        return classes[doc["type"]](**params)
-    except TypeError as exc:
-        raise DomainError(f"malformed segment document: {exc}") from exc
-
-
-def _boundary_to_dict(boundary: Boundary) -> dict:
-    if isinstance(boundary, PiecewiseBoundary):
-        return {"segments": [_segment_to_dict(s) for s in boundary.segments],
-                "breaks": list(boundary.breaks)}
-    if isinstance(boundary, ReflectedBoundary):
-        return {"transform": "reflect", "base": _boundary_to_dict(boundary.base)}
-    if isinstance(boundary, MarginalBoundary):
-        return {"transform": "marginal", "gammas": list(boundary.gammas),
-                "base": _boundary_to_dict(boundary.base)}
-    raise DomainError(f"cannot serialize boundary type {type(boundary).__name__}")
-
-
-def _boundary_from_dict(doc: dict) -> Boundary:
-    if "transform" in doc:
-        base = _boundary_from_dict(doc["base"])
-        if doc["transform"] == "reflect":
-            return ReflectedBoundary(base)
-        if doc["transform"] == "marginal":
-            return MarginalBoundary(base, tuple(doc["gammas"]))
-        raise DomainError(f"unknown boundary transform {doc['transform']!r}")
+def _boundary_from_dict(doc: dict) -> PiecewiseBoundary:
+    # an unknown segment type is a KeyError, a missing or unknown field a TypeError
     return PiecewiseBoundary(
-        segments=tuple(_segment_from_dict(s) for s in doc["segments"]),
-        breaks=tuple(doc["breaks"]))
+        tuple(_SEGMENT_CLASSES[s["type"]](**{k: v for k, v in s.items() if k != "type"})
+              for s in doc["segments"]),
+        tuple(doc["breaks"]))
 
 
 def band_to_dict(band: Band) -> dict:
-    """JSON-ready description with kind, level, and all constants; the
-    boundary representation round-trips to identical evaluations."""
-    return {"kind": band.kind, "level": band.level, "increasing": band.increasing,
-            "provenance": band.provenance,
-            "lower": _boundary_to_dict(band.lower), "upper": _boundary_to_dict(band.upper)}
+    """JSON-ready description with kind, level, and all constants: the cdf
+    boundaries, and the map that shows them (`gammas`, `increasing`); it
+    round-trips to identical evaluations."""
+    return {"kind": band.kind, "level": band.level, "provenance": band.provenance,
+            "lower": _boundary_to_dict(band.cdf_lower), "upper": _boundary_to_dict(band.cdf_upper),
+            "gammas": None if band.gammas is None else list(band.gammas),
+            "increasing": band.increasing}
 
 
 def band_from_dict(doc: dict) -> Band:
     try:
-        return Band(kind=doc["kind"], lower=_boundary_from_dict(doc["lower"]),
-                    upper=_boundary_from_dict(doc["upper"]), level=doc["level"],
+        gammas = doc.get("gammas")
+        return Band(kind=doc["kind"], cdf_lower=_boundary_from_dict(doc["lower"]),
+                    cdf_upper=_boundary_from_dict(doc["upper"]), level=doc["level"],
                     provenance=dict(doc.get("provenance", {})),
+                    gammas=None if gammas is None else tuple(float(g) for g in gammas),
                     increasing=bool(doc.get("increasing", True)))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed band document: {exc}") from exc
 
 

@@ -8,10 +8,10 @@ registry `bands.METHODS`. Calibration constants are exact (closed-form c_p
 and band level, quadrature d_p) and recorded in a JSON-lines cache whose
 path comes from the config file or the EXPBANDS_CACHE environment variable.
 --reps sizes only the Monte-Carlo cross-check of reproduce-paper; --seed
-seeds that cross-check, simulate and coverage. Every output embeds the
-resolved-config hash (which counts reps for reproduce-paper alone), the
-seed, and calibration provenance. Exit codes: 0 ok, 2 parse, 3 domain,
-4 numeric, 5 calibration.
+seeds that cross-check, simulate and coverage. Every output embeds a hash
+of what the command computed (the settings it reads, `_READS`, and its own
+arguments but --data and --config), the seed, and calibration provenance.
+Exit codes: 0 ok, 2 parse, 3 domain, 4 numeric, 5 calibration.
 """
 
 from __future__ import annotations
@@ -68,6 +68,19 @@ _DEFAULTS = {
     "cache_path": None,
 }
 
+# the settings each subcommand's results depend on: where and in which
+# formats its files land, and the seed of a deterministic command, do not
+_READS = {
+    "fit": ("transform",),
+    "region": ("level", "transform", "boundary_points"),
+    "band": ("level", "transform", "grid_points"),
+    "metrics": ("level", "transform"),
+    "calibrate": ("level",),
+    "coverage": ("level", "seed", "replicates"),
+    "simulate": ("seed",),
+    "reproduce-paper": ("reps", "seed"),
+}
+
 # the registry names regions c* and bands b*
 REGION_METHODS = tuple(m for m in _bands.METHODS if m.startswith("c"))
 BAND_METHODS = tuple(m for m in _bands.METHODS if m.startswith("b"))
@@ -116,19 +129,16 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raise DomainError("reps and replicates must be >= 1")
     if cfg["grid_points"] < 2:
         raise DomainError(f"grid points must be >= 2, got {cfg['grid_points']}")
+    cfg["config_hash"] = _config_hash(args, cfg)
     return cfg
 
 
-def _config_hash(cfg: dict, command: str) -> str:
-    # hash the computation-relevant parameters; where the artifacts land
-    # (output dir, cache file) does not change what is computed, only
-    # reproduce-paper's Monte-Carlo cross-check depends on reps, and only
-    # band's CSV/SVG x-grid on grid_points
-    skip = {"output_dir", "cache_path"}
-    skip |= {"reps"} if command != "reproduce-paper" else set()
-    skip |= {"grid_points"} if not command.startswith("band.") else set()
-    semantic = {k: cfg[k] for k in sorted(cfg) if k not in skip}
-    doc = json.dumps({"command": command, **semantic}, sort_keys=True, default=str)
+def _config_hash(args: argparse.Namespace, cfg: dict) -> str:
+    # the settings the subcommand reads and its own arguments, but the input file
+    own = {k: v for k, v in vars(args).items()
+           if k not in _DEFAULTS and k not in ("command", "func", "data", "config")}
+    doc = json.dumps({"command": args.command, "args": own,
+                      **{k: cfg[k] for k in _READS[args.command]}}, sort_keys=True, default=str)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 
@@ -144,7 +154,7 @@ def _metadata(cfg: dict, command: str, calibrations: list[dict] | None = None) -
         "tool": "expbands",
         "version": __version__,
         "command": command,
-        "config_hash": _config_hash(cfg, command),
+        "config_hash": cfg["config_hash"],
         "seed": cfg["seed"],
         "calibration": calibrations or [],
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -347,7 +357,12 @@ def cmd_coverage(args, cfg) -> int:
 def cmd_simulate(args, cfg) -> int:
     n, m = int(args.n), int(args.m)
     if args.removals:
-        scheme = CensoringScheme(n, m, tuple(int(r) for r in args.removals.split(",")))
+        try:
+            removals = tuple(int(r) for r in args.removals.split(","))
+        except ValueError as exc:
+            raise ParseError(f"removals must be a comma list of whole numbers, "
+                             f"got {args.removals!r}") from exc
+        scheme = CensoringScheme(n, m, removals)
     else:
         scheme = CensoringScheme.type2_right(n, m)
     theta = LocScale(float(args.mu), float(args.sigma))

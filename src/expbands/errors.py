@@ -1,7 +1,8 @@
 """Semantic exception hierarchy.
 
-The CLI maps these onto distinct exit codes (see cli.EXIT_CODES); library
-users can catch the base class or a specific failure mode.
+The CLI maps these onto distinct exit codes (cli.EXIT_PARSE to
+cli.EXIT_CALIBRATION, 2 to 5); library users can catch the base class or a
+specific failure mode.
 """
 
 

@@ -19,7 +19,7 @@ infinity). Coverage experiments read the method registry of `bands`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .bands import (
     _panels,
     _poisson_mix,
     _stationary_point,
-    reliability_band,
 )
 from .errors import DomainError, NumericError
 from .model import LocScale, MleEstimate, Scheme, check_replicates, map_pivots, simulate_mles
@@ -67,7 +66,7 @@ class CoverageReport:
 
 def _cdf_band(band: Band) -> Band:
     # metrics are invariant under the reliability reflection: undo it
-    return band if band.increasing else reliability_band(band)
+    return replace(band, increasing=True)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +83,9 @@ def max_width(band: Band) -> tuple[float, float]:
     panels = _panels(band)
     first, last = panels[0].a, panels[-1].a
     span = last - first
-    candidates = [(band.upper.limit_left() - band.lower.limit_left(), first - span),
-                  (band.upper.limit_right() - band.lower.limit_right(), last + span)]
+    candidates = [(band.width(-math.inf), first - span), (band.width(math.inf), last + span)]
     probes = [p.a for p in panels]
-    if isinstance(band.lower, _bands.MarginalBoundary):
+    if band.gammas is not None:
         # scan each panel, the right tail where its slower last piece's survival
         # falls by 2^(-k/4), then refine by one vectorized golden-section search
         xs = np.asarray([np.linspace(p.a, p.b, _SCAN_POINTS) if p.b < math.inf else
@@ -152,21 +150,18 @@ def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
     (area, error estimate). Structurally unbounded bands (width not
     vanishing at infinity) report math.inf."""
     band = _cdf_band(band)
-    wl = band.upper.limit_left() - band.lower.limit_left()
-    wr = band.upper.limit_right() - band.lower.limit_right()
-    if wl > _WIDTH_FLOOR or wr > _WIDTH_FLOOR:
+    if band.width(-math.inf) > _WIDTH_FLOOR or band.width(math.inf) > _WIDTH_FLOOR:
         return math.inf, 0.0
     *panels, tail = _panels(band)
-    gammas = getattr(band.lower, "gammas", None)
     total = err = 0.0
-    if gammas is None:
+    if band.gammas is None:
         for p in panels:
             total += _piece_integral(p.upper, p.a, p.b)
             total -= _piece_integral(p.lower, p.a, p.b)
     elif panels:   # a marginal band: one quadrature over its finite panels
         edges = [p.a for p in panels] + [tail.a]
         total, err = integrate_panels(band.width, edges, abs_tol=abs_tol)
-    return total + _tail_area(tail, gammas), err
+    return total + _tail_area(tail, band.gammas), err
 
 
 def band_metrics(band: Band) -> BandMetrics:

@@ -349,7 +349,7 @@ def read_sample_csv(path: str | Path) -> ProgressiveSample:
                 if not math.isfinite(times[-1]):
                     raise ParseError(f"{path}:{lineno}: failure time must be finite, "
                                      f"got {row['time']!r}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if len(times) < 2:
         raise ParseError(f"{path}: need at least two observed failures")

@@ -42,7 +42,7 @@ def _poly(points: list[tuple[float, float]]) -> str:
 def band_svg(band: Band, xs: np.ndarray, fitted: LocScale | None = None,
              title: str | None = None) -> str:
     """Render the band over the x-grid `xs`; optionally overlay the cdf at
-    the fitted parameter values."""
+    the fitted parameter values, shown through the band's map (`Band.push`)."""
     xs = np.asarray(xs, dtype=float)
     lo = np.asarray(band.lower(xs), dtype=float)
     hi = np.asarray(band.upper(xs), dtype=float)
@@ -70,9 +70,7 @@ def band_svg(band: Band, xs: np.ndarray, fitted: LocScale | None = None,
         f'fill="none" stroke="#2171b5" stroke-width="1.5"/>',
     ]
     if fitted is not None:
-        f = np.asarray(fitted.cdf(xs), dtype=float)
-        if not band.increasing:
-            f = 1.0 - f
+        f = np.asarray(band.push(fitted.cdf(xs)), dtype=float)
         parts.append(
             f'<polyline points="{_poly([(px(x), py(y)) for x, y in zip(xs, f)])}" '
             f'fill="none" stroke="#d94801" stroke-width="1.5" stroke-dasharray="6 4"/>')

@@ -66,7 +66,7 @@ class TestClosedFormBands:
 
     def test_b1_branches_agree_at_split(self, all_bands, fluid_est):
         band = all_bands["b1"]
-        for boundary in (band.lower, band.upper):
+        for boundary in (band.cdf_lower, band.cdf_upper):
             left_seg, right_seg = boundary.segments
             split = boundary.breaks[0]
             assert split == fluid_est.mu_hat
@@ -83,7 +83,7 @@ class TestClosedFormBands:
     def test_b2_branches_agree_at_split(self, all_bands, fluid_est, fluid_scheme):
         band = all_bands["b2"]
         split = fluid_est.mu_hat + fluid_scheme.m * fluid_est.sigma_hat / fluid_scheme.n
-        for boundary in (band.lower, band.upper):
+        for boundary in (band.cdf_lower, band.cdf_upper):
             assert boundary.breaks[0] == pytest.approx(split, abs=1e-12)
             left, right = boundary.segments
             assert float(left.evaluate(np.asarray(split))) == pytest.approx(
@@ -104,15 +104,15 @@ class TestClosedFormBands:
 
     def test_b3_upper_continuous_at_branch_joins(self, all_bands):
         band = all_bands["b3"]
-        for bp in band.upper.breaks:
+        for bp in band.cdf_upper.breaks:
             assert band.upper(bp - 1e-9) == pytest.approx(band.upper(bp + 1e-9), abs=1e-9)
 
     def test_b3_envelope_kink_splits_its_panel(self, all_bands):
         # the envelope is 0 up to its one kink and rises after it, so the
         # kink is a breakpoint that metrics split panels at
         band = all_bands["b3"]
-        (kink,) = band.upper.segments[1].kinks()
-        x_enter, x_exit = band.upper.breaks
+        (kink,) = band.cdf_upper.segments[1].kinks()
+        x_enter, x_exit = band.cdf_upper.breaks
         assert x_enter < kink < x_exit
         assert kink in band.breakpoints()
         assert band.upper(kink - 1e-9) == 0.0
@@ -237,7 +237,7 @@ class TestTrimmedBands:
 
     def test_every_boundary_is_three_exponential_pieces(self, all_bands):
         for kind in ("b4p", "b4pp"):
-            for boundary in (all_bands[kind].lower, all_bands[kind].upper):
+            for boundary in (all_bands[kind].cdf_lower, all_bands[kind].cdf_upper):
                 assert len(boundary.segments) == 3
                 assert all(type(seg) is ExpCdfSegment for seg in boundary.segments)
 
@@ -259,7 +259,7 @@ class TestTrimmedBands:
     def test_trimmed_segments_agree_at_joins(self, all_bands):
         for kind in ("b4p", "b4pp"):
             band = all_bands[kind]
-            for boundary in (band.lower, band.upper):
+            for boundary in (band.cdf_lower, band.cdf_upper):
                 for i, bp in enumerate(boundary.breaks):
                     left, right = boundary.segments[i], boundary.segments[i + 1]
                     assert float(left.evaluate(np.asarray(bp))) == pytest.approx(
@@ -682,6 +682,12 @@ class TestMarginalTransform:
         with pytest.raises(DomainError):
             marginal_band(reliability_band(all_bands["b1"]), fluid_scheme.gammas)
 
+    def test_marginal_of_marginal_refused(self, all_bands, fluid_scheme):
+        # H maps baseline cdf values, not those of the last observation
+        with pytest.raises(DomainError):
+            marginal_band(marginal_band(all_bands["b1"], fluid_scheme.gammas),
+                          fluid_scheme.gammas)
+
     def test_marginal_band_metadata_and_monotonicity(self, all_bands, fluid_scheme):
         band = marginal_band(all_bands["b1"], fluid_scheme.gammas)
         assert band.level == all_bands["b1"].level
@@ -722,13 +728,19 @@ class TestMarginalTransform:
 
 
 class TestSerialization:
-    def test_roundtrip_all_kinds(self, all_bands):
+    def test_roundtrip_all_kinds(self, all_bands, fluid_scheme):
+        # every kind in five views: cdf, reliability, marginal,
+        # reliability-of-marginal and reflected twice
         xs = np.linspace(-10, 80, 1500)
-        for kind, band in all_bands.items():
-            back = band_from_dict(band_to_dict(band))
-            assert back.kind == band.kind and back.level == band.level
-            assert np.array_equal(back.lower(xs), band.lower(xs))
-            assert np.array_equal(back.upper(xs), band.upper(xs))
+        g = fluid_scheme.gammas
+        for kind, cdf_band in all_bands.items():
+            marginal = marginal_band(cdf_band, g)
+            for band in (cdf_band, reliability_band(cdf_band), marginal,
+                         reliability_band(marginal), reliability_band(reliability_band(cdf_band))):
+                back = band_from_dict(band_to_dict(band))
+                assert back.kind == band.kind and back.level == band.level
+                assert np.array_equal(back.lower(xs), band.lower(xs))
+                assert np.array_equal(back.upper(xs), band.upper(xs))
 
     def test_roundtrip_transformed(self, all_bands, fluid_scheme):
         band = reliability_band(marginal_band(all_bands["b4"], fluid_scheme.gammas))
@@ -746,6 +758,14 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(DomainError):
             band_from_dict({"kind": "b1"})
+
+    def test_nested_transform_document_refused(self, all_bands):
+        # boundaries used to nest their transform: {"transform": ..., "base": ...}
+        doc = band_to_dict(all_bands["b1"])
+        doc["lower"], doc["upper"] = ({"transform": "reflect", "base": b}
+                                      for b in (doc["upper"], doc["lower"]))
+        with pytest.raises(DomainError):
+            band_from_dict(doc)
 
 
 class TestDefaultGrid:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +52,13 @@ class TestFit:
         assert _run("fit", "--data", path, "--output-dir", out) != 0
         assert not (out / "fit.json").exists()
 
+    def test_non_utf8_sample_rejected(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback, exit 1
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"time,removed\n0.1,0\n\xff\xfe2,0\n")
+        assert _run("fit", "--data", path, "--output-dir", tmp_path / "out") == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
     def test_metadata_fields(self, data_csv, tmp_path):
         _run("fit", "--data", data_csv, "--output-dir", tmp_path, "--seed", "7")
         meta = _load(tmp_path / "fit.json")["metadata"]
@@ -95,6 +103,21 @@ class TestBand:
         doc = _load(tmp_path / "band_reliability-of-marginal-of-b1.json")
         band = band_from_dict(doc)
         assert not band.increasing
+
+    @pytest.mark.parametrize("flags", (("--marginal",), ("--marginal", "--reliability")))
+    def test_marginal_svg_overlay_inside_band(self, data_csv, tmp_path, flags):
+        # the fitted cdf is drawn through the band's map: it used to be the
+        # baseline cdf (or its reflection), partly outside a marginal band
+        assert _run("band", "--data", data_csv, "--method", "b1", *flags,
+                    "--formats", "svg", "--output-dir", tmp_path) == 0
+        (svg,) = tmp_path.glob("band_*.svg")
+        polylines = re.findall(r'<polyline points="([^"]*)"', svg.read_text())
+        upper, lower, fitted = (np.array([pt.split(",") for pt in pts.split()], dtype=float)
+                                for pts in polylines)
+        assert np.array_equal(upper[:, 0], fitted[:, 0])
+        # pixel rows grow downward; coordinates are rounded to 0.01
+        assert np.all(upper[:, 1] <= fitted[:, 1] + 0.01)
+        assert np.all(fitted[:, 1] <= lower[:, 1] + 0.01)
 
     def test_marginal_band_at_m100(self, tmp_path):
         # the marginal transform used to round to 0 across the whole grid here
@@ -329,6 +352,12 @@ class TestCalibrateCoverageSimulate:
             "0.40466227608862315,0", "0.5999070446394721,0", "0.7209464301632295,0",
             "0.7730940290995052,6"]
 
+    def test_simulate_non_integer_removals_rejected(self, tmp_path, capsys):
+        # used to end in a ValueError traceback, exit 1
+        assert _run("simulate", "--mu", "0", "--sigma", "1", "--n", "10",
+                    "--m", "4", "--removals", "1,x,0,3", "--output-dir", tmp_path) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
     def test_simulate_custom_removals(self, tmp_path):
         assert _run("simulate", "--mu", "0", "--sigma", "1", "--n", "10",
                     "--m", "4", "--removals", "1,2,0,3",
@@ -461,6 +490,39 @@ class TestConfigHash:
             assert _run("reproduce-paper", "--reps", reps, "--output-dir", out) == 0
             hashes.append(_load(out / "report.json")["metadata"]["config_hash"])
         assert hashes[0] != hashes[1]
+
+
+    @staticmethod
+    def _hashes(tmp_path, pattern: str, *runs) -> set:
+        # the config hash of each run's one output matching `pattern`
+        hashes = set()
+        for i, argv in enumerate(runs):
+            assert _run(*argv, "--output-dir", tmp_path / str(i)) == 0
+            (out,) = (tmp_path / str(i)).glob(pattern)
+            hashes.add(_load(out)["metadata"]["config_hash"])
+        return hashes
+
+    def test_fit_hash_ignores_settings_it_does_not_read(self, data_csv, tmp_path):
+        common = ("fit", "--data", data_csv)
+        assert len(self._hashes(tmp_path, "fit.json", common,
+                                (*common, "--boundary-points", "64"),
+                                (*common, "--replicates", "5"),
+                                (*common, "--formats", "csv"))) == 1
+
+    def test_calibrate_hash_depends_on_m_and_n(self, tmp_path):
+        assert len(self._hashes(tmp_path, "calibration.json",
+                                ("calibrate", "--kind", "dp", "--m", "8", "--n", "19"),
+                                ("calibrate", "--kind", "dp", "--m", "50", "--n", "50"))) == 2
+
+    def test_simulate_hash_depends_on_theta(self, tmp_path):
+        common = ("simulate", "--sigma", "1", "--n", "10", "--m", "4")
+        assert len(self._hashes(tmp_path, "sample_meta.json",
+                                (*common, "--mu", "0"), (*common, "--mu", "5"))) == 2
+
+    def test_band_hash_depends_on_reliability(self, data_csv, tmp_path):
+        common = ("band", "--data", data_csv, "--method", "b1", "--formats", "json")
+        assert len(self._hashes(tmp_path, "band_*.json",
+                                common, (*common, "--reliability"))) == 2
 
 
 class TestReproduceCommand:
