@@ -16,9 +16,10 @@ is constant or live. The band metrics and `graph_contained`, the exact
 containment of a cdf graph, walk these panels (`_panels`).
 
 `METHODS` is the one table of the paper's regions (c1-c4pp) and bands
-(b1-b4pp): per method, the calibration constant it needs, its builder and
-its exact coverage event, one interval of the pivots (`regions.Event`)
-that one predicate counts (`regions.within`) and one quadrature integrates
+(b1-b4pp): per method, the calibration constant it needs and its exact
+value at a scheme and level (`Method.constants`), its builder and its
+exact coverage event, one interval of the pivots (`regions.Event`) that
+one predicate counts (`regions.within`) and one quadrature integrates
 (`event_probability`). The CLI, the coverage experiments and the paper
 reproduction all dispatch through it.
 """
@@ -35,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import interval_probability, tau_of_p
+from .calibration import CalibrationKey, cp_tail, exact_constant, interval_probability, tau_of_p
 from .errors import DomainError, NumericError
 from .model import LocScale, MleEstimate, Scheme, _std_cdf
 from .numerics import brent_root
@@ -550,14 +551,13 @@ def _gaps(piece: Segment, f: ExpCdfSegment, a: float, b: float) -> list[float]:
 
 
 def graph_contained(band: Band, theta: LocScale) -> bool:
-    """Whether the graph of F_theta lies between the band's boundaries,
-    decided exactly, with no grid and no tolerance: on each panel between the
+    """Whether the graph of F_theta, shown as the band shows its cdf
+    boundaries (`Band.push`), lies between the band's boundaries, decided
+    exactly, with no grid and no tolerance. `push` is strictly monotone, so
+    that is the cdf band's containment of F_theta: on each panel between the
     band's breakpoints and theta.mu, F_theta is 0 or live, and `_gaps` reads
     each piece minus F_theta where its sign is decided. Left of the first
-    edge all three curves are constant. Reliability and marginal bands raise
-    DomainError."""
-    if not band.increasing or band.gammas is not None:
-        raise DomainError("containment check expects a cdf band, not a reliability or marginal one")
+    edge all three curves are constant."""
     f = ExpCdfSegment(theta.mu, theta.sigma)
     return all(max(_gaps(p.lower, f, p.a, p.b)) <= 0.0 <= min(_gaps(p.upper, f, p.a, p.b))
                for p in _panels(band, (theta.mu,)))
@@ -652,11 +652,19 @@ class Method:
     the constants as the builder does and returns a `regions.Event`: the
     object built from an estimate covers (mu, sigma) exactly when
     Z = n(mu_hat - mu)/sigma lies in interval(T), T = sigma_hat/sigma. Both
-    read c_p (b3 also an optional nominal_p) or d_p from `constants`."""
+    read c_p or d_p from `constants`, as `Method.constants` returns them."""
 
     constant: str | None
     build: Callable[..., Region | Band]
     event: Callable[..., Event]
+
+    def constants(self, scheme: Scheme, level: float, lookup=exact_constant) -> tuple[dict, list]:
+        """The method's exact constants at (scheme, level) and the calibration
+        results they come from, as `lookup` (a cache, say) answers their key."""
+        if self.constant is None:
+            return {}, []
+        result = lookup(CalibrationKey.exact(self.constant, scheme.m, scheme.effective_n, level))
+        return result.constants, [result]
 
 
 _UNIT = MleEstimate(0.0, 1.0)   # any estimate carries a level's region constants
@@ -696,8 +704,9 @@ METHODS: dict[str, Method] = {
                    _region_event("c4pp")),
     "b1": Method(None, lambda est, sch, lv, k: band_b1(est, sch, 1.0 - lv), _region_event("c1")),
     "b2": Method(None, lambda est, sch, lv, k: band_b2(est, sch, 1.0 - lv), _region_event("c2")),
+    # b3's nominal p = 1 - P(W >= c_p): bit for bit the p of exact_p_of_tau
     "b3": Method("p_of_tau", lambda est, sch, lv, k: band_b3(
-        est, sch, k["c_p"], nominal_p=k.get("nominal_p")), _b3_event),
+        est, sch, k["c_p"], nominal_p=1.0 - cp_tail(sch.m, k["c_p"])), _b3_event),
     "b4": Method("d_p", lambda est, sch, lv, k: band_b4(est, k["d_p"], level=lv), _ks_event),
     "b4p": Method("d_p", _trimmed(False), _ks_event),
     "b4pp": Method("d_p", _trimmed(True), _ks_event),

@@ -23,7 +23,9 @@ samplers are the independent oracle for the exact kernels.
 The three exact kernels (`exact_cp`, `exact_dp`, `exact_p_of_tau`) are
 memoized per process in bounded LRU caches (`cache_clear()` empties one)
 that key a NumPy scalar or 0-d array argument as the number it holds; bad
-input raises afresh on every call. A JSON-lines cache records the exact
+input raises afresh on every call. A method's exact constant is keyed by
+`CalibrationKey.exact`, solved by `exact_constant` and unpacked by
+`CalibrationResult.constants`. A JSON-lines cache records the exact
 constants the command line uses, with their provenance, across processes.
 """
 
@@ -50,14 +52,15 @@ _SECTIONS = 100
 
 @dataclass(frozen=True)
 class CalibrationKey:
-    """Identity of a calibration constant. `n` is 0 for constants that only
+    """Identity of a calibration constant. `n` is the scheme's effective n
+    (gamma_1, a float that need not be whole), or 0 for constants that only
     depend on m; `level` is the defining probability of the constant.
     `reps` and `seed` size a Monte-Carlo estimate; both are None for an
     exact constant."""
 
     kind: str       # "c_p" | "d_p" | "p_of_tau"
     m: int
-    n: int
+    n: float
     level: float
     reps: int | None = None
     seed: int | None = None
@@ -68,6 +71,13 @@ class CalibrationKey:
         if self.reps is not None and self.reps < 1:
             raise DomainError("reps must be >= 1")
 
+    @classmethod
+    def exact(cls, kind: str, m: int, n: float, level: float) -> CalibrationKey:
+        """The exact constant's key at confidence level `level`: c_p and d_p
+        are keyed by p = 1 - level, p_of_tau by the level; only d_p reads n."""
+        return cls(kind, m=m, n=float(n) if kind == "d_p" else 0,
+                   level=level if kind == "p_of_tau" else 1.0 - level)
+
 
 @dataclass(frozen=True)
 class CalibrationResult:
@@ -75,6 +85,18 @@ class CalibrationResult:
     mc_std_error: float
     key: CalibrationKey
     extra: dict | None = None
+
+    @property
+    def constants(self) -> dict:
+        """The builder's constant: d_p, or c_p (for p_of_tau, its c)."""
+        if self.key.kind == "d_p":
+            return {"d_p": self.value}
+        return {"c_p": self.extra["c"] if self.key.kind == "p_of_tau" else self.value}
+
+    def record(self) -> dict:
+        """The result as a cache line and as an output's provenance."""
+        return {"key": asdict(self.key), "value": self.value,
+                "mc_std_error": self.mc_std_error, "extra": self.extra}
 
 
 def _order_index(q: float, n: int) -> int:
@@ -327,8 +349,8 @@ def exact_dp(m: int, n: float, p: float) -> float:
     Newton steps from d = 0.3 on the log-odds of the cdf, which is nearly
     linear in d in both tails, take their slope pdf/(cdf (1 - cdf)) from
     the density the same quadrature gives; where the cdf rounds to 0 or 1
-    the step falls back to bisection. Four to six quadratures per solve
-    on the paper's d-constant grid, where Brent's method took 11 to 15.
+    the step falls back to bisection. Four to six quadratures per solve at
+    p = 0.1 on the paper's d-constant grid, six to nine at its p = 0.9.
     """
     p = check_probability(p, "p", open_interval=True)
     target = math.log((1.0 - p) / p)
@@ -342,7 +364,7 @@ def exact_dp(m: int, n: float, p: float) -> float:
     return newton_root(log_odds, 1e-9, 1.0 - 1e-9, 0.3, xtol=1e-12)
 
 
-def _compute_exact(key: CalibrationKey) -> CalibrationResult:
+def exact_constant(key: CalibrationKey) -> CalibrationResult:
     """The exact constant a key names: c_p or d_p at p = key.level, or
     p_of_tau at tau = key.level with its c in `extra`."""
     extra: dict = {"method": "exact"}
@@ -450,14 +472,12 @@ class CalibrationCache:
         return found
 
     def put(self, result: CalibrationResult) -> None:
-        record = {"key": asdict(result.key), "value": result.value,
-                  "mc_std_error": result.mc_std_error, "extra": result.extra}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a+b") as fh:
             fh.seek(0)
             data = fh.read()
             fh.truncate(data.rfind(b"\n") + 1)
-            fh.write((json.dumps(record) + "\n").encode())
+            fh.write((json.dumps(result.record()) + "\n").encode())
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -470,6 +490,6 @@ class CalibrationCache:
         cached = self.get(key)
         if cached is not None:
             return cached
-        result = _compute_exact(key)
+        result = exact_constant(key)
         self.put(result)
         return result

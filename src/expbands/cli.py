@@ -3,10 +3,10 @@
 Subcommands: fit, region, band, metrics, calibrate, coverage, simulate,
 reproduce-paper. Option precedence is flags > config file (--config, a JSON
 document) > defaults. The method names of region, band, metrics and
-coverage, the constant each needs and its builder come from the method
-registry `bands.METHODS`. Calibration constants are exact (closed-form c_p
-and band level, quadrature d_p) and recorded in a JSON-lines cache whose
-path comes from the config file or the EXPBANDS_CACHE environment variable.
+coverage and their builders come from the method registry `bands.METHODS`,
+whose `Method.constants` gives the exact constants (closed-form c_p and band
+level, quadrature d_p) through a JSON-lines cache, whose path comes from
+the config file or the EXPBANDS_CACHE environment variable.
 --reps sizes only the Monte-Carlo cross-check of reproduce-paper; --seed
 seeds that cross-check, simulate and coverage. Every output embeds a hash
 of what the command computed (the settings it reads, `_READS`, and its own
@@ -134,9 +134,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
 
 
 def _config_hash(args: argparse.Namespace, cfg: dict) -> str:
-    # the settings the subcommand reads and its own arguments, but the input file
+    # the settings the subcommand reads and its own arguments, but the input
+    # file: metrics' bands as resolved, and calibrate's n only where d_p reads it
     own = {k: v for k, v in vars(args).items()
            if k not in _DEFAULTS and k not in ("command", "func", "data", "config")}
+    if args.command == "metrics":
+        own["methods"] = _band_methods(args.methods)
+    if args.command == "calibrate" and args.kind != "dp":
+        del own["n"]
     doc = json.dumps({"command": args.command, "args": own,
                       **{k: cfg[k] for k in _READS[args.command]}}, sort_keys=True, default=str)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
@@ -149,21 +154,16 @@ def _cache(cfg: dict) -> CalibrationCache:
     return CalibrationCache(path)
 
 
-def _metadata(cfg: dict, command: str, calibrations: list[dict] | None = None) -> dict:
+def _metadata(cfg: dict, command: str, calibrations: list[CalibrationResult] | None = None) -> dict:
     return {
         "tool": "expbands",
         "version": __version__,
         "command": command,
         "config_hash": cfg["config_hash"],
         "seed": cfg["seed"],
-        "calibration": calibrations or [],
+        "calibration": [res.record() for res in calibrations or []],
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-
-
-def _provenance(res: CalibrationResult) -> dict:
-    return {"key": dataclasses.asdict(res.key), "value": res.value,
-            "mc_std_error": res.mc_std_error, "extra": res.extra}
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -173,25 +173,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _exact_constant(kind: str, m: int, n: int, level: float, cfg: dict) -> CalibrationResult:
-    """Exact calibration constant for confidence level `level`, cache-backed:
-    c_p and d_p are keyed by p = 1 - level, p_of_tau by the band level."""
-    key = CalibrationKey(kind, m=m, n=n if kind == "d_p" else 0,
-                         level=level if kind == "p_of_tau" else 1.0 - level)
-    return _cache(cfg).get_or_compute(key)
-
-
-def _resolve_constants(method: str, level: float, scheme, cfg: dict) -> tuple[dict, list[dict]]:
-    """Calibration constants needed by a region/band method."""
+def _resolve_constants(method: str, level: float, scheme, cfg: dict) -> tuple[dict, list]:
+    """The exact constants of a region/band method, through the cache."""
     if method not in _bands.METHODS:
         raise DomainError(f"unknown method {method!r}")
-    kind = _bands.METHODS[method].constant
-    if kind is None:
-        return {}, []
-    res = _exact_constant(kind, scheme.m, int(scheme.effective_n), level, cfg)
-    if kind == "p_of_tau":
-        return {"c_p": res.extra["c"], "nominal_p": res.value}, [_provenance(res)]
-    return {kind: res.value}, [_provenance(res)]
+    return _bands.METHODS[method].constants(scheme, level, _cache(cfg).get_or_compute)
+
+
+def _band_methods(spec: str | None) -> tuple[str, ...]:
+    """The bands a comma list names, or all of them."""
+    methods = BAND_METHODS if spec in (None, "all") else tuple(m.strip() for m in spec.split(","))
+    if bad := set(methods) - set(BAND_METHODS):
+        raise DomainError(f"unknown band methods: {sorted(bad)}")
+    return methods
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +277,9 @@ def cmd_metrics(args, cfg) -> int:
     _, working, transform = _load_data(args, cfg)
     est = mle(working)
     level = cfg["level"]
-    methods = BAND_METHODS if args.methods in (None, "all") else tuple(
-        m.strip() for m in args.methods.split(","))
-    bad = set(methods) - set(BAND_METHODS)
-    if bad:
-        raise DomainError(f"unknown band methods: {sorted(bad)}")
     rows = []
-    provenance_all: list[dict] = []
-    for method in methods:
+    provenance_all: list[CalibrationResult] = []
+    for method in _band_methods(args.methods):
         constants, provenance = _resolve_constants(method, level, working.scheme, cfg)
         band = _bands.METHODS[method].build(est, working.scheme, level, constants)
         bm = _metrics.band_metrics(band)
@@ -317,18 +306,17 @@ def cmd_calibrate(args, cfg) -> int:
     m = int(args.m)
     if args.kind == "dp" and args.n is None:
         raise DomainError("--n is required for kind dp")
-    if args.kind == "tau":  # analytic, needs c_p first
-        cp_res = _exact_constant("c_p", m, 0, level, cfg)
-        value = tau_of_p(m, 1.0 - level, cp_res.value)
-        payload = {"metadata": _metadata(cfg, "calibrate.tau", [_provenance(cp_res)]),
+    # tau is the band level of the region's c_p, in closed form
+    kind = {"cp": "c_p", "tau": "c_p", "dp": "d_p", "p-of-tau": "p_of_tau"}[args.kind]
+    res = _cache(cfg).get_or_compute(CalibrationKey.exact(kind, m, args.n or 0, level))
+    if args.kind == "tau":
+        value = tau_of_p(m, 1.0 - level, res.value)
+        payload = {"metadata": _metadata(cfg, "calibrate.tau", [res]),
                    "kind": "tau", "m": m, "region_level": level, "value": value}
         _write_json(Path(cfg["output_dir"]) / "calibration.json", payload)
         print(json.dumps({"tau": value}))
         return EXIT_OK
-    kind = {"cp": "c_p", "dp": "d_p", "p-of-tau": "p_of_tau"}[args.kind]
-    res = _exact_constant(kind, m, int(args.n or 0), level, cfg)
-    payload = {"metadata": _metadata(cfg, f"calibrate.{args.kind}", [_provenance(res)]),
-               **_provenance(res)}
+    payload = {"metadata": _metadata(cfg, f"calibrate.{args.kind}", [res]), **res.record()}
     _write_json(Path(cfg["output_dir"]) / "calibration.json", payload)
     print(json.dumps({"value": res.value, "mc_std_error": res.mc_std_error,
                       "extra": res.extra}))
@@ -341,7 +329,6 @@ def cmd_coverage(args, cfg) -> int:
     level = cfg["level"]
     kind = args.kind
     constants, provenance = _resolve_constants(kind, level, scheme, cfg)
-    constants.pop("nominal_p", None)
     theta = LocScale(float(args.mu), float(args.sigma))
     report = _metrics.coverage_experiment(
         kind, theta, scheme, level, cfg["replicates"],
@@ -388,8 +375,7 @@ def cmd_reproduce(args, cfg) -> int:
         "metadata": _metadata(cfg, "reproduce-paper"),
         "all_passed": report.all_passed,
         "checks": [dataclasses.asdict(r) for r in report.rows],
-        "mc_crosscheck": report.crosscheck,
-        "d_grid_audit": report.table3})
+        "mc_crosscheck": report.crosscheck})
     print(f"wrote {outdir / 'report.md'}: {'PASS' if report.all_passed else 'FAIL'}")
     return EXIT_OK if report.all_passed else EXIT_NUMERIC
 

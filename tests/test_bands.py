@@ -26,7 +26,7 @@ from expbands.bands import (
     reliability_band,
     trim_band,
 )
-from expbands.calibration import band_level, exact_cp, exact_dp, exact_p_of_tau, ks_cdf
+from expbands.calibration import band_level, exact_dp, exact_p_of_tau, ks_cdf
 from expbands.errors import DomainError, UnsupportedCaseError
 from expbands.metrics import max_width
 from expbands.model import (CensoringScheme, GeneralizedScheme, LocScale, MleEstimate, mle,
@@ -507,28 +507,37 @@ class TestContainmentIdentities:
                 band = METHODS[kind].build(est, scheme, LEVEL, constants)
                 assert graph_contained(band, std_theta) == bool(fast[i]), (kind, i)
 
-    def test_transformed_bands_rejected(self, all_bands, fluid_scheme, std_theta):
-        for band in (reliability_band(all_bands["b1"]),
-                     marginal_band(all_bands["b1"], fluid_scheme.gammas)):
-            with pytest.raises(DomainError):
-                graph_contained(band, std_theta)
+    def test_transformed_bands_match_pushed_grid(self, all_bands, fluid_est, fluid_scheme):
+        # a reliability or marginal band contains the shown graph of F_theta
+        # exactly when its pushed boundaries hold the pushed cdf on a fine
+        # grid through every breakpoint and theta's location
+        rng = np.random.default_rng(29)
+        views = [view(base) for base in all_bands.values()
+                 for view in (reliability_band, lambda b: marginal_band(b, fluid_scheme.gammas))]
+        for band in views:
+            thetas = [LocScale(fluid_est.mu_hat + fluid_est.sigma_hat * rng.uniform(-0.5, 0.1),
+                               fluid_est.sigma_hat * math.exp(rng.normal(0.0, 0.35)))
+                      for _ in range(20)]
+            edges = band.breakpoints() + tuple(t.mu for t in thetas)
+            xs = np.union1d(np.linspace(min(edges) - 1.0, max(edges) + 600.0, 20_001), edges)
+            lower, upper = band.lower(xs), band.upper(xs)
+            verdicts = []
+            for theta in thetas:
+                shown = band.push(ExpCdfSegment(theta.mu, theta.sigma).evaluate(xs))
+                on_grid = bool(np.all(lower <= shown) and np.all(shown <= upper))
+                verdicts.append(graph_contained(band, theta))
+                assert verdicts[-1] == on_grid, (band.kind, theta)
+            assert 0 < sum(verdicts) < len(verdicts), band.kind
 
 
-# the bundled scheme, a complete sample, tied coefficients and m = 3, where
-# d_p >= 0.5 at the higher levels
+# the bundled scheme, a complete sample, tied coefficients, m = 3, where
+# d_p >= 0.5 at the higher levels, and sequential order statistics whose
+# gamma_1, in place of n, is not a whole number
 EVENT_SCHEMES = {"bundled": CensoringScheme(19, 8, (0, 0, 3, 0, 3, 0, 0, 5)),
                  "complete8": CensoringScheme.complete(8),
                  "tied-gammas": GeneralizedScheme((6.0, 6.0, 4.0, 4.0, 2.0)),
-                 "m3": CensoringScheme(6, 3, (0, 0, 3))}
-
-
-def _event_constants(scheme, level: float) -> dict:
-    # the exact constant of each kind at a level: c3's c_p, b3's c_p of band
-    # level `level`, the KS family's d_p
-    m, n = scheme.m, scheme.effective_n
-    return {None: {}, "c_p": {"c_p": exact_cp(m, 1.0 - level)},
-            "p_of_tau": {"c_p": exact_p_of_tau(m, level)[1]},
-            "d_p": {"d_p": exact_dp(m, n, 1.0 - level)}}
+                 "m3": CensoringScheme(6, 3, (0, 0, 3)),
+                 "gamma1-6.5": GeneralizedScheme((6.5, 5.5, 4.0, 3.0, 2.0))}
 
 
 class TestEventProbability:
@@ -536,12 +545,12 @@ class TestEventProbability:
     @pytest.mark.parametrize("name", EVENT_SCHEMES)
     def test_equals_calibration_identity(self, name, level):
         # c1/c2 and their bands: the level; c3 at exact_cp: 1 - p; b3: its
-        # exact band level; the KS family: the pivot cdf at d_p
+        # exact band level; the KS family: the pivot cdf at d_p. At each
+        # method's own constants for (scheme, level), that is the level
         scheme = EVENT_SCHEMES[name]
         m, n = scheme.m, scheme.effective_n
-        constants = _event_constants(scheme, level)
         for kind, method in METHODS.items():
-            k = constants[method.constant]
+            k = method.constants(scheme, level)[0]
             if kind in ("c4p", "c4pp") and k["d_p"] >= 0.5:
                 with pytest.raises(UnsupportedCaseError):
                     event_probability(kind, scheme, level, k)
@@ -554,6 +563,7 @@ class TestEventProbability:
                 identity = level
             got = event_probability(kind, scheme, level, k)
             assert abs(got - identity) <= 1e-12, (kind, got, identity)
+            assert got == pytest.approx(level, abs=1e-10), (kind, got)
 
     def test_m3_reaches_the_unbounded_sup_distance_regions(self):
         assert exact_dp(3, 6, 1.0 - 0.99) >= 0.5 > exact_dp(3, 6, 0.5)
@@ -565,7 +575,7 @@ class TestEventProbability:
         pytest.importorskip("scipy")
         from scipy import integrate, stats
         m = fluid_scheme.m
-        k = _event_constants(fluid_scheme, LEVEL)[METHODS[kind].constant]
+        k = METHODS[kind].constants(fluid_scheme, LEVEL)[0]
         interval, edges = METHODS[kind].event(fluid_scheme, LEVEL, k)
         f_t = stats.gamma(m - 1, scale=1.0 / m).pdf
 

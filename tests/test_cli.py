@@ -10,9 +10,9 @@ import pytest
 
 import expbands
 from expbands.bands import band_from_dict
-from expbands.calibration import exact_dp
-from expbands.cli import main
-from expbands.model import load_insulating_fluid, write_sample_csv
+from expbands.calibration import exact_dp, ks_cdf
+from expbands.cli import _resolve_constants, main
+from expbands.model import GeneralizedScheme, load_insulating_fluid, write_sample_csv
 from expbands.regions import region_from_dict
 
 
@@ -321,6 +321,16 @@ class TestCalibrateCoverageSimulate:
         doc = _load(tmp_path / "coverage_c1.json")
         assert doc["coverage"] == pytest.approx(0.90, abs=0.01)
 
+    def test_constants_read_a_non_integer_gamma_1(self, tmp_path):
+        # sequential order statistics: gamma_1 = 6.5 stands in for n, and
+        # the d_p it gives has exact level 0.9 (the d_p of n = 6 has 0.9098)
+        scheme = GeneralizedScheme((6.5, 5.5, 4.0, 3.0, 2.0))
+        cfg = {"cache_path": tmp_path / "cache.jsonl", "output_dir": tmp_path}
+        constants, (result,) = _resolve_constants("b4", 0.9, scheme, cfg)
+        assert constants["d_p"] == pytest.approx(exact_dp(5, 6.5, 0.1), abs=1e-12)
+        assert ks_cdf(5, 6.5, constants["d_p"]) == pytest.approx(0.9, abs=1e-10)
+        assert result.key.n == 6.5
+
     @pytest.mark.parametrize("kind, constant", [("c3", "c_p"), ("b3", "p_of_tau"),
                                                  ("b4", "d_p")])
     def test_coverage_at_exact_constant(self, data_csv, tmp_path, kind, constant):
@@ -509,6 +519,20 @@ class TestConfigHash:
                                 (*common, "--replicates", "5"),
                                 (*common, "--formats", "csv"))) == 1
 
+    def test_metrics_hash_resolves_the_band_list(self, data_csv, tmp_path):
+        # the same rows under one hash, however the bands are spelled
+        common = ("metrics", "--data", data_csv)
+        assert len(self._hashes(tmp_path, "metrics.json", common,
+                                (*common, "--methods", "all"),
+                                (*common, "--methods", "b1, b2,b3,b4,b4p,b4pp"))) == 1
+
+    @pytest.mark.parametrize("kind", ("cp", "tau", "p-of-tau"))
+    def test_calibrate_hash_ignores_n_where_unread(self, tmp_path, kind):
+        # only d_p depends on n
+        common = ("calibrate", "--kind", kind, "--m", "8")
+        assert len(self._hashes(tmp_path, "calibration.json", common, (*common, "--n", "19"),
+                                (*common, "--n", "50"))) == 1
+
     def test_calibrate_hash_depends_on_m_and_n(self, tmp_path):
         assert len(self._hashes(tmp_path, "calibration.json",
                                 ("calibrate", "--kind", "dp", "--m", "8", "--n", "19"),
@@ -539,7 +563,7 @@ class TestReproduceCommand:
         assert doc["all_passed"] is True
         checks = {c["name"] for c in doc["checks"]}
         assert "fit mu_hat" in checks and "width ordering" in checks
-        assert len(doc["d_grid_audit"]) == 28
+        assert sum(name.startswith("d 10% point, m=") for name in checks) == 28
 
     def test_report_cross_checks_exact_constants(self, tmp_path):
         assert _run("reproduce-paper", "--reps", "200000", "--seed", "5",
@@ -549,9 +573,10 @@ class TestReproduceCommand:
         assert set(rows) == {"d", "c"}
         assert rows["d"]["exact"] == pytest.approx(0.249231, abs=1e-6)
         assert all(abs(row["z"]) < 5 for row in rows.values())
-        # the audit grid is deterministic: no Monte-Carlo error column
-        assert all(set(row) == {"m", "n", "published", "computed"}
-                   for row in doc["d_grid_audit"])
+        # the published d-constant grid is 28 hard checks on exact constants
+        table3 = [c for c in doc["checks"] if c["name"].startswith("d 10% point, m=")]
+        assert len(table3) == 28 and "d_grid_audit" not in doc
+        assert all(c["passed"] and c["tolerance"] == 5e-4 for c in table3)
 
     def test_report_strict_json_without_standard_error(self, tmp_path):
         # 100 draws are too few for a sectioning standard error: the checks

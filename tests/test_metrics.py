@@ -17,7 +17,7 @@ from expbands.bands import (
     marginal_band,
     reliability_band,
 )
-from expbands.calibration import exact_cp, exact_dp, exact_p_of_tau, ks_cdf
+from expbands.calibration import exact_dp, ks_cdf
 from expbands.cli import _DEFAULTS, main
 from expbands.errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
 from expbands.metrics import (
@@ -70,11 +70,7 @@ KINDS = ("b1", "b2", "b3", "b4", "b4p", "b4pp")
 
 def _bands(sample: ProgressiveSample, level: float, kinds=KINDS) -> dict:
     est, scheme = mle(sample), sample.scheme
-    nominal_p, c_p = exact_p_of_tau(scheme.m, level)
-    constants = {"c_p": c_p, "nominal_p": nominal_p}
-    if not {"b4", "b4p", "b4pp"}.isdisjoint(kinds):
-        constants["d_p"] = exact_dp(scheme.m, int(scheme.effective_n), 1.0 - level)
-    return {kind: METHODS[kind].build(est, scheme, level, constants)
+    return {kind: METHODS[kind].build(est, scheme, level, METHODS[kind].constants(scheme, level)[0])
             for kind in kinds}
 
 
@@ -306,11 +302,8 @@ class TestCoverage:
         # hold at any theta, for tied gammas (n = gamma_1) and for a complete
         # sample, where (m + 1)/n > 1
         theta, level = LocScale(5.0, 3.0), 0.873
-        constants = {None: {}, "c_p": {"c_p": exact_cp(scheme.m, 1.0 - level)},
-                     "p_of_tau": {"c_p": exact_p_of_tau(scheme.m, level)[1]},
-                     "d_p": {"d_p": exact_dp(scheme.m, scheme.effective_n, 1.0 - level)}}
         for kind, method in METHODS.items():
-            kw = constants[method.constant]
+            kw = method.constants(scheme, level)[0]
             fast = coverage_experiment(kind, theta, scheme, level, 200, seed=8, **kw)
             slow = coverage_experiment(kind, theta, scheme, level, 200, seed=8, method="grid",
                                        **kw)
