@@ -10,10 +10,11 @@ Newton root find over a panel quadrature that gives the density too.
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Both pivots are functions of the
 independent pair Z ~ Exp(1) and T ~ Gamma(m-1)/m, so every draw is one
-formula (`regions.cp_pivot`, `regions.ks_distance_xy`) applied, one half
-batch at a time, to the contiguous Z and T arrays that `model.map_pivots`
-draws on its thread pool (per batch, one `standard_exponential` call for Z
-and one `standard_gamma(m-1)`/m call for T, each on its own stream).
+kernel (`regions.cp_pivot`, `regions.ks_distance_xy`, each evaluated in
+place in its output with no select) applied, one half batch at a time, to
+the contiguous Z and T arrays that `model.map_pivots` draws on its thread
+pool (per batch, one `standard_exponential` call for Z and one
+`standard_gamma(m-1)`/m call for T, each on its own stream).
 Quantiles are order statistics taken by selection (`ndarray.partition`),
 not by a full sort, except along the level inversion, which reads the
 whole quantile curve. Every Monte-Carlo result carries a sectioning
@@ -132,7 +133,8 @@ def _section_std_error(draws: np.ndarray, q: float) -> float:
 
 def _draw(m: int, reps: int, seed: int, pivot) -> np.ndarray:
     # pivot(z, t) on every batch of `map_pivots`, in replicate order, half a
-    # batch at a time: the formulas' temporaries set the samplers' peak memory
+    # batch at a time: the kernels' output and scratch arrays set the
+    # samplers' peak memory, which whole batches raise by about 0.5 MB
     out = np.empty(check_replicates(reps))
     half = BATCH_SIZE // 2
 

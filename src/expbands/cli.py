@@ -175,8 +175,6 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _resolve_constants(method: str, level: float, scheme, cfg: dict) -> tuple[dict, list]:
     """The exact constants of a region/band method, through the cache."""
-    if method not in _bands.METHODS:
-        raise DomainError(f"unknown method {method!r}")
     return _bands.METHODS[method].constants(scheme, level, _cache(cfg).get_or_compute)
 
 
@@ -442,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("coverage", help="empirical coverage experiment")
     p.add_argument("--data", required=True, help="sample CSV supplying the scheme")
-    p.add_argument("--kind", required=True)
+    p.add_argument("--kind", required=True, choices=tuple(_bands.METHODS))
     p.add_argument("--mu", required=True, type=float)
     p.add_argument("--sigma", required=True, type=float)
     _add_common(p)

@@ -55,8 +55,15 @@ def split_level(p: float) -> tuple[float, float]:
 def cp_pivot(u, v, m):
     """The log-likelihood pivot W = (m+1) ln(v/m) - u - v at
     u = n(mu_hat - mu)/sigma ~ Exp(1) and v = m sigma_hat/sigma ~ Gamma(m-1),
-    independent (vectorized). The minimum-area region is u >= 0, W >= c_p."""
-    return (m + 1) * np.log(v / m) - u - v
+    independent (vectorized). The minimum-area region is u >= 0, W >= c_p.
+    Evaluated in place in its output, in the formula's operation order."""
+    out = np.empty(np.broadcast_shapes(np.shape(u), np.shape(v)))
+    np.divide(v, m, out=out)
+    np.log(out, out=out)
+    np.multiply(m + 1, out, out=out)
+    np.subtract(out, u, out=out)
+    np.subtract(out, v, out=out)
+    return out if out.ndim else out[()]
 
 
 def h_curve(t, d_p):
@@ -83,19 +90,39 @@ def ks_slopes(t, d_p):
 
 def ks_distance_xy(mu, sigma):
     """sup_x |F_(mu, sigma)(x) - F_(0,1)(x)| in closed form (vectorized). At
-    (Z/n, T) it is the sup-distance pivot behind the KS-type bands."""
+    (Z/n, T) it is the sup-distance pivot behind the KS-type bands.
+
+    The sup is u = 1 - exp(-max(mu, -mu/sigma)), at least +0, or the interior
+    candidate v = |1 - sigma| exp((mu - sigma ln sigma)/(sigma - 1)) where the
+    interior test (mu > sigma ln sigma below sigma = 1, mu < ln sigma above)
+    holds, whichever is larger. Evaluated in place in the output and two
+    scratch arrays, with no select: a lane outside the interior keeps u
+    whatever its candidate (which may overflow there), and at sigma = 1 the
+    candidate is 0 on the interior lanes (mu < 0) and 0 or NaN elsewhere."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    u = -np.expm1(-np.maximum(mu, -mu / sigma))
-    not_one = sigma != 1.0
-    s = np.where(not_one, sigma, 2.0)
-    ln_s = np.log(s)
-    interior = np.where(s < 1.0, mu > s * ln_s, mu < ln_s)
-    # the exponent can overflow only on lanes masked out below
-    with np.errstate(over="ignore"):
-        v = np.abs(1.0 - s) * np.exp((mu - s * ln_s) / (s - 1.0))
-    v = np.where(not_one & interior, v, 0.0)
-    out = np.maximum(u, v)
+    out = np.empty(np.broadcast_shapes(mu.shape, sigma.shape))
+    # u, clipped at +0: at mu = +0 the max picks -mu/sigma = -0.0
+    np.negative(mu, out=out)
+    np.divide(out, sigma, out=out)
+    np.maximum(mu, out, out=out)
+    np.negative(out, out=out)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    np.maximum(out, 0.0, out=out)
+    a = np.log(sigma, out=np.empty_like(out))          # ln sigma, then |sigma - 1|
+    v = np.multiply(sigma, a, out=np.empty_like(out))  # sigma ln sigma, then v
+    below = sigma < 1.0
+    interior = (mu > v) & below | (mu < a) & ~below
+    # sigma = 1 divides by zero, and only lanes outside the interior overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        np.subtract(mu, v, out=v)
+        np.subtract(sigma, 1.0, out=a)
+        np.divide(v, a, out=v)
+        np.exp(v, out=v)
+        np.abs(a, out=a)
+        np.multiply(a, v, out=v)
+    np.maximum(out, v, out=out, where=interior)
     return out if out.ndim else float(out)
 
 
@@ -129,7 +156,8 @@ def within(interval, z, t):
 def _trace(mu_hat, sigma_hat, interval, scale, ts, points):
     # boundary polyline: mu = mu_hat - sigma Z/scale at both ends Z of interval(T),
     # sigma = sigma_hat/T, at points // 2 T over [min ts, max ts] and at the T in ts
-    t = np.union1d(np.linspace(min(ts), max(ts), max(points // 2, 2)), ts)
+    # a sorted set, not np.union1d, whose np.unique imports numpy.ma
+    t = np.array(sorted({*np.linspace(min(ts), max(ts), max(points // 2, 2)).tolist(), *ts}))
     sig = sigma_hat / t
     lo, hi = interval(t)
     return np.vstack([np.column_stack([mu_hat - sig * hi / scale, sig]),

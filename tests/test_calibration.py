@@ -49,6 +49,18 @@ def test_selected_quantiles_match_sorted_reference(p, reps):
         draw_ks_statistic(8, 19, reps, seed=6), 1.0 - p)
 
 
+def test_monte_carlo_calibrators_pinned():
+    # values and sectioning errors of the select-based pivot kernels at 10^6
+    # draws: the in-place kernels reproduce every draw bit for bit
+    dp = calibrate_dp(8, 19, 0.0975, 10**6, seed=3)
+    assert (dp.value, dp.mc_std_error) == (0.24906049184094978, 0.00023431127290775397)
+    cp = calibrate_cp(8, 0.0975, 10**6, seed=3)
+    assert (cp.value, cp.mc_std_error) == (-11.969393854809564, 0.0045959610140161354)
+    tau = p_of_tau(8, 0.9025, 10**6, seed=3)
+    assert (tau.value, tau.mc_std_error) == (0.12697530266698648, 0.003914643293640567)
+    assert tau.extra == {"c": -11.587908058130843, "c_std_error": 0.003914643293640567}
+
+
 class TestCpQuantile:
     def test_monotone_in_p_on_same_draws(self):
         draws = np.sort(draw_cp_statistic(8, 100_000, seed=1))

@@ -321,6 +321,16 @@ class TestCalibrateCoverageSimulate:
         doc = _load(tmp_path / "coverage_c1.json")
         assert doc["coverage"] == pytest.approx(0.90, abs=0.01)
 
+    @pytest.mark.parametrize("argv", [("coverage", "--kind", "zz", "--mu", "0", "--sigma", "1"),
+                                      ("region", "--method", "zz")])
+    def test_unknown_method_is_a_parse_error(self, data_csv, tmp_path, capsys, argv):
+        # coverage --kind used to exit 3 with a DomainError where region
+        # --method exits 2 with argparse's usage error
+        with pytest.raises(SystemExit) as exc:
+            _run(argv[0], "--data", data_csv, *argv[1:], "--output-dir", tmp_path)
+        assert exc.value.code == 2
+        assert "invalid choice: 'zz'" in capsys.readouterr().err
+
     def test_constants_read_a_non_integer_gamma_1(self, tmp_path):
         # sequential order statistics: gamma_1 = 6.5 stands in for n, and
         # the d_p it gives has exact level 0.9 (the d_p of n = 6 has 0.9098)
@@ -596,3 +606,25 @@ def test_import_leaves_thread_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_region_command_leaves_numpy_ma_unloaded(tmp_path):
+    # the boundary tracer's T grid is a sorted set, not np.union1d, whose
+    # np.unique imports numpy.ma into every region process
+    src = str(Path(expbands.__file__).resolve().parent.parent)
+    data = tmp_path / "data.csv"
+    write_sample_csv(load_insulating_fluid(), data)
+    code = ("import json, sys, numpy; before = 'numpy.ma' in sys.modules\n"
+            "from expbands.cli import main\n"
+            "codes = [main(['region', '--data', sys.argv[1], '--method', method, '--level', "
+            "'0.9025', '--output-dir', sys.argv[2]]) for method in sys.argv[3:]]\n"
+            "print(json.dumps([before, codes, 'numpy.ma' in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(data), str(tmp_path / "out"),
+                           "c1", "c2", "c3", "c4p", "c4pp"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    before, codes, after = json.loads(proc.stdout.splitlines()[-1])
+    if before:
+        pytest.skip("this numpy imports numpy.ma with numpy")
+    assert codes == [0] * 5
+    assert after is False

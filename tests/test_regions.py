@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from expbands.regions import (
     build_c3,
     build_c4,
     comprehensive_convex_hull_delta_prob,
+    cp_pivot,
     cp_supremum,
     h_curve,
     lambert_interval,
@@ -169,6 +171,125 @@ class TestC4:
         assert np.all(lo <= hi + 1e-12)
         assert np.max(np.abs(np.diff(lo))) < 0.01
         assert np.max(np.abs(np.diff(hi))) < 0.01
+
+
+def _ks_distance_xy_selects(mu, sigma):
+    # the select-based kernel the in-place one replaced, kept verbatim as its oracle
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    u = -np.expm1(-np.maximum(mu, -mu / sigma))
+    not_one = sigma != 1.0
+    s = np.where(not_one, sigma, 2.0)
+    ln_s = np.log(s)
+    interior = np.where(s < 1.0, mu > s * ln_s, mu < ln_s)
+    # the exponent can overflow only on lanes masked out below
+    with np.errstate(over="ignore"):
+        v = np.abs(1.0 - s) * np.exp((mu - s * ln_s) / (s - 1.0))
+    v = np.where(not_one & interior, v, 0.0)
+    out = np.maximum(u, v)
+    return out if out.ndim else float(out)
+
+
+def _cp_pivot_formula(u, v, m):
+    # the one-expression pivot the in-place one replaced, kept verbatim as its oracle
+    return (m + 1) * np.log(v / m) - u - v
+
+
+def _assert_bit_identical(new, old):
+    assert type(new) is type(old)
+    assert np.shape(new) == np.shape(old)
+    assert np.array_equal(new, old, equal_nan=True)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+def _pivot_points(rng, size):
+    """(mu, sigma) lanes over every branch of the sup-distance kernel: mu
+    negative, zero of either sign and positive, from 1e-300 to 1e3 in size;
+    sigma at and next to 1, near 1, and from 1e-300 to 1e300, where the
+    interior candidate's exponent overflows on masked-out lanes."""
+    mu = rng.choice((-1.0, 1.0), size) * 10.0 ** rng.uniform(-300.0, 3.0, size)
+    mu[: size // 4] = rng.normal(0.0, 2.0, size // 4)
+    mu[::13], mu[::17] = 0.0, -0.0
+    sigma = 10.0 ** rng.uniform(-300.0, 300.0, size)
+    sigma[: size // 3] = rng.uniform(0.2, 5.0, size // 3)
+    sigma[::7] = 1.0
+    sigma[1::29], sigma[2::29] = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    return mu, sigma
+
+
+class TestPivotKernels:
+    """The in-place kernels equal the formulas they replaced bit for bit,
+    sign of zero included, on arrays, broadcasts, 0-d arrays and floats."""
+
+    def test_ks_distance_equals_select_formula(self, rng):
+        mu, sigma = _pivot_points(rng, 60_000)
+        _assert_bit_identical(ks_distance_xy(mu, sigma), _ks_distance_xy_selects(mu, sigma))
+        rows, cols = mu[:300, None], sigma[None, :400]
+        _assert_bit_identical(ks_distance_xy(rows, cols), _ks_distance_xy_selects(rows, cols))
+        _assert_bit_identical(ks_distance_xy(mu[:50], 1.0), _ks_distance_xy_selects(mu[:50], 1.0))
+        for x, y in zip(mu[:500].tolist(), sigma[:500].tolist()):
+            _assert_bit_identical(ks_distance_xy(x, y), _ks_distance_xy_selects(x, y))
+            _assert_bit_identical(ks_distance_xy(np.array(x), np.array(y)),
+                                  _ks_distance_xy_selects(np.array(x), np.array(y)))
+
+    def test_ks_distance_equals_select_formula_at_the_edges(self):
+        mu = np.array([-np.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf, np.nan])
+        sigma = np.array([5e-324, 1e-300, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                          1e300, np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = ks_distance_xy(mu[:, None], sigma[None, :])
+            old = _ks_distance_xy_selects(mu[:, None], sigma[None, :])
+        _assert_bit_identical(new, old)
+
+    def test_ks_distance_working_set(self, rng):
+        # the output, two float scratch arrays and boolean masks, at most 32
+        # bytes a lane; the select-based form peaked at about 58
+        mu, sigma = _pivot_points(rng, 2**14)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ks_distance_xy(mu, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * mu.nbytes
+
+    @pytest.mark.parametrize("m", (2, 8, 100))
+    def test_cp_pivot_equals_formula(self, rng, m):
+        u = rng.standard_exponential(20_000)
+        u[::11] = 0.0
+        v = rng.standard_gamma(m - 1.0, 20_000) * 10.0 ** rng.uniform(-3.0, 3.0, 20_000)
+        _assert_bit_identical(cp_pivot(u, v, m), _cp_pivot_formula(u, v, m))
+        _assert_bit_identical(cp_pivot(u[:300, None], v[None, :200], m),
+                              _cp_pivot_formula(u[:300, None], v[None, :200], m))
+        _assert_bit_identical(cp_pivot(0.0, v[:40], m), _cp_pivot_formula(0.0, v[:40], m))
+        for x, y in zip(u[:500].tolist(), v[:500].tolist()):
+            _assert_bit_identical(cp_pivot(x, y, m), _cp_pivot_formula(x, y, m))
+            _assert_bit_identical(cp_pivot(np.array(x), np.array(y), m),
+                                  _cp_pivot_formula(np.array(x), np.array(y), m))
+
+    def test_kernels_equal_formulas_property(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        mus = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0))
+        sigmas = st.floats(1e-300, 1e300) | st.floats(0.5, 2.0) | st.just(1.0)
+
+        @settings(max_examples=50, deadline=None, database=None)
+        @given(st.lists(mus, min_size=1, max_size=8), st.lists(sigmas, min_size=1, max_size=8),
+               st.integers(2, 200))
+        def check(mu, sigma, m):
+            rows, cols = np.array(mu)[:, None], np.array(sigma)[None, :]
+            _assert_bit_identical(ks_distance_xy(rows, cols), _ks_distance_xy_selects(rows, cols))
+            _assert_bit_identical(ks_distance_xy(mu[0], sigma[0]),
+                                  _ks_distance_xy_selects(mu[0], sigma[0]))
+            u, v = np.abs(rows), cols
+            _assert_bit_identical(cp_pivot(u, v, m), _cp_pivot_formula(u, v, m))
+            _assert_bit_identical(cp_pivot(abs(mu[0]), sigma[0], m),
+                                  _cp_pivot_formula(abs(mu[0]), sigma[0], m))
+
+        check()
 
 
 class TestComprehensiveness:
