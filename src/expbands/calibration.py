@@ -4,8 +4,8 @@ Exact calibration: the log-likelihood pivot behind the minimum-area region
 has a closed-form tail, so its quantile c_p, the exact level of the induced
 band and the inverse of that level are one-dimensional root finds; the
 sup-distance pivot behind the KS-type bands has a cdf that is a smooth
-one-dimensional integral over the scale ratio, so its quantile d_p is a
-Newton root find over a panel quadrature that gives the density too.
+one-dimensional integral over the scale ratio, so its quantile d_p is the
+Brent root of a panel quadrature of that integral.
 
 Monte-Carlo calibration: quantiles of draws of the same two pivots, and the
 level inversion along one draw set. Both pivots are functions of the
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CacheIntegrityError, CalibrationError, DomainError
 from .model import check_replicates, map_pivots
-from .numerics import brent_root, integrate_panels, newton_root
+from .numerics import brent_root, integrate_panels
 from .regions import Event, cp_pivot, cp_supremum, ks_distance_xy, ks_event, lambert_interval
 from .special import check_probability, gamma_cdf
 from .streams import BATCH_SIZE
@@ -292,78 +292,44 @@ def exact_p_of_tau(m: int, tau: float) -> tuple[float, float]:
     return 1.0 - cp_tail(m, c), c
 
 
-def interval_probability(m: int, event: Event, extra=()):
+def interval_probability(m: int, event: Event) -> float:
     """P(lo(T) <= Z <= hi(T)) for a coverage event (`regions.Event`), to
     1e-12: the integral of f_T(t) (e^{-lo+} - e^{-hi+})_+, (lo, hi) =
     interval(t), with Z ~ Exp(1) and T ~ Gamma(m-1)/m independent. Its
     panels run between the edges and the powers of two between them, so the
-    Gamma density cannot hide between nodes. Each f(t, lo, e^{-lo+},
-    e^{-hi+}) in `extra`, times f_T, is integrated on the same panels, which
-    the probability alone refines; all are then returned."""
+    Gamma density cannot hide between nodes."""
     interval, edges = event
     log_norm = math.log(m) - math.lgamma(m - 1)
 
     def integrand(t):
         lo, hi = interval(t)
-        lower, upper = np.exp(-np.maximum(lo, 0.0)), np.exp(-np.maximum(hi, 0.0))
-        rows = [np.maximum(lower - upper, 0.0)] + [f(t, lo, lower, upper) for f in extra]
-        return np.exp(log_norm + (m - 2) * np.log(m * t) - m * t) * np.stack(rows)
+        inside = np.maximum(np.exp(-np.maximum(lo, 0.0)) - np.exp(-np.maximum(hi, 0.0)), 0.0)
+        return np.exp(log_norm + (m - 2) * np.log(m * t) - m * t) * inside
 
     powers = [2.0**k for k in range(-60, 61) if min(edges) < 2.0**k < max(edges)]
-    value, _ = integrate_panels(integrand, sorted(set(edges).union(powers)), abs_tol=1e-12)
-    return value if extra else float(value[0])
-
-
-def _ks_cdf_pdf(m: int, n: float, d: float) -> tuple[float, float]:
-    """(P(pivot <= d), its density at d) for the sup-distance pivot, 0 < d < 1:
-    the pivot is within d exactly when (S, T) = ((mu_hat-mu)/sigma,
-    sigma_hat/sigma) lies in the sup-distance region, so the cdf is the
-    `interval_probability` of `regions.ks_event`. The density differentiates
-    under the integral: where the cdf integrand is positive it is
-    f_T(t) n (e^{-n o} do/dd - e^{-n l} dl/dd 1{l>0}) for the slopes l and o
-    (`regions.ks_slopes`), with dl/dd = (t-1)/d below 1-d (the only place
-    l > 0) and do/dd = 1/(1-d) up to 1/(1-d), (t-1)/d beyond; the moving
-    limits add nothing, since the integrand is 0 there."""
-    if m < 2 or n < m:
-        raise DomainError("need m >= 2 and n >= m")
-    top = 1.0 / (1.0 - d)
-
-    def density(t, lo, lower, upper):
-        d_hi = np.where(t <= top, top, (t - 1.0) / d)
-        d_lo = np.where(lo > 0.0, (t - 1.0) / d, 0.0)
-        return np.where(lower > upper, n * (upper * d_hi - lower * d_lo), 0.0)
-
-    cdf, pdf = interval_probability(m, ks_event(d, n), (density,))
-    return float(cdf), float(pdf)
+    return integrate_panels(integrand, sorted(set(edges).union(powers)), abs_tol=1e-12)[0]
 
 
 def ks_cdf(m: int, n: float, d: float) -> float:
-    """P(pivot <= d) for the sup-distance pivot, 0 < d < 1: the KS-family
-    case of `bands.event_probability`, from `_ks_cdf_pdf`, to 1e-12."""
-    return _ks_cdf_pdf(m, n, d)[0]
+    """P(pivot <= d) for the sup-distance pivot, 0 < d < 1, to 1e-12: the
+    pivot is within d exactly when (S, T) = ((mu_hat-mu)/sigma,
+    sigma_hat/sigma) lies in the sup-distance region, so this is the
+    `interval_probability` of `regions.ks_event`, the KS-family case of
+    `bands.event_probability`."""
+    if m < 2 or n < m:
+        raise DomainError("need m >= 2 and n >= m")
+    return interval_probability(m, ks_event(d, n))
 
 
 @_memoized
 def exact_dp(m: int, n: float, p: float) -> float:
     """(1-p)-quantile of the sup-distance pivot: the root of
-    ks_cdf(d) = 1-p on [1e-9, 1 - 1e-9], to 1e-12.
-
-    Newton steps from d = 0.3 on the log-odds of the cdf, which is nearly
-    linear in d in both tails, take their slope pdf/(cdf (1 - cdf)) from
-    the density the same quadrature gives; where the cdf rounds to 0 or 1
-    the step falls back to bisection. Four to six quadratures per solve at
-    p = 0.1 on the paper's d-constant grid, six to nine at its p = 0.9.
+    ks_cdf(d) = 1-p on [1e-9, 1 - 1e-9] by Brent's method, to 1e-12.
+    Eight to eleven quadratures per solve at p = 0.9 on the paper's
+    d-constant grid, ten to fifteen at its p = 0.1.
     """
     p = check_probability(p, "p", open_interval=True)
-    target = math.log((1.0 - p) / p)
-
-    def log_odds(d: float) -> tuple[float, float]:
-        cdf, pdf = _ks_cdf_pdf(m, n, d)
-        if not 0.0 < cdf < 1.0:
-            return cdf - (1.0 - p), 0.0
-        return math.log(cdf / (1.0 - cdf)) - target, pdf / (cdf * (1.0 - cdf))
-
-    return newton_root(log_odds, 1e-9, 1.0 - 1e-9, 0.3, xtol=1e-12)
+    return brent_root(lambda d: ks_cdf(m, n, d) - (1.0 - p), 1e-9, 1.0 - 1e-9, xtol=1e-12)
 
 
 def exact_constant(key: CalibrationKey) -> CalibrationResult:

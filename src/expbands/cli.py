@@ -245,7 +245,9 @@ def cmd_band(args, cfg) -> int:
         band = _bands.marginal_band(band, working.scheme.gammas)
     if args.reliability:
         band = _bands.reliability_band(band)
-    xs_original = transform.invert(xs)
+    # the CSV and the SVG show x on the data axis
+    rows = [(x, lo, hi) for x, (_, lo, hi)
+            in zip(transform.invert(xs).tolist(), _bands.band_rows(band, xs))]
     formats = cfg["formats"].split(",")
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -260,12 +262,11 @@ def cmd_band(args, cfg) -> int:
         with (outdir / f"{name}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "lower", "upper"])
-            for (xt, lo, hi), xo in zip(_bands.band_rows(band, xs), xs_original):
-                writer.writerow([repr(float(xo)), repr(lo), repr(hi)])
+            writer.writerows([repr(x), repr(lo), repr(hi)] for x, lo, hi in rows)
         written.append(f"{name}.csv")
     if "svg" in formats:
-        fitted = LocScale(est.mu_hat, est.sigma_hat)
-        (outdir / f"{name}.svg").write_text(band_svg(band, xs, fitted=fitted))
+        fitted = band.push(LocScale(est.mu_hat, est.sigma_hat).cdf(xs))
+        (outdir / f"{name}.svg").write_text(band_svg(band, rows, fitted=fitted))
         written.append(f"{name}.svg")
     print(f"wrote {', '.join(written)} (constants: {constants})")
     return EXIT_OK

@@ -1,6 +1,5 @@
 """Shared numerical kernels: adaptive Gauss-Kronrod (G7/K15) quadrature,
-vectorized golden-section search, Brent's bracketed root finder, and a
-safeguarded Newton iteration for roots whose slope comes at no extra cost.
+vectorized golden-section search and Brent's bracketed root finder.
 
 `integrate_panels` is the production quadrature: it integrates a
 vectorized integrand on all live panels at once and halves each panel
@@ -9,7 +8,7 @@ bisects the interval with the largest error estimate instead; it is kept
 only as the reference kernel of `regions.comprehensive_convex_hull_delta_prob`
 and of the test oracles. Non-convergence raises NumericError with
 diagnostics instead of returning a silently bad value. The same holds for
-the root finders and the golden-section search: they meet their bracket
+the root finder and the golden-section search: they meet their bracket
 tolerance or raise.
 """
 
@@ -47,6 +46,7 @@ _WG = (
 )
 _EPS = 2.220446049250313e-16
 _GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
+_BISECTIONS = 400
 
 
 def _kronrod_panel(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -76,11 +76,6 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges,
     most abs_tol) and halves the rest. Place the edges at the integrand's
     kinks so that each panel is smooth. Raises NumericError once more than
     `max_panels` panels are live.
-
-    f may also return k integrands stacked along a leading axis, shape
-    (k,) + x.shape: the value is then an array of k integrals on the same
-    panels, and the first integrand alone steers the refinement and the
-    error estimate.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.size < 2 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) < 0):
@@ -98,22 +93,21 @@ def integrate_panels(f: Callable[[np.ndarray], np.ndarray], edges,
         fx = f((0.5 * (lo + hi))[:, None] + half[:, None] * nodes)
         kron = half * (fx @ wk)
         err = (200.0 * np.abs(kron - half * (fx @ wg))) ** 1.5
-        lead = err if err.ndim == 1 else err[0]
-        done = lead <= share
-        value += kron[..., done].sum(axis=-1)
-        error += float(lead[done].sum())
+        done = err <= share
+        value += kron[done].sum()
+        error += float(err[done].sum())
         lo, hi = lo[~done], hi[~done]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         share *= 0.5
-    return (value if np.ndim(value) else float(value)), error
+    return float(value), error
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              abs_tol: float = 1e-10, limit: int = 400) -> tuple[float, float]:
+              abs_tol: float = 1e-10) -> tuple[float, float]:
     """Integrate f over [a, b]; returns (value, error estimate).
 
-    Raises NumericError if `limit` panel bisections do not reach abs_tol.
+    Raises NumericError if 400 panel bisections do not reach abs_tol.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise NumericError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -123,7 +117,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     heap = [(-err, a, b, val, err)]
     total_err = err
     total_val = val
-    for _ in range(limit):
+    for _ in range(_BISECTIONS):
         if total_err <= abs_tol:
             return total_val, total_err
         _, lo, hi, val, err = heapq.heappop(heap)
@@ -138,7 +132,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         return total_val, total_err
     raise NumericError(
         f"quadrature did not converge on [{a}, {b}]: "
-        f"error {total_err:.3e} after {limit} bisections (tol {abs_tol:.1e})")
+        f"error {total_err:.3e} after {_BISECTIONS} bisections (tol {abs_tol:.1e})")
 
 
 def golden_section(f: Callable[[np.ndarray], np.ndarray], lo, hi, *, maximize: bool = False,
@@ -237,38 +231,4 @@ def brent_root(f: Callable[[float], float], a: float, b: float,
         fb = f(b)
     raise NumericError(
         f"Brent iteration did not converge: bracket [{b}, {c}] after {max_iter} "
-        f"evaluations (xtol {xtol:.1e})")
-
-
-def newton_root(fdf: Callable[[float], tuple[float, float]], a: float, b: float, x0: float,
-                xtol: float = 1e-13, max_iter: int = 100) -> float:
-    """Root of an increasing f on [a, b] by Newton steps from x0 that fall
-    back to bisection; fdf(x) returns (f(x), f'(x)).
-
-    f(a) < 0 <= f(b) is assumed, not evaluated. Each evaluation moves the
-    end of the bracket on its side of the root; a Newton step that leaves
-    the bracket, or a slope that is not positive, gives way to the
-    bracket's midpoint. Stops at the first step within xtol and returns
-    where it lands; raises NumericError if that takes more than `max_iter`
-    evaluations, or if the steps close onto a bracket end whose sign was
-    never seen.
-    """
-    lo, hi, x = a, b, x0
-    for _ in range(max_iter):
-        fx, slope = fdf(x)
-        if fx < 0.0:
-            lo = x
-        else:
-            hi = x
-        new = x - fx / slope if slope > 0.0 else math.nan
-        if not lo <= new <= hi:
-            new = 0.5 * (lo + hi)
-        if abs(new - x) <= xtol:
-            if (lo == a and new - a <= xtol) or (hi == b and b - new <= xtol):
-                raise NumericError(f"root not bracketed on [{a}, {b}]: the steps "
-                                   f"closed onto an end at {new}")
-            return new
-        x = new
-    raise NumericError(
-        f"Newton iteration did not converge: bracket [{lo}, {hi}] after {max_iter} "
         f"evaluations (xtol {xtol:.1e})")

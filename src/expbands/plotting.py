@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from .bands import Band
-from .model import LocScale
 
 _W, _H = 800, 500
 _ML, _MR, _MT, _MB = 70, 25, 40, 55   # margins
@@ -39,13 +38,11 @@ def _poly(points: list[tuple[float, float]]) -> str:
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
 
 
-def band_svg(band: Band, xs: np.ndarray, fitted: LocScale | None = None,
-             title: str | None = None) -> str:
-    """Render the band over the x-grid `xs`; optionally overlay the cdf at
-    the fitted parameter values, shown through the band's map (`Band.push`)."""
-    xs = np.asarray(xs, dtype=float)
-    lo = np.asarray(band.lower(xs), dtype=float)
-    hi = np.asarray(band.upper(xs), dtype=float)
+def band_svg(band: Band, rows, fitted=None) -> str:
+    """Render the band's (x, lower, upper) rows, x on the axis to draw;
+    optionally overlay `fitted`, the fitted cdf's values at the same x shown
+    through the band's map (`Band.push`)."""
+    xs, lo, hi = (np.asarray(col, dtype=float) for col in zip(*rows))
     x0, x1 = float(xs[0]), float(xs[-1])
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
@@ -70,9 +67,8 @@ def band_svg(band: Band, xs: np.ndarray, fitted: LocScale | None = None,
         f'fill="none" stroke="#2171b5" stroke-width="1.5"/>',
     ]
     if fitted is not None:
-        f = np.asarray(band.push(fitted.cdf(xs)), dtype=float)
         parts.append(
-            f'<polyline points="{_poly([(px(x), py(y)) for x, y in zip(xs, f)])}" '
+            f'<polyline points="{_poly([(px(x), py(y)) for x, y in zip(xs, fitted)])}" '
             f'fill="none" stroke="#d94801" stroke-width="1.5" stroke-dasharray="6 4"/>')
 
     # axes
@@ -90,7 +86,7 @@ def band_svg(band: Band, xs: np.ndarray, fitted: LocScale | None = None,
                      f'y2="{py(t):.2f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 10}" y="{py(t) + 4:.2f}" font-size="12" '
                      f'text-anchor="end">{t:g}</text>')
-    label = title or (f"{band.kind} band" + (f", level {band.level:.4g}" if band.level else ""))
+    label = f"{band.kind} band" + (f", level {band.level:.4g}" if band.level else "")
     parts.append(f'<text x="{_W / 2}" y="{_MT - 14}" font-size="15" '
                  f'text-anchor="middle">{label}</text>')
     parts.append(f'<text x="{_W / 2}" y="{_H - 14}" font-size="13" text-anchor="middle">x</text>')

@@ -95,10 +95,11 @@ def ks_distance_xy(mu, sigma):
     The sup is u = 1 - exp(-max(mu, -mu/sigma)), at least +0, or the interior
     candidate v = |1 - sigma| exp((mu - sigma ln sigma)/(sigma - 1)) where the
     interior test (mu > sigma ln sigma below sigma = 1, mu < ln sigma above)
-    holds, whichever is larger. Evaluated in place in the output and two
-    scratch arrays, with no select: a lane outside the interior keeps u
-    whatever its candidate (which may overflow there), and at sigma = 1 the
-    candidate is 0 on the interior lanes (mu < 0) and 0 or NaN elsewhere."""
+    holds, whichever is larger, capped at 1, which v can round above at huge
+    sigma. Evaluated in place in the output and two scratch arrays, with no
+    select: a lane outside the interior keeps u whatever its candidate (which
+    may overflow there), and at sigma = 1 the candidate is 0 on the interior
+    lanes (mu < 0) and 0 or NaN elsewhere."""
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     out = np.empty(np.broadcast_shapes(mu.shape, sigma.shape))
@@ -123,6 +124,7 @@ def ks_distance_xy(mu, sigma):
         np.abs(a, out=a)
         np.multiply(a, v, out=v)
     np.maximum(out, v, out=out, where=interior)
+    np.minimum(out, 1.0, out=out)
     return out if out.ndim else float(out)
 
 
@@ -474,12 +476,11 @@ def ks_event(d_p: float, n: float) -> Event:
 # hull probability oracle
 # ---------------------------------------------------------------------------
 
-def comprehensive_convex_hull_delta_prob(m: int, c_p: float,
-                                         inner_tol: float = 1e-9,
-                                         outer_tol: float = 1e-8) -> float:
+def comprehensive_convex_hull_delta_prob(m: int, c_p: float) -> float:
     """Probability of the notch between the minimum-area region and its
     comprehensive convex hull, evaluated as a nested double integral of the
-    pivot densities with adaptive Gauss-Kronrod panels.
+    pivot densities with adaptive Gauss-Kronrod panels, to 1e-9 inside and
+    1e-8 outside.
 
     Serves as the independent oracle for the closed-form excess
     tau - (1 - p) of the induced band's exact level.
@@ -491,10 +492,10 @@ def comprehensive_convex_hull_delta_prob(m: int, c_p: float,
         b = ((m + 1.0) / z - 1.0) * v
         if b <= a:
             return 0.0
-        inner_val, _ = integrate(lambda u: math.exp(-u), a, b, abs_tol=inner_tol)
+        inner_val, _ = integrate(lambda u: math.exp(-u), a, b, abs_tol=1e-9)
         return inner_val * math.exp(gamma_logpdf(m - 1.0, v))
 
-    val, _ = integrate(outer, y, z, abs_tol=outer_tol)
+    val, _ = integrate(outer, y, z, abs_tol=1e-8)
     return val
 
 

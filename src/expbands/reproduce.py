@@ -79,10 +79,9 @@ class ReproduceReport:
     def all_passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def check(self, name: str, expected: float, computed: float,
-              tolerance: float, note: str = "") -> None:
+    def check(self, name: str, expected: float, computed: float, tolerance: float) -> None:
         passed = abs(computed - expected) <= tolerance
-        self.rows.append(CheckRow(name, expected, computed, tolerance, passed, note))
+        self.rows.append(CheckRow(name, expected, computed, tolerance, passed))
 
     def check_flag(self, name: str, passed: bool, note: str = "") -> None:
         self.rows.append(CheckRow(name, 1.0, 1.0 if passed else 0.0, 0.0, passed, note))

@@ -160,6 +160,26 @@ class TestBand:
         assert doc["provenance"]["mu_hat"] == pytest.approx(
             math.log(pareto.x[0]), abs=1e-12)
 
+    def test_log_transform_svg_on_the_csv_axis(self, tmp_path):
+        # the SVG used to be drawn on the log axis beside a data-axis CSV
+        import math
+        from expbands.model import ProgressiveSample
+        base = load_insulating_fluid()
+        path = tmp_path / "pareto.csv"
+        write_sample_csv(ProgressiveSample(base.scheme, tuple(math.exp(v / 4.0) for v in base.x)),
+                         path)
+        assert _run("band", "--data", path, "--method", "b4", "--transform", "log",
+                    "--output-dir", tmp_path, "--formats", "csv,svg") == 0
+        xs = np.loadtxt(tmp_path / "band_b4.csv", delimiter=",", skiprows=1)[:, 0]
+        svg = (tmp_path / "band_b4.svg").read_text()
+        # the x-axis ticks: a pixel position and its value each
+        ticks = np.array(re.findall(r'<text x="([-\d.]+)" y="[\d.]+" font-size="12" '
+                                    r'text-anchor="middle">([^<]+)</text>', svg), dtype=float)
+        (p0, t0), (p1, t1) = ticks[0], ticks[-1]
+        # the plot spans pixels 70 to 775
+        ends = t0 + (np.array([70.0, 775.0]) - p0) * (t1 - t0) / (p1 - p0)
+        assert ends == pytest.approx([xs[0], xs[-1]], abs=1e-3 * (xs[-1] - xs[0]))
+
     def test_idempotent_outputs(self, data_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from expbands.errors import NumericError
-from expbands.numerics import (brent_root, golden_section, integrate, integrate_panels,
-                               newton_root)
-from expbands.special import gamma_cdf, gamma_logpdf
+from expbands.numerics import brent_root, golden_section, integrate, integrate_panels
+from expbands.special import gamma_cdf
 
 
 class TestBrentRoot:
@@ -30,30 +29,6 @@ class TestBrentRoot:
             brent_root(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=0.0, max_iter=3)
 
 
-class TestNewtonRoot:
-    def test_converges(self):
-        root = newton_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, 1.0, xtol=1e-14)
-        assert root == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-13)
-
-    def test_bisects_where_steps_leave_the_bracket(self):
-        # Newton's steps on atan diverge from 3; bisection brings them back
-        root = newton_root(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -10.0, 10.0, 3.0)
-        assert abs(root) <= 1e-13
-
-    def test_bisects_where_the_slope_is_not_positive(self):
-        root = newton_root(lambda x: (x - 0.3, 0.0), 0.0, 1.0, 0.9, xtol=1e-12)
-        assert root == pytest.approx(0.3, abs=1e-12)
-
-    @pytest.mark.parametrize("shift", (-5.0, 5.0))
-    def test_root_outside_the_bracket(self, shift):
-        with pytest.raises(NumericError):
-            newton_root(lambda x: (x + shift, 1.0), 0.0, 1.0, 0.5)
-
-    def test_raises_when_iterations_run_out(self):
-        with pytest.raises(NumericError):
-            newton_root(lambda x: (x**3 - 2.0, 0.0), 0.0, 2.0, 1.0, xtol=1e-14, max_iter=5)
-
-
 class TestIntegratePanels:
     def test_smooth(self):
         value, err = integrate_panels(np.sin, [0.0, math.pi])
@@ -75,14 +50,6 @@ class TestIntegratePanels:
         vector, _ = integrate_panels(lambda x: np.exp(-x) * np.log1p(x), [0.0, 2.0, 5.0],
                                      abs_tol=1e-13)
         assert vector == pytest.approx(scalar, abs=1e-12)
-
-    def test_stacked_integrands_share_the_first_ones_panels(self):
-        value, err = integrate_panels(lambda x: np.stack([np.sin(x), x * np.cos(x)]),
-                                      [0.0, math.pi / 2.0], abs_tol=1e-13)
-        assert value.shape == (2,)
-        assert value == pytest.approx([1.0, math.pi / 2.0 - 1.0], abs=1e-12)
-        alone, alone_err = integrate_panels(np.sin, [0.0, math.pi / 2.0], abs_tol=1e-13)
-        assert value[0] == pytest.approx(alone, abs=1e-15) and err == alone_err
 
     def test_raises_when_panels_run_out(self):
         with pytest.raises(NumericError):
@@ -144,17 +111,15 @@ class TestGoldenSection:
             golden_section(np.sin, 0.0, 3.0, maximize=True, max_iter=5)
 
 
-# increasing f with its derivative on a bracket [a, b], f(a) < 0 < f(b)
+# increasing f on a bracket [a, b], f(a) < 0 < f(b)
 ROOT_CASES = {
-    "x-cos": (lambda x: x - math.cos(x), lambda x: 1.0 + math.sin(x), 0.0, 1.0),
-    "cube": (lambda x: x**3 - 2.0, lambda x: 3.0 * x * x, 0.0, 2.0),
-    "exp": (lambda x: math.exp(x) - 1e-8, math.exp, -40.0, 5.0),
-    "log": (lambda x: math.log(x) - 3.0, lambda x: 1.0 / x, 1.0, 100.0),
-    "tanh": (lambda x: math.tanh(10.0 * (x - 0.3)),
-             lambda x: 10.0 / math.cosh(10.0 * (x - 0.3)) ** 2, -1.0, 1.0),
-    "x-exp": (lambda x: x * math.exp(x) - 5.0, lambda x: (1.0 + x) * math.exp(x), 0.0, 3.0),
-    "gamma-quantile": (lambda x: gamma_cdf(7.0, x) - 0.9,
-                       lambda x: math.exp(gamma_logpdf(7.0, x)), 0.0, 100.0),
+    "x-cos": (lambda x: x - math.cos(x), 0.0, 1.0),
+    "cube": (lambda x: x**3 - 2.0, 0.0, 2.0),
+    "exp": (lambda x: math.exp(x) - 1e-8, -40.0, 5.0),
+    "log": (lambda x: math.log(x) - 3.0, 1.0, 100.0),
+    "tanh": (lambda x: math.tanh(10.0 * (x - 0.3)), -1.0, 1.0),
+    "x-exp": (lambda x: x * math.exp(x) - 5.0, 0.0, 3.0),
+    "gamma-quantile": (lambda x: gamma_cdf(7.0, x) - 0.9, 0.0, 100.0),
 }
 
 # a vectorized integrand and edges at its kinks
@@ -174,12 +139,10 @@ class TestIndependentOracles:
     @pytest.mark.parametrize("case", ROOT_CASES)
     def test_roots_against_scipy_brentq(self, case):
         optimize = pytest.importorskip("scipy.optimize")
-        f, df, a, b = ROOT_CASES[case]
+        f, a, b = ROOT_CASES[case]
         ref = optimize.brentq(f, a, b, xtol=1e-15, rtol=4.0 * np.finfo(float).eps, maxiter=200)
-        # measured at most 1.2e-15 relative for either root finder
+        # measured at most 1.1e-15 relative
         assert brent_root(f, a, b, xtol=1e-14) == pytest.approx(ref, rel=1e-14)
-        newton = newton_root(lambda x: (f(x), df(x)), a, b, 0.5 * (a + b), xtol=1e-14)
-        assert newton == pytest.approx(ref, rel=1e-14)
 
     @pytest.mark.parametrize("case", INTEGRAL_CASES)
     def test_integrate_panels_against_scipy_quad(self, case):

@@ -190,6 +190,12 @@ def _ks_distance_xy_selects(mu, sigma):
     return out if out.ndim else float(out)
 
 
+def _ks_distance_xy_capped(mu, sigma):
+    # the old formula bounded by 1, which a sup of a difference of two cdfs cannot exceed
+    out = np.minimum(_ks_distance_xy_selects(mu, sigma), 1.0)
+    return out if out.ndim else float(out)
+
+
 def _cp_pivot_formula(u, v, m):
     # the one-expression pivot the in-place one replaced, kept verbatim as its oracle
     return (m + 1) * np.log(v / m) - u - v
@@ -219,18 +225,19 @@ def _pivot_points(rng, size):
 
 class TestPivotKernels:
     """The in-place kernels equal the formulas they replaced bit for bit,
-    sign of zero included, on arrays, broadcasts, 0-d arrays and floats."""
+    sign of zero included, on arrays, broadcasts, 0-d arrays and floats; the
+    sup-distance kernel equals its old formula capped at 1."""
 
     def test_ks_distance_equals_select_formula(self, rng):
         mu, sigma = _pivot_points(rng, 60_000)
-        _assert_bit_identical(ks_distance_xy(mu, sigma), _ks_distance_xy_selects(mu, sigma))
+        _assert_bit_identical(ks_distance_xy(mu, sigma), _ks_distance_xy_capped(mu, sigma))
         rows, cols = mu[:300, None], sigma[None, :400]
-        _assert_bit_identical(ks_distance_xy(rows, cols), _ks_distance_xy_selects(rows, cols))
-        _assert_bit_identical(ks_distance_xy(mu[:50], 1.0), _ks_distance_xy_selects(mu[:50], 1.0))
+        _assert_bit_identical(ks_distance_xy(rows, cols), _ks_distance_xy_capped(rows, cols))
+        _assert_bit_identical(ks_distance_xy(mu[:50], 1.0), _ks_distance_xy_capped(mu[:50], 1.0))
         for x, y in zip(mu[:500].tolist(), sigma[:500].tolist()):
-            _assert_bit_identical(ks_distance_xy(x, y), _ks_distance_xy_selects(x, y))
+            _assert_bit_identical(ks_distance_xy(x, y), _ks_distance_xy_capped(x, y))
             _assert_bit_identical(ks_distance_xy(np.array(x), np.array(y)),
-                                  _ks_distance_xy_selects(np.array(x), np.array(y)))
+                                  _ks_distance_xy_capped(np.array(x), np.array(y)))
 
     def test_ks_distance_equals_select_formula_at_the_edges(self):
         mu = np.array([-np.inf, -1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308, np.inf, np.nan])
@@ -238,8 +245,13 @@ class TestPivotKernels:
                           1e300, np.inf, np.nan])
         with np.errstate(over="ignore", invalid="ignore"):
             new = ks_distance_xy(mu[:, None], sigma[None, :])
-            old = _ks_distance_xy_selects(mu[:, None], sigma[None, :])
+            old = _ks_distance_xy_capped(mu[:, None], sigma[None, :])
         _assert_bit_identical(new, old)
+
+    def test_ks_distance_at_most_one_at_huge_scales(self):
+        # the interior candidate |1 - sigma| exp(.) rounds above its limit 1
+        assert ks_distance_xy(0.0, 1e300) == 1.0
+        assert np.max(ks_distance_xy(np.linspace(-50.0, 50.0, 20_001), 1e15)) == 1.0
 
     def test_ks_distance_working_set(self, rng):
         # the output, two float scratch arrays and boolean masks, at most 32
@@ -281,9 +293,9 @@ class TestPivotKernels:
                st.integers(2, 200))
         def check(mu, sigma, m):
             rows, cols = np.array(mu)[:, None], np.array(sigma)[None, :]
-            _assert_bit_identical(ks_distance_xy(rows, cols), _ks_distance_xy_selects(rows, cols))
+            _assert_bit_identical(ks_distance_xy(rows, cols), _ks_distance_xy_capped(rows, cols))
             _assert_bit_identical(ks_distance_xy(mu[0], sigma[0]),
-                                  _ks_distance_xy_selects(mu[0], sigma[0]))
+                                  _ks_distance_xy_capped(mu[0], sigma[0]))
             u, v = np.abs(rows), cols
             _assert_bit_identical(cp_pivot(u, v, m), _cp_pivot_formula(u, v, m))
             _assert_bit_identical(cp_pivot(abs(mu[0]), sigma[0], m),
