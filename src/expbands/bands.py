@@ -19,8 +19,11 @@ containment of a cdf graph, walk these panels (`_panels`).
 (b1-b4pp): per method, the calibration constant it needs and its exact
 value at a scheme and level (`Method.constants`), its builder and its
 exact coverage event, one interval of the pivots (`regions.Event`) that
-one predicate counts (`regions.within`) and one quadrature integrates
-(`event_probability`). The CLI, the coverage experiments and the paper
+one quadrature integrates (`event_probability`) and its predicate
+`Event.covers` counts. The predicate selects no values, because a select
+on the random switch masks of a batch of pivots cost more than the
+comparisons it feeds: about 107 us against 6-9 us on 32,768 lanes (see
+`regions`). The CLI, the coverage experiments and the paper
 reproduction all dispatch through it.
 """
 
@@ -53,7 +56,6 @@ from .regions import (
     ks_distance_xy,  # re-exported: the sup-distance pivot beside its grid oracle
     ks_event,
     ks_slopes,
-    within,
 )
 from .special import check_probability
 
@@ -676,14 +678,15 @@ def _region_event(region: str):
         built = METHODS[region].build(_UNIT, scheme, level, k)
         if isinstance(built, KsRegionC4):
             return built.event(scheme.effective_n)
-        return Event(built.interval, built.edges)
+        return Event(built.interval, built.edges, built.covers)
     return event
 
 
 def _b3_event(scheme, level, k):
     # b3 covers exactly when the region's comprehensive convex hull holds the pivots
     region = build_c3(_UNIT, scheme, k["c_p"])
-    return Event(region.hull_interval, region.edges + (region.z / region.m,))
+    return Event(region.hull_interval, region.edges + (region.z / region.m,),
+                 region.hull_covers)
 
 
 def _ks_event(scheme, level, k):
@@ -736,9 +739,8 @@ def coverage_indicator(kind: str, mu_hats: np.ndarray, sigma_hats: np.ndarray,
     against region membership or graph containment."""
     method, constants = method_constants(kind, c_p, d_p)
     est = MleEstimate(np.asarray(mu_hats, dtype=float), np.asarray(sigma_hats, dtype=float))
-    return within(method.event(scheme, level, constants).interval,
-                  scheme.effective_n * (est.mu_hat - theta.mu) / theta.sigma,
-                  est.sigma_hat / theta.sigma)
+    return method.event(scheme, level, constants).covers(
+        scheme.effective_n * (est.mu_hat - theta.mu) / theta.sigma, est.sigma_hat / theta.sigma)
 
 
 def event_probability(kind: str, scheme: Scheme, level: float, constants: dict) -> float:

@@ -298,7 +298,7 @@ def interval_probability(m: int, event: Event) -> float:
     interval(t), with Z ~ Exp(1) and T ~ Gamma(m-1)/m independent. Its
     panels run between the edges and the powers of two between them, so the
     Gamma density cannot hide between nodes."""
-    interval, edges = event
+    interval, edges = event.interval, event.edges
     log_norm = math.log(m) - math.lgamma(m - 1)
 
     def integrand(t):

@@ -332,11 +332,14 @@ def cmd_coverage(args, cfg) -> int:
     report = _metrics.coverage_experiment(
         kind, theta, scheme, level, cfg["replicates"],
         substream(cfg["seed"], "coverage"), **constants)
+    # what the count estimates: the event's probability at the same constants
+    exact = _bands.event_probability(kind, scheme, level, constants)
     payload = {"metadata": _metadata(cfg, f"coverage.{kind}", provenance),
-               **dataclasses.asdict(report)}
+               **dataclasses.asdict(report), "exact_probability": exact}
     _write_json(Path(cfg["output_dir"]) / f"coverage_{kind}.json", payload)
     print(json.dumps({"kind": kind, "coverage": report.coverage,
-                      "std_error": report.std_error}))
+                      "std_error": report.std_error, "exact_probability": exact,
+                      "z": (report.coverage - exact) / report.std_error}))
     return EXIT_OK
 
 

@@ -576,7 +576,7 @@ class TestEventProbability:
         from scipy import integrate, stats
         m = fluid_scheme.m
         k = METHODS[kind].constants(fluid_scheme, LEVEL)[0]
-        interval, edges = METHODS[kind].event(fluid_scheme, LEVEL, k)
+        interval, edges, _ = METHODS[kind].event(fluid_scheme, LEVEL, k)
         f_t = stats.gamma(m - 1, scale=1.0 / m).pdf
 
         def integrand(t: float) -> float:

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import expbands
-from expbands.bands import band_from_dict
+from expbands.bands import METHODS, band_from_dict, event_probability
 from expbands.calibration import exact_dp, ks_cdf
 from expbands.cli import _resolve_constants, main
-from expbands.model import GeneralizedScheme, load_insulating_fluid, write_sample_csv
+from expbands.model import GeneralizedScheme, load_insulating_fluid, read_sample_csv, write_sample_csv
 from expbands.regions import region_from_dict
 
 
@@ -371,6 +371,19 @@ class TestCalibrateCoverageSimulate:
         cal = doc["metadata"]["calibration"][0]
         assert cal["key"]["kind"] == constant and cal["extra"]["method"] == "exact"
         assert abs(doc["coverage"] - 0.90) < 4 * doc["std_error"]
+
+    @pytest.mark.parametrize("kind", METHODS)
+    def test_coverage_reports_the_exact_probability(self, data_csv, tmp_path, capsys, kind):
+        # the count's target, the event's probability at the constants the
+        # command used, and the count's distance from it in standard errors
+        assert _run("coverage", "--data", data_csv, "--kind", kind, "--mu", "0", "--sigma", "1",
+                    "--level", "0.9", "--replicates", "4000", "--output-dir", tmp_path) == 0
+        line = json.loads(capsys.readouterr().out)
+        doc = _load(tmp_path / f"coverage_{kind}.json")
+        exact = event_probability(kind, read_sample_csv(data_csv).scheme, 0.9, doc["constants"])
+        assert doc["exact_probability"] == line["exact_probability"] == exact
+        assert line["z"] == (doc["coverage"] - exact) / doc["std_error"]
+        assert abs(line["z"]) < 4.0
 
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

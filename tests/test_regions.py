@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expbands.bands import ks_distance_xy
+from expbands.bands import METHODS, ks_distance_xy
 from expbands.calibration import calibrate_cp, tau_of_p
 from expbands.errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
+from expbands.metrics import coverage_experiment
 from expbands.model import MleEstimate
 from expbands.numerics import integrate
 from expbands.regions import (
@@ -18,6 +19,7 @@ from expbands.regions import (
     cp_pivot,
     cp_supremum,
     h_curve,
+    ks_event,
     lambert_interval,
     region_from_dict,
     region_to_dict,
@@ -403,6 +405,138 @@ class TestFeasibilityBound:
             with pytest.raises(InfeasibleLevelError):
                 lambert_interval(m, c)
         lambert_interval(m, cp_supremum(m) - 1e-9)
+
+
+def within(interval, z, t):
+    """lo <= z <= hi elementwise, (lo, hi) = interval(t)."""
+    lo, hi = interval(t)
+    return (lo <= z) & (z <= hi)
+
+
+def _predicates(est, scheme):
+    """Every select-free predicate with the interval it reduces, and the T
+    where the interval changes form: each region type's, at the bundled
+    estimate, and the registry events', which read the same methods at
+    scale n, sup-distance events at d >= 0.5 included."""
+    n = scheme.effective_n
+    c1, c2, c3 = build_c1(est, scheme, P), build_c2(est, scheme, P), build_c3(est, scheme, CP_PAPER)
+    c4, c4pp = build_c4(est, DP_PAPER), build_c4(est, DP_PAPER, trimmed=True)
+    out = {"c1": (c1.interval, c1.covers, c1.edges),
+           "c2": (c2.interval, c2.covers, c2.edges),
+           "c3": (c3.interval, c3.covers, c3.edges),
+           "c3-hull": (c3.hull_interval, c3.hull_covers, (c3.y / c3.m, c3.z / c3.m)),
+           "c4": (c4.slopes, c4.covers, c4.event(n).edges + (c4.t_hi,)),
+           "c4-trimmed": (c4pp.slopes, c4pp.covers, c4pp.event(n).edges + (c4pp.t_hi,))}
+    for name, ev in (("c4-event", c4.event(n)), ("c4-trimmed-event", c4pp.event(n)),
+                     (f"ks-{DP_PAPER}", ks_event(DP_PAPER, n)), ("ks-0.6", ks_event(0.6, n))):
+        out[name] = (ev.interval, ev.covers, ev.edges)
+    return out
+
+
+def _switch_ts(edges):
+    # every edge, switch point and 1, one ulp either side, and T across 1e-300..1e300
+    ts = np.array(sorted({e for e in (*edges, 1.0) if 0.0 < e < math.inf}))
+    wide = 10.0 ** np.linspace(-300.0, 300.0, 61)
+    return np.concatenate([ts, np.nextafter(ts, 0.0), np.nextafter(ts, math.inf), wide])
+
+
+def _assert_same_verdicts(new, old):
+    assert np.shape(new) == np.shape(old)
+    assert np.asarray(new).dtype == bool
+    assert np.array_equal(new, old)
+
+
+@pytest.fixture(scope="module")
+def predicates(fluid_est, fluid_scheme):
+    return _predicates(fluid_est, fluid_scheme)
+
+
+class TestCovers:
+    """covers(z, t) counts the same lanes as the select form it replaced,
+    lo(t) <= z <= hi(t) on the interval's values (`within`, kept as the
+    oracle): on pivot draws, at and next to every switch and edge T, at
+    z = +-0, +-inf and exactly at and next to each end, and on floats,
+    0-d arrays and broadcast shapes."""
+
+    NAMES = ("c1", "c2", "c3", "c3-hull", "c4", "c4-trimmed", "c4-event", "c4-trimmed-event",
+             f"ks-{DP_PAPER}", "ks-0.6")
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_random_pivot_lanes(self, predicates, fluid_scheme, rng, name):
+        interval, covers, _ = predicates[name]
+        m = fluid_scheme.m
+        z = rng.standard_exponential(100_000) * 4.0
+        t = rng.standard_gamma(m - 1.0, 100_000) / m
+        t[::3] = 10.0 ** rng.uniform(-300.0, 300.0, t[::3].size)
+        z[::5] = -z[::5]
+        _assert_same_verdicts(covers(z, t), within(interval, z, t))
+        assert 0 < np.count_nonzero(covers(z, t)) < z.size
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_switches_ends_and_zeros(self, predicates, name):
+        interval, covers, edges = predicates[name]
+        t = _switch_ts(edges)
+        lo, hi = (np.broadcast_to(e, t.shape) for e in interval(t))
+        ends = np.concatenate([lo, hi])
+        with np.errstate(over="ignore"):   # c1's empty hi, the most negative float, steps to -inf
+            below, above = np.nextafter(ends, -math.inf), np.nextafter(ends, math.inf)
+        z = np.concatenate([[0.0, -0.0, math.inf, -math.inf], ends, below, above])
+        # every z at every t: a broadcast (z, t) grid holds each end at its own t
+        _assert_same_verdicts(covers(z[:, None], t[None, :]), within(interval, z[:, None], t[None, :]))
+        _assert_same_verdicts(covers(z[:7, None, None], t[None, :, None]),
+                              within(interval, z[:7, None, None], t[None, :, None]))
+        for zi, ti in zip(z[::7].tolist(), np.resize(t, z[::7].size).tolist()):
+            for args in ((zi, ti), (np.array(zi), np.array(ti)), (zi, np.array([ti, ti]))):
+                _assert_same_verdicts(covers(*args), within(interval, *args))
+
+    def test_covers_equals_within_property(self, predicates):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        zs = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0)) | st.floats(allow_nan=False)
+        ts = st.floats(1e-300, 1e300) | st.floats(0.05, 5.0)
+
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(st.sampled_from(self.NAMES), st.lists(zs, min_size=1, max_size=6),
+               st.lists(ts, min_size=1, max_size=6))
+        def check(name, z, t):
+            interval, covers, _ = predicates[name]
+            rows, cols = np.array(z)[:, None], np.array(t)[None, :]
+            _assert_same_verdicts(covers(rows, cols), within(interval, rows, cols))
+            _assert_same_verdicts(covers(z[0], t[0]), within(interval, z[0], t[0]))
+
+        check()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_working_set(self, predicates, fluid_scheme, rng, name):
+        # the result, two boolean and two float scratch arrays: at most 19
+        # bytes a lane, where the select form peaked at 33 (sup-distance)
+        interval, covers, _ = predicates[name]
+        z = rng.standard_exponential(2**14)
+        t = rng.standard_gamma(fluid_scheme.m - 1.0, 2**14) / fluid_scheme.m
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            covers(z, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * z.size
+
+
+# hits of each kind at 10^6 replicates, seed 29, level 0.9025 on the bundled
+# scheme, as the select form counted them
+PINNED_HITS = {"c1": 902440, "c2": 902714, "c3": 902673, "c4p": 902190, "c4pp": 902190,
+               "b1": 902440, "b2": 902714, "b3": 902536, "b4": 902190, "b4p": 902190,
+               "b4pp": 902190}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_HITS))
+def test_coverage_counts_pinned(fluid_scheme, std_theta, kind):
+    k, _ = METHODS[kind].constants(fluid_scheme, LEVEL)
+    rep = coverage_experiment(kind, std_theta, fluid_scheme, LEVEL, 10**6, 29, **k)
+    assert round(rep.coverage * 10**6) == PINNED_HITS[kind]
 
 
 @pytest.mark.parametrize("t", (0.3, 0.9, 1.0, 1.3, 9.0))
