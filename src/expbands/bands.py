@@ -18,10 +18,11 @@ containment of a cdf graph, walk these panels (`_panels`).
 `METHODS` is the one table of the paper's regions (c1-c4pp) and bands
 (b1-b4pp): per method, the calibration constant it needs and its exact
 value at a scheme and level (`Method.constants`), its builder and its
-exact coverage event, one interval of the pivots (`regions.Event`) that
-one quadrature integrates (`event_probability`) and its predicate
-`Event.covers` counts. The predicate selects no values, because a select
-on the random switch masks of a batch of pivots cost more than the
+exact coverage event, one interval of the pivots (`regions.Event`) whose
+ends the region type describes once: `Event.interval` evaluates them for
+the one quadrature that integrates it (`event_probability`), and
+`Event.covers` for every count. `covers` selects no values, because a
+select on the random switch masks of a batch of pivots cost more than the
 comparisons it feeds: about 107 us against 6-9 us on 32,768 lanes (see
 `regions`). The CLI, the coverage experiments and the paper
 reproduction all dispatch through it.
@@ -651,10 +652,12 @@ class Method:
     (None, "c_p", "d_p", or "p_of_tau": the c_p whose band level is the
     requested one), its builder build(est, scheme, level, constants), and
     its exact coverage event event(scheme, level, constants), which checks
-    the constants as the builder does and returns a `regions.Event`: the
-    object built from an estimate covers (mu, sigma) exactly when
-    Z = n(mu_hat - mu)/sigma lies in interval(T), T = sigma_hat/sigma. Both
-    read c_p or d_p from `constants`, as `Method.constants` returns them."""
+    the constants as the builder does and returns a `regions.Event`, one
+    description of the ends of an interval of Z = n(mu_hat - mu)/sigma at
+    each T = sigma_hat/sigma: the object built from an estimate covers
+    (mu, sigma) exactly when Z lies in it, as `Event.interval` selects it
+    and `Event.covers` counts it. Both read c_p or d_p from `constants`, as
+    `Method.constants` returns them."""
 
     constant: str | None
     build: Callable[..., Region | Band]
@@ -676,17 +679,14 @@ def _region_event(region: str):
     # a region, and c1's and c2's bands, cover when the region holds the pivots
     def event(scheme, level, k):
         built = METHODS[region].build(_UNIT, scheme, level, k)
-        if isinstance(built, KsRegionC4):
-            return built.event(scheme.effective_n)
-        return Event(built.interval, built.edges, built.covers)
+        return built.event(scheme.effective_n) if isinstance(built, KsRegionC4) else built.event
     return event
 
 
 def _b3_event(scheme, level, k):
     # b3 covers exactly when the region's comprehensive convex hull holds the pivots
     region = build_c3(_UNIT, scheme, k["c_p"])
-    return Event(region.hull_interval, region.edges + (region.z / region.m,),
-                 region.hull_covers)
+    return Event(functools.partial(region._ends, hull=True), region.edges + (region.z / region.m,))
 
 
 def _ks_event(scheme, level, k):

@@ -332,14 +332,17 @@ def cmd_coverage(args, cfg) -> int:
     report = _metrics.coverage_experiment(
         kind, theta, scheme, level, cfg["replicates"],
         substream(cfg["seed"], "coverage"), **constants)
-    # what the count estimates: the event's probability at the same constants
+    # what the count estimates: the event's probability at the same constants;
+    # z is the count's distance from it in binomial standard errors at that
+    # probability, which an all-hit or all-miss count does not collapse
     exact = _bands.event_probability(kind, scheme, level, constants)
+    z = (report.coverage - exact) / (exact * (1.0 - exact) / report.replicates)**0.5
     payload = {"metadata": _metadata(cfg, f"coverage.{kind}", provenance),
                **dataclasses.asdict(report), "exact_probability": exact}
     _write_json(Path(cfg["output_dir"]) / f"coverage_{kind}.json", payload)
     print(json.dumps({"kind": kind, "coverage": report.coverage,
                       "std_error": report.std_error, "exact_probability": exact,
-                      "z": (report.coverage - exact) / report.std_error}))
+                      "z": z}))
     return EXIT_OK
 
 

@@ -13,21 +13,22 @@ Five constructions from one progressively type-II censored sample:
 
 At each T = sigma_hat/sigma a region holds the (mu, sigma) whose
 Z = n(mu_hat - mu)/sigma lies in one interval [lo(T), hi(T)], closed-form
-and broadcast over numpy arrays. Its ends are a few pieces of T that
-switch at fixed T (a scale cut, 1 - d_p and 1/(1 - d_p), the hull's chord
-range), which each region computes in one helper. `interval(t)` selects
-among the pieces, for the quadrature and the boundary polylines, where
-lanes are few. `covers(z, t)`, which every membership test but C1's and
-every coverage count reads, compares z with each piece and combines the
-comparisons with the switch masks by `&`, `|` and `~`, in place in at most
-two float and two boolean scratch arrays. It selects no values: T falls on
-both sides of every switch, so a select runs on a random mask, and on a
-32,768-lane batch `np.where` took about 107 us where a comparison took
-6-9 us and a boolean `&` 2 us (2-vCPU Xeon, numpy 2.4). The floats it
-compares are the ones `interval` selects, so it counts what
-lo(T) <= Z <= hi(T) on the selected values counts. With the T where the
-interval changes form, the pair is a coverage event (`Event`) of
-`bands.METHODS`.
+and broadcast over numpy arrays. Each region type describes the two ends
+once, in one generator (`_ends`, `_ks_ends`): lo is the max of its terms
+and hi the min of its terms, where a term is a constant, an array of T,
+or a switch at fixed T (a scale cut, 1 - d_p and 1/(1 - d_p), the hull's
+chord range) between two of them. With the T where the interval changes
+form, the description is a coverage event (`Event`) of `bands.METHODS`,
+and `Event` evaluates it two ways. `interval(t)` selects among the terms,
+for the quadrature and the boundary polylines, where lanes are few.
+`covers(z, t)`, which every membership test but C1's and every coverage
+count reads, compares z with each term and combines the comparisons with
+the switch masks by `&` and `|`, in place in two float and three boolean
+arrays. It selects no values: T falls on both sides of every switch, so a
+select runs on a random mask, and on a 32,768-lane batch `np.where` took
+about 107 us where a comparison took 6-9 us and a boolean `&` 2 us (2-vCPU
+Xeon, numpy 2.4). The floats it compares are the ones `interval` selects,
+so it counts what lo(T) <= Z <= hi(T) on the selected values counts.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -78,18 +80,13 @@ def cp_pivot(u, v, m):
     return out if out.ndim else out[()]
 
 
-def h_curve(t, d_p):
-    """The transcendental boundary function of the sup-distance region:
-    h(t) = ln(d_p/|1-t|)(t-1) + t ln(t) for t > 0, with h(1) = 0."""
-    out = _ks_pieces(t, d_p, 1.0, *_floats(t))[0]
-    return out if out.ndim else float(out)
-
-
-def _ks_pieces(t, d_p, n, h, tail):
-    """The pieces of n times the sup-distance region's slopes at t, in place
-    in two arrays shaped like t: n h(t) in h, n t ln(1 - d_p) in tail, and
-    the constant -n ln(1 - d_p), with the switch points 1 - d_p and
-    1/(1 - d_p) of the lower and upper slope."""
+def _ks_ends(t, h, tail, below, b, d_p, n, trimmed):
+    """n times the sup-distance region's slopes at t as an event's ends
+    (`Event`): the lower one is n h(t) below 1 - d_p and n t ln(1 - d_p)
+    above, and at least 0 if trimmed; the upper one is -n ln(1 - d_p) up to
+    1/(1 - d_p) and n h(t) beyond. The boundary function
+    h(t) = ln(d_p/|1-t|)(t-1) + t ln(t), with h(1) = 0, is evaluated once,
+    in place in h (tail scratch)."""
     np.subtract(t, 1.0, out=tail)   # u = t - 1
     np.abs(tail, out=h)
     np.maximum(h, 1e-300, out=h)
@@ -103,18 +100,15 @@ def _ks_pieces(t, d_p, n, h, tail):
     ln1md = math.log(1.0 - d_p)
     np.multiply(t, ln1md, out=tail)
     np.multiply(n, tail, out=tail)
-    return h, tail, n * -ln1md, 1.0 - d_p, 1.0 / (1.0 - d_p)
+    lower = (np.less(t, 1.0 - d_p, out=below), h, tail)
+    yield (lower, 0.0) if trimmed else (lower,)
+    yield (np.less_equal(t, 1.0 / (1.0 - d_p), out=below), n * -ln1md, h),
 
 
 def ks_slopes(t, d_p, n=1.0):
     """The lower and upper slopes (l(t), o(t)) of the sup-distance region,
-    times n: at scale ratio t it is l(t) <= (mu_hat - mu)/sigma <= o(t),
-    with l = h below 1 - d_p and t ln(1 - d_p) above, o = -ln(1 - d_p) up
-    to 1/(1 - d_p) and h beyond, from one evaluation of h."""
-    h, tail, top, lo_switch, hi_switch = _ks_pieces(t, d_p, n, *_floats(t))
-    lo = np.where(np.less(t, lo_switch), h, tail)
-    hi = np.where(np.less_equal(t, hi_switch), top, h)
-    return (lo, hi) if lo.ndim else (float(lo), float(hi))
+    times n: at scale ratio t it is l(t) <= (mu_hat - mu)/sigma <= o(t)."""
+    return Event(partial(_ks_ends, d_p=d_p, n=n, trimmed=False), ()).interval(t)
 
 
 def ks_distance_xy(mu, sigma):
@@ -158,7 +152,8 @@ def ks_distance_xy(mu, sigma):
 
 
 def _h_scalar(t: float, d_p: float) -> float:
-    # h_curve for one float t != 1, in math-module arithmetic for the root solves
+    # the sup-distance boundary function h at one float t != 1, in math-module
+    # arithmetic for the root solves
     return math.log(d_p / abs(1.0 - t)) * (t - 1.0) + t * math.log(t)
 
 
@@ -174,31 +169,48 @@ def _c3_offset(scale, sigma_hat, m, n, c_p):
     return ((c_p - (m + 1) * (math.log(sigma_hat) - np.log(scale))) * scale + m * sigma_hat) / n
 
 
-# a coverage event lo(T) <= Z <= hi(T): interval(t) = (lo, hi), the T where they
-# change form, and its indicator covers(z, t)
-Event = namedtuple("Event", "interval edges covers")
+class Event(namedtuple("Event", "ends edges")):
+    """A coverage event lo(T) <= Z <= hi(T), described once and evaluated
+    two ways. ends(t, f, g, mask, b) is a generator that fills two float and
+    two boolean arrays (b is scratch) and yields the terms of lo, then those
+    of hi: lo is the max of its terms and hi the min of its terms, and a
+    term is a float, an array shaped like t that stays valid until the next
+    end, or a switch (mask, inside, outside), inside where the mask holds.
+    edges are the T where the interval changes form."""
 
+    __slots__ = ()
 
-def _floats(t):
-    # two scratch arrays for the pieces of an interval's ends, which depend on t alone
-    return np.empty(np.shape(t)), np.empty(np.shape(t))
+    def interval(self, t):
+        """(lo, hi) at t, by maxima, minima and selects of the terms, each a
+        new array, or a numpy float for scalar t or a constant end."""
+        shape = np.shape(t)
+        ends = []
+        for fold, terms in zip((np.maximum, np.minimum), self.ends(
+                t, np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool))):
+            end = reduce(fold, [np.where(*x) if type(x) is tuple else x for x in terms])
+            ends.append(np.array(end)[()])
+        return tuple(ends)
 
-
-def _bools(z, t, count):
-    # a predicate's result and its boolean scratch arrays, broadcast over (z, t);
-    # it returns out[()], the array itself, or a numpy bool for scalar z and t
-    shape = np.broadcast_shapes(np.shape(z), np.shape(t))
-    return [np.empty(shape, dtype=bool) for _ in range(count)]
-
-
-def _and_where(out, mask, b, inside, outside):
-    """out &= where(mask, x <= y at inside, x <= y at outside), each a pair
-    (x, y), by boolean algebra on the two comparisons instead of a select
-    of their values: where(m, X, Y) is (X or not m) and (Y or m), and on
-    booleans X or not m is X >= m. Overwrites b."""
-    out &= np.greater_equal(np.less_equal(*inside, out=b), mask, out=b)
-    out &= np.logical_or(np.less_equal(*outside, out=b), mask, out=b)
-    return out
+    def covers(self, z, t):
+        """lo(t) <= z <= hi(t) broadcast over (z, t), by comparisons of z with
+        every term: a max is at most z when each term is, and on booleans
+        where(m, X, Y) is (X >= m) & (Y | m). Returns out[()], the array
+        itself, or a numpy bool for scalar z and t."""
+        shape = np.broadcast_shapes(np.shape(z), np.shape(t))
+        out, mask, b = (np.empty(shape, dtype=bool) for _ in range(3))
+        out.fill(True)
+        f, g = np.empty(np.shape(t)), np.empty(np.shape(t))
+        for lower, terms in zip((True, False), self.ends(t, f, g, mask, b)):
+            def ok(x):
+                return np.less_equal(x, z, out=b) if lower else np.less_equal(z, x, out=b)
+            for x in terms:
+                if type(x) is tuple:
+                    on, inside, outside = x
+                    out &= np.greater_equal(ok(inside), on, out=b)
+                    out &= np.logical_or(ok(outside), on, out=b)
+                else:
+                    out &= ok(x)
+        return out[()]
 
 
 def _trace(mu_hat, sigma_hat, interval, scale, ts, points):
@@ -214,14 +226,23 @@ def _trace(mu_hat, sigma_hat, interval, scale, ts, points):
 
 class _PivotRegion:
     """A region that holds (mu, sigma) exactly when Z = n(mu_hat - mu)/sigma
-    lies in interval(T), T = sigma_hat/sigma, empty outside the outer edges."""
+    lies in the interval of its `event` at T = sigma_hat/sigma, empty
+    outside the outer edges."""
 
-    def _pivots(self, mu, sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        return self.n * (self.mu_hat - np.asarray(mu, dtype=float)) / sigma, self.sigma_hat / sigma
+    @property
+    def event(self) -> Event:
+        return Event(self._ends, self.edges)
+
+    def interval(self, t):
+        return self.event.interval(t)
+
+    def covers(self, z, t):
+        return self.event.covers(z, t)
 
     def contains(self, mu, sigma):
-        return self.covers(*self._pivots(mu, sigma))
+        sigma = np.asarray(sigma, dtype=float)
+        return self.covers(self.n * (self.mu_hat - np.asarray(mu, dtype=float)) / sigma,
+                           self.sigma_hat / sigma)
 
     def boundary(self, points: int = 512) -> np.ndarray:
         return _trace(self.mu_hat, self.sigma_hat, self.interval, self.n, self.edges, points)
@@ -265,25 +286,14 @@ class TrapezoidRegionC1(_PivotRegion):
                 & (mu <= self.location_edge(self.q2, sigma))
                 & (self.sigma_lo <= sigma) & (sigma <= self.sigma_hi))
 
-    def _pieces(self, t, cut, b):
-        # the ends' pieces: lo = -ln q2, and hi = -ln q1 inside the scale cut,
-        # written into cut (b scratch), the most negative float outside it
+    def _ends(self, t, f, g, cut, b):
+        # [-ln q2, -ln q1] inside the scale cut, the edges, written into cut
+        # (b scratch); empty outside it, where hi is the most negative float
+        yield -math.log(self.q2),
         t_lo, t_hi = self.edges
         np.less_equal(t_lo, t, out=cut)
         np.logical_and(cut, np.less_equal(t, t_hi, out=b), out=cut)
-        return -math.log(self.q2), -math.log(self.q1), -np.finfo(float).max, cut
-
-    def interval(self, t):
-        """[-ln q2, -ln q1] inside the scale cut, the edges; empty outside it,
-        where hi is the most negative float."""
-        lo, hi, empty, cut = self._pieces(t, *_bools(t, t, 2))
-        return lo, np.where(cut, hi, empty)
-
-    def covers(self, z, t):
-        out, cut, b = _bools(z, t, 3)
-        lo, hi, empty, cut = self._pieces(t, cut, b)
-        np.less_equal(lo, z, out=out)
-        return _and_where(out, cut, b, (z, hi), (z, empty))[()]
+        yield (cut, -math.log(self.q1), -np.finfo(float).max),
 
     @property
     def edges(self) -> tuple[float, float]:
@@ -319,28 +329,14 @@ class TrapezoidRegionC2(_PivotRegion):
         out = 2.0 * (self.n * (self.mu_hat - np.asarray(mu)) + self.m * self.sigma_hat) / x
         return out if out.ndim else float(out)
 
-    def _pieces(self, t, f, chi2, ray, level):
-        # an end's pieces at one quantile, in place: the location cut's ray
-        # a f T, a = m/(m-1), and the scale edge's level chi2/2 - m T
-        np.multiply(self.m / (self.m - 1.0) * f, t, out=ray)
-        np.multiply(self.m, t, out=level)
-        return ray, np.subtract(chi2 / 2, level, out=level)
-
-    def interval(self, t):
-        """The location cuts are rays Z = a f T, a = m/(m-1), and the scale
-        edges levels w = chi2/2 of Z + m T; the edges are where they meet."""
-        return (np.maximum(*self._pieces(t, self.f_q1, self.chi2_q1, *_floats(t))),
-                np.minimum(*self._pieces(t, self.f_q2, self.chi2_q2, *_floats(t))))
-
-    def covers(self, z, t):
-        out, b = _bools(z, t, 2)
-        ray, level = self._pieces(t, self.f_q1, self.chi2_q1, *_floats(t))
-        np.less_equal(ray, z, out=out)
-        out &= np.less_equal(level, z, out=b)
-        ray, level = self._pieces(t, self.f_q2, self.chi2_q2, ray, level)
-        out &= np.less_equal(z, ray, out=b)
-        out &= np.less_equal(z, level, out=b)
-        return out[()]
+    def _ends(self, t, ray, level, mask, b):
+        # at q1, then at q2 in the same arrays: the location cut's ray Z = a f T,
+        # a = m/(m-1), and the scale edge's level chi2/2 - m T, where Z + m T
+        # is chi2/2; the edges are where they meet
+        for f, chi2 in ((self.f_q1, self.chi2_q1), (self.f_q2, self.chi2_q2)):
+            np.multiply(self.m / (self.m - 1.0) * f, t, out=ray)
+            np.multiply(self.m, t, out=level)
+            yield ray, np.subtract(chi2 / 2, level, out=level)
 
     @property
     def edges(self) -> tuple[float, ...]:
@@ -364,57 +360,24 @@ class MinAreaRegionC3(_PivotRegion):
     y: float      # pivot value m*sigma_hat/z_hi
     z: float      # pivot value at the boundary-curve minimum
 
-    def g(self, scale):
-        """Signed location offset of the curved boundary at a given scale."""
-        val = _c3_offset(np.asarray(scale, dtype=float), self.sigma_hat, self.m, self.n, self.c_p)
-        return val if val.ndim else float(val)
-
-    def hull_contains(self, mu, sigma):
-        """Membership in the comprehensive convex hull (region plus the
-        notch between the curved boundary and its minimum); this is the
-        coverage event of the induced band."""
-        return self.hull_covers(*self._pivots(mu, sigma))
-
-    def _pieces(self, t, v, hi):
-        # v = m T and the upper end (m+1) ln T - m T - c_p, in place
+    def _ends(self, t, v, hi, on, b, hull=False):
+        """Z >= 0 and `cp_pivot` at (Z, v = m T) at least c_p: Z at most
+        (m+1) ln T - m T - c_p, in place in hi (v = m T); the edges are the
+        Lambert roots, where it crosses 0. For the comprehensive convex hull,
+        the induced band's event, it rises to the chord ((m+1)/z - 1) v, the
+        tangent at v = z, on y <= v <= z, written into on (b scratch)."""
         np.multiply(self.m, t, out=v)
         np.log(t, out=hi)
         np.multiply(self.m + 1, hi, out=hi)
         np.subtract(hi, v, out=hi)
-        return v, np.subtract(hi, self.c_p, out=hi)
-
-    def _chord(self, v, on, b):
-        # the hull's chord ((m+1)/z - 1) v, in place in v, and its range
-        # y <= v <= z, written into on (b scratch)
+        np.subtract(hi, self.c_p, out=hi)
+        yield 0.0,
+        if not hull:
+            yield hi,
+            return
         np.less_equal(self.y, v, out=on)
         np.logical_and(on, np.less_equal(v, self.z, out=b), out=on)
-        return np.multiply((self.m + 1) / self.z - 1.0, v, out=v), on
-
-    def interval(self, t):
-        """Z >= 0 and `cp_pivot` at (Z, v = m T) at least c_p; the edges are
-        the Lambert roots, where the upper end crosses 0."""
-        return 0.0, self._pieces(t, *_floats(t))[1]
-
-    def covers(self, z, t):
-        out, b = _bools(z, t, 2)
-        _, hi = self._pieces(t, *_floats(t))
-        np.less_equal(0.0, z, out=out)
-        out &= np.less_equal(z, hi, out=b)
-        return out[()]
-
-    def hull_interval(self, t):
-        """On y <= v = m T <= z the upper end rises to the chord
-        ((m+1)/z - 1) v, the tangent at v = z of the concave upper end."""
-        v, hi = self._pieces(t, *_floats(t))
-        chord, on = self._chord(v, *_bools(t, t, 2))
-        return 0.0, np.where(on, chord, hi)
-
-    def hull_covers(self, z, t):
-        out, on, b = _bools(z, t, 3)
-        v, hi = self._pieces(t, *_floats(t))
-        chord, on = self._chord(v, on, b)
-        np.less_equal(0.0, z, out=out)
-        return _and_where(out, on, b, (z, chord), (z, hi))[()]
+        yield (on, np.multiply((self.m + 1) / self.z - 1.0, v, out=v), hi),
 
     @property
     def edges(self) -> tuple[float, float]:
@@ -435,36 +398,24 @@ class KsRegionC4:
     t_zero_lower: float  # where the lower slope crosses zero
     t_zero_upper: float  # where the upper slope crosses zero
 
+    def event(self, n: float = 1.0) -> Event:
+        """The region's event at scale n: n S, S = (mu_hat - mu)/sigma, lies
+        in n times the slopes at T = sigma_hat/sigma (`_ks_ends`), with edges
+        the scale limits, 1 - d_p, 1 and 1/(1 - d_p)."""
+        d = self.d_p
+        return Event(partial(_ks_ends, d_p=d, n=n, trimmed=self.trimmed), (
+            self.t_lo, self.t_zero_lower, 1.0 - d, 1.0, 1.0 / (1.0 - d), self.t_zero_upper))
+
     def slopes(self, t, n=1.0):
-        """The region's interval of n S at T = sigma_hat/sigma,
-        S = (mu_hat - mu)/sigma: n times the slopes, the lower one at least 0
-        if trimmed."""
-        lo, hi = ks_slopes(t, self.d_p, n)
-        return (np.maximum(lo, 0.0) if self.trimmed else lo), hi
+        return self.event(n).interval(t)
 
     def covers(self, z, t, n=1.0):
-        """n S = z lies in slopes(t, n); a trimmed lower slope max(l, 0) is
-        l <= z and 0 <= z, an untrimmed one -inf <= z and l <= z."""
-        out, below, b = _bools(z, t, 3)
-        h, tail, top, lo_switch, hi_switch = _ks_pieces(t, self.d_p, n, *_floats(t))
-        np.less_equal(0.0 if self.trimmed else -math.inf, z, out=out)
-        np.less(t, lo_switch, out=below)
-        _and_where(out, below, b, (h, z), (tail, z))
-        np.less_equal(t, hi_switch, out=below)
-        return _and_where(out, below, b, (z, top), (z, h))[()]
+        return self.event(n).covers(z, t)
 
     def contains(self, mu, sigma):
         sigma = np.asarray(sigma, dtype=float)
         return self.covers((self.mu_hat - np.asarray(mu, dtype=float)) / sigma,
                            self.sigma_hat / sigma)
-
-    def event(self, n: float) -> Event:
-        """The coverage event at sample size n: Z = n S in n times the
-        slopes, with edges the scale limits, 1 - d_p, 1 and 1/(1 - d_p)."""
-        d = self.d_p
-        return Event(lambda t: self.slopes(t, n), (
-            self.t_lo, self.t_zero_lower, 1.0 - d, 1.0, 1.0 / (1.0 - d), self.t_zero_upper),
-            lambda z, t: self.covers(z, t, n))
 
     def boundary(self, points: int = 512) -> np.ndarray:
         return _trace(self.mu_hat, self.sigma_hat, self.slopes, 1.0, (self.t_lo, self.t_hi),

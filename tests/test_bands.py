@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -31,7 +32,7 @@ from expbands.errors import DomainError, UnsupportedCaseError
 from expbands.metrics import max_width
 from expbands.model import (CensoringScheme, GeneralizedScheme, LocScale, MleEstimate, mle,
                             simulate_mles, simulate_sample)
-from expbands.regions import build_c1, build_c2, build_c3, build_c4, ks_slopes
+from expbands.regions import Event, build_c1, build_c2, build_c3, build_c4, ks_slopes
 from expbands.streams import batch_generator
 
 LEVEL = 0.9025
@@ -124,7 +125,7 @@ class TestClosedFormBands:
         band = all_bands["b3"]
         region = build_c3(fluid_est, fluid_scheme, CP_PAPER)
         sigmas = np.linspace(region.z_lo, region.z_hi, 10_000)
-        mus = fluid_est.mu_hat + region.g(sigmas)
+        mus = fluid_est.mu_hat + c3_offset(region, sigmas)
         for x in (-2.0, 0.5, 3.0, 8.0, 20.0):
             f_curve = np.max(LocScale(0, 1).cdf((x - mus) / sigmas))
             f_line = np.max(LocScale(0, 1).cdf((x - fluid_est.mu_hat) / sigmas))
@@ -311,6 +312,21 @@ class TestTrimmedBands:
         assert np.array_equal(direct.upper(xs), helper.upper(xs))
 
 
+def c3_offset(region, sigma):
+    """The minimum-area region's curved edge: the signed location offset from
+    mu_hat at scale sigma where its pivot equals c_p (the oracle of b3)."""
+    ratio = np.log(region.sigma_hat) - np.log(sigma)
+    return ((region.c_p - (region.m + 1) * ratio) * sigma + region.m * region.sigma_hat) / region.n
+
+
+def hull_contains(region, mu, sigma):
+    """Membership in the minimum-area region's comprehensive convex hull (the
+    region plus the notch between its curved edge and the edge's minimum),
+    the induced band's coverage event: the hull's ends at the pivots."""
+    hull = Event(functools.partial(region._ends, hull=True), region.edges)
+    return hull.covers(region.n * (region.mu_hat - mu) / sigma, region.sigma_hat / sigma)
+
+
 def _clearly_decided(indicator, theta: LocScale, margin: float = 0.005) -> bool:
     """A parameter point is skipped when the exact membership indicator flips
     within a `margin` relative perturbation: right at the boundary the band
@@ -352,13 +368,14 @@ class TestContainmentIdentities:
     def test_b3_containment_equals_hull_membership(self, fluid_est, fluid_scheme, rng):
         band = band_b3(fluid_est, fluid_scheme, CP_PAPER, nominal_p=NOMINAL_P_PAPER)
         region = build_c3(fluid_est, fluid_scheme, CP_PAPER)
+        in_hull_of = functools.partial(hull_contains, region)
         checked = 0
         for _ in range(1000):
             theta = LocScale(fluid_est.mu_hat - float(rng.uniform(-0.2, 2.0)),
                              float(rng.uniform(2.0, 30.0)))
-            if not _clearly_decided(region.hull_contains, theta):
+            if not _clearly_decided(in_hull_of, theta):
                 continue
-            in_hull = bool(region.hull_contains(theta.mu, theta.sigma))
+            in_hull = bool(in_hull_of(theta.mu, theta.sigma))
             assert in_hull == graph_contained(band, theta)
             checked += 1
         assert checked > 800
@@ -485,8 +502,8 @@ class TestContainmentIdentities:
         region = build_c3(fluid_est, fluid_scheme, c_p)
         band = band_b3(fluid_est, fluid_scheme, c_p, nominal_p=nominal_p)
         sigma = 0.5 * (region.z_lo + region.m * region.sigma_hat / region.z)
-        mu = region.mu_hat + region.g(sigma) + (-1e-8 if outside else 1e-8) * sigma
-        assert bool(region.hull_contains(mu, sigma)) is not outside
+        mu = region.mu_hat + c3_offset(region, sigma) + (-1e-8 if outside else 1e-8) * sigma
+        assert bool(hull_contains(region, mu, sigma)) is not outside
         assert graph_contained(band, LocScale(mu, sigma)) is not outside
 
     @pytest.mark.parametrize("complete", (False, True), ids=("bundled", "complete8"))
@@ -576,7 +593,8 @@ class TestEventProbability:
         from scipy import integrate, stats
         m = fluid_scheme.m
         k = METHODS[kind].constants(fluid_scheme, LEVEL)[0]
-        interval, edges, _ = METHODS[kind].event(fluid_scheme, LEVEL, k)
+        event = METHODS[kind].event(fluid_scheme, LEVEL, k)
+        interval, edges = event.interval, event.edges
         f_t = stats.gamma(m - 1, scale=1.0 / m).pdf
 
         def integrand(t: float) -> float:

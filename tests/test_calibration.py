@@ -25,7 +25,7 @@ from expbands.calibration import (
 from expbands.errors import CacheIntegrityError, CalibrationError, DomainError
 from expbands.numerics import integrate
 from expbands.reproduce import reproduce_paper
-from expbands.regions import c4_scale_limits, cp_supremum, h_curve
+from expbands.regions import _h_scalar, c4_scale_limits, cp_supremum
 from expbands.special import gamma_cdf, gamma_logpdf
 
 
@@ -357,9 +357,9 @@ def _ks_cdf_by_pieces(m: int, n: int, d: float) -> float:
         return m * math.exp(gamma_logpdf(m - 1, m * t))
 
     middle = inside * (gamma_cdf(m - 1, m * top) - gamma_cdf(m - 1, m * tzl))
-    left, _ = integrate(lambda t: dens(t) * (math.exp(-n * h_curve(t, d)) - (1.0 - d) ** n),
+    left, _ = integrate(lambda t: dens(t) * (math.exp(-n * _h_scalar(t, d)) - (1.0 - d) ** n),
                         t1, tzl, abs_tol=1e-13)
-    right, _ = integrate(lambda t: dens(t) * (1.0 - math.exp(-n * h_curve(t, d))),
+    right, _ = integrate(lambda t: dens(t) * (1.0 - math.exp(-n * _h_scalar(t, d))),
                          top, tzu, abs_tol=1e-13)
     return middle + left + right
 

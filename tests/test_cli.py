@@ -382,8 +382,18 @@ class TestCalibrateCoverageSimulate:
         doc = _load(tmp_path / f"coverage_{kind}.json")
         exact = event_probability(kind, read_sample_csv(data_csv).scheme, 0.9, doc["constants"])
         assert doc["exact_probability"] == line["exact_probability"] == exact
-        assert line["z"] == (doc["coverage"] - exact) / doc["std_error"]
+        assert line["z"] == (doc["coverage"] - exact) / (exact * (1.0 - exact) / 4000)**0.5
         assert abs(line["z"]) < 4.0
+
+    def test_coverage_z_of_an_all_hit_count(self, data_csv, tmp_path, capsys):
+        # 5 of 5 replicates cover: the count's own binomial error, floored at
+        # 1e-12 in cov(1 - cov), is 4.5e-7, and z against it read 223,607;
+        # against the exact probability's error it is 0.75
+        assert _run("coverage", "--data", data_csv, "--kind", "c1", "--mu", "0", "--sigma", "1",
+                    "--replicates", "5", "--output-dir", tmp_path) == 0
+        line = json.loads(capsys.readouterr().out)
+        assert line["coverage"] == 1.0
+        assert np.isfinite(line["z"]) and abs(line["z"]) < 5.0
 
     def test_simulate_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

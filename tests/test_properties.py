@@ -1,14 +1,17 @@
 """Standalone property suites: boundary monotonicity and ordering for every
 band construction, exhaustiveness of the trapezoid regions, a found
 non-comprehensiveness witness for the minimum-area region, trimming
-inclusions, the reliability involution, and the marginal transform's
-bijection properties.
+inclusions, the reliability involution, the marginal transform's
+bijection properties, and the location-scale equivariance of every region
+and band.
 """
 
 import numpy as np
 import pytest
 
 from expbands.bands import (
+    METHODS,
+    Band,
     band_b1,
     band_b2,
     band_b3,
@@ -19,7 +22,7 @@ from expbands.bands import (
     marginal_transform_h,
     reliability_band,
 )
-from expbands.model import LocScale
+from expbands.model import LocScale, MleEstimate
 from expbands.regions import build_c1, build_c2, build_c3
 
 LEVEL = 0.9025
@@ -136,3 +139,67 @@ def test_marginal_transform_bijection(rng):
         assert np.all(np.diff(h[live]) > 0)
         assert np.all(np.diff(h) >= -1e-12)
         assert np.all((h >= 0) & (h <= 1))
+
+
+def _same_up_to_location(got, ref, nearby, floor=1e-2):
+    """got equals ref to 1e-14 relative above the floor (1e-16 absolute below
+    it, where a band's lower boundary F - d_p cancels), give or take how far
+    ref moves over the rounding of the location in data coordinates (nearby,
+    ref at the standardized argument moved by that rounding either way)."""
+    slack = np.maximum(*(np.abs(np.asarray(v) - ref) for v in nearby))
+    return np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), floor) + slack)
+
+
+def test_location_scale_equivariance(fluid_scheme):
+    """Every region and band built at (mu_hat, sigma_hat) is the unit one,
+    built at (0, 1) with the same constants, read at (x - mu_hat)/sigma_hat:
+    its boundaries agree (`_same_up_to_location`), and so do membership and
+    graph containment at the standardized theta, off the boundary."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    kinds = ("c1", "c2", "c3", "c4p", "c4pp", "b1", "b2", "b3", "b4", "b4p", "b4pp")
+    constants = {kind: METHODS[kind].constants(fluid_scheme, LEVEL)[0] for kind in kinds}
+    unit = {kind: METHODS[kind].build(MleEstimate(0.0, 1.0), fluid_scheme, LEVEL, constants[kind])
+            for kind in kinds}
+    eps = np.finfo(float).eps
+    u = np.linspace(-3.0, 30.0, 200)
+
+    def covers(obj, mu, sigma):
+        if isinstance(obj, Band):
+            return graph_contained(obj, LocScale(mu, sigma))
+        return bool(obj.contains(mu, sigma))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(kinds), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+           st.floats(-1.0, 0.3), st.floats(0.3, 3.0))
+    def check(kind, mu_hat, sigma_hat, a, s):
+        built = METHODS[kind].build(MleEstimate(mu_hat, sigma_hat), fluid_scheme, LEVEL,
+                                    constants[kind])
+        ref = unit[kind]
+        if isinstance(built, Band):
+            x = mu_hat + sigma_hat * u
+            z = (x - mu_hat) / sigma_hat
+            dz = 8.0 * eps * (np.abs(x) + mu_hat) / sigma_hat
+            for got, want in ((built.lower, ref.lower), (built.upper, ref.upper)):
+                assert _same_up_to_location(np.asarray(got(x)), np.asarray(want(z)),
+                                            (want(z - dz), want(z + dz)))
+        else:
+            got, want = built.boundary(128), ref.boundary(128)
+            assert got.shape == want.shape
+            # mu to 1e-14 of its terms, the unit location taken at least 1e-2
+            # sigma: the ends cancel to 0 at the outer scale edges
+            terms = mu_hat + sigma_hat * np.maximum(np.abs(want[:, 0]), 1e-2 * want[:, 1])
+            assert np.all(np.abs(got[:, 0] - (mu_hat + sigma_hat * want[:, 0])) <= 1e-14 * terms)
+            assert np.allclose(got[:, 1], sigma_hat * want[:, 1], rtol=1e-14, atol=0.0)
+        theta = LocScale(mu_hat + sigma_hat * a, sigma_hat * s)
+        std = ((theta.mu - mu_hat) / sigma_hat, theta.sigma / sigma_hat)
+        # off the boundary by far more than the standardization's rounding
+        d = 1e-9 * (1.0 + mu_hat / sigma_hat)
+        verdict = covers(ref, *std)
+        assume(all(covers(ref, std[0] + i * d, std[1] * (1.0 + j * d)) == verdict
+                   for i in (-1, 1) for j in (-1, 1)))
+        assert covers(built, theta.mu, theta.sigma) == verdict
+
+    check()

@@ -1,16 +1,21 @@
+import functools
+import hashlib
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from expbands.bands import METHODS, ks_distance_xy
+from expbands.bands import METHODS, event_probability, ks_distance_xy
 from expbands.calibration import calibrate_cp, tau_of_p
 from expbands.errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
 from expbands.metrics import coverage_experiment
 from expbands.model import MleEstimate
 from expbands.numerics import integrate
 from expbands.regions import (
+    Event,
+    _ks_ends,
     build_c1,
     build_c2,
     build_c3,
@@ -18,7 +23,6 @@ from expbands.regions import (
     comprehensive_convex_hull_delta_prob,
     cp_pivot,
     cp_supremum,
-    h_curve,
     ks_event,
     lambert_interval,
     region_from_dict,
@@ -30,6 +34,28 @@ LEVEL = 0.9025
 P = 1.0 - LEVEL
 CP_PAPER = -11.587
 DP_PAPER = 0.249
+
+
+def c3_offset(region, sigma):
+    """The minimum-area region's curved edge: the signed location offset from
+    mu_hat at scale sigma where its pivot equals c_p."""
+    ratio = np.log(region.sigma_hat) - np.log(sigma)
+    return ((region.c_p - (region.m + 1) * ratio) * sigma + region.m * region.sigma_hat) / region.n
+
+
+def h_curve(t, d_p):
+    """The sup-distance boundary function h(t) = ln(d_p/|1-t|)(t-1) + t ln(t)
+    as the region's slopes evaluate it, read from the first array that
+    `_ks_ends` fills."""
+    t = np.asarray(t, dtype=float)
+    h = np.empty(t.shape)
+    next(_ks_ends(t, h, np.empty(t.shape), np.empty(t.shape, bool), None, d_p, 1.0, False))
+    return float(h) if h.ndim == 0 else h
+
+
+def hull_event(c3):
+    """The comprehensive convex hull of a minimum-area region, b3's event."""
+    return Event(functools.partial(c3._ends, hull=True), (c3.y / c3.m, c3.z / c3.m))
 
 
 def test_split_level_uniform_allocation():
@@ -100,8 +126,8 @@ class TestC3:
 
     def test_boundary_function_roots(self, fluid_est, fluid_scheme):
         region = build_c3(fluid_est, fluid_scheme, CP_PAPER)
-        assert abs(region.g(region.z_lo)) <= 1e-9
-        assert abs(region.g(region.z_hi)) <= 1e-9
+        assert abs(c3_offset(region, region.z_lo)) <= 1e-9
+        assert abs(c3_offset(region, region.z_hi)) <= 1e-9
 
     def test_thins_out_at_feasibility_edge(self, fluid_est, fluid_scheme):
         # at c_p = -m the defining statistic equals -m at the MLE point, so
@@ -111,7 +137,7 @@ class TestC3:
         region = build_c3(fluid_est, fluid_scheme, -8.0 - 1e-9)
         assert region.contains(fluid_est.mu_hat, fluid_est.sigma_hat)
         assert not region.contains(fluid_est.mu_hat - 1e-3, fluid_est.sigma_hat)
-        thickness = -min(region.g(s) for s in
+        thickness = -min(c3_offset(region, s) for s in
                          np.linspace(region.z_lo, region.z_hi, 200))
         assert 0 < thickness < 0.03
         wide = build_c3(fluid_est, fluid_scheme, CP_PAPER)
@@ -421,10 +447,11 @@ def _predicates(est, scheme):
     n = scheme.effective_n
     c1, c2, c3 = build_c1(est, scheme, P), build_c2(est, scheme, P), build_c3(est, scheme, CP_PAPER)
     c4, c4pp = build_c4(est, DP_PAPER), build_c4(est, DP_PAPER, trimmed=True)
+    hull = hull_event(c3)
     out = {"c1": (c1.interval, c1.covers, c1.edges),
            "c2": (c2.interval, c2.covers, c2.edges),
            "c3": (c3.interval, c3.covers, c3.edges),
-           "c3-hull": (c3.hull_interval, c3.hull_covers, (c3.y / c3.m, c3.z / c3.m)),
+           "c3-hull": (hull.interval, hull.covers, hull.edges),
            "c4": (c4.slopes, c4.covers, c4.event(n).edges + (c4.t_hi,)),
            "c4-trimmed": (c4pp.slopes, c4pp.covers, c4pp.event(n).edges + (c4pp.t_hi,))}
     for name, ev in (("c4-event", c4.event(n)), ("c4-trimmed-event", c4pp.event(n)),
@@ -539,15 +566,126 @@ def test_coverage_counts_pinned(fluid_scheme, std_theta, kind):
     assert round(rep.coverage * 10**6) == PINNED_HITS[kind]
 
 
-@pytest.mark.parametrize("t", (0.3, 0.9, 1.0, 1.3, 9.0))
-def test_interval_of_a_float_equals_its_array_form(fluid_est, fluid_scheme, t):
-    # a scale ratio given as a Python float takes the same branch of each end
+# each kind's exact event probability on the bundled scheme, as float.hex, and
+# the sha256 of each region's JSON at the bundled estimate and level 0.9025, as
+# the per-class interval forms gave them (numpy 2.4, AVX-512 x86-64): a new way
+# of evaluating the same ends must reproduce them bit for bit
+PINNED_PROBABILITIES = {
+    0.8: {"c1": "0x1.9999999999977p-1", "c2": "0x1.9999999999978p-1",
+          "c3": "0x1.9999999999972p-1", "c4p": "0x1.99999999999dfp-1",
+          "c4pp": "0x1.99999999999dfp-1", "b1": "0x1.9999999999977p-1",
+          "b2": "0x1.9999999999978p-1", "b3": "0x1.9999999999986p-1",
+          "b4": "0x1.99999999999dfp-1", "b4p": "0x1.99999999999dfp-1",
+          "b4pp": "0x1.99999999999dfp-1"},
+    0.9025: {"c1": "0x1.ce147ae147abap-1", "c2": "0x1.ce147ae147abcp-1",
+             "c3": "0x1.ce147ae147ab9p-1", "c4p": "0x1.ce147ae147ae1p-1",
+             "c4pp": "0x1.ce147ae147ae1p-1", "b1": "0x1.ce147ae147abap-1",
+             "b2": "0x1.ce147ae147abcp-1", "b3": "0x1.ce147ae147ab8p-1",
+             "b4": "0x1.ce147ae147ae1p-1", "b4p": "0x1.ce147ae147ae1p-1",
+             "b4pp": "0x1.ce147ae147ae1p-1"},
+    0.95: {"c1": "0x1.e666666666640p-1", "c2": "0x1.e666666666640p-1",
+           "c3": "0x1.e66666666663ep-1", "c4p": "0x1.e666666666666p-1",
+           "c4pp": "0x1.e666666666666p-1", "b1": "0x1.e666666666640p-1",
+           "b2": "0x1.e666666666640p-1", "b3": "0x1.e66666666665ep-1",
+           "b4": "0x1.e666666666666p-1", "b4p": "0x1.e666666666666p-1",
+           "b4pp": "0x1.e666666666666p-1"},
+}
+PINNED_REGION_SHA256 = {
+    "c1": "8f614b2fec1cafd3708eb90686eccec8f46c53f043996eeb06356fbcb39981e2",
+    "c2": "c7e961896d9c8da022d67c5ab2b94db914380013dedbc4fe67db4f2ba77b1852",
+    "c3": "25a56780bb9339a3b0d9826f287958d1f6dfcd89bda775fe2158dbb33c54d855",
+    "c4p": "7a0b20608bd6b569fd6f53671376b77d03caecd6fad11cc324e85392f4199dc8",
+    "c4pp": "45d0f57672dad77398266f650560e62f7d8519dd0206dd5b079b5f06481dd6cb",
+}
+
+
+@pytest.mark.parametrize("level", sorted(PINNED_PROBABILITIES))
+def test_event_probabilities_pinned(fluid_scheme, level):
+    got = {kind: event_probability(kind, fluid_scheme, level,
+                                   METHODS[kind].constants(fluid_scheme, level)[0]).hex()
+           for kind in METHODS}
+    assert got == PINNED_PROBABILITIES[level]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_REGION_SHA256))
+def test_region_json_pinned(fluid_est, fluid_scheme, kind):
+    k, _ = METHODS[kind].constants(fluid_scheme, LEVEL)
+    doc = region_to_dict(METHODS[kind].build(fluid_est, fluid_scheme, LEVEL, k))
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_REGION_SHA256[kind]
+
+
+@pytest.fixture(scope="module")
+def events(fluid_est, fluid_scheme):
+    """Every event: each region type's own, at the bundled estimate, and each
+    registry method's, at its exact constants for level 0.9025."""
     c3 = build_c3(fluid_est, fluid_scheme, CP_PAPER)
-    for interval in (build_c1(fluid_est, fluid_scheme, P).interval,
-                     build_c2(fluid_est, fluid_scheme, P).interval, c3.interval,
-                     c3.hull_interval, build_c4(fluid_est, DP_PAPER, trimmed=True).slopes):
-        for end, ends in zip(interval(t), interval(np.array([t]))):
-            assert float(end) == float(np.broadcast_to(ends, (1,))[0])
+    out = {"c1": build_c1(fluid_est, fluid_scheme, P).event,
+           "c2": build_c2(fluid_est, fluid_scheme, P).event, "c3": c3.event,
+           "c3-hull": hull_event(c3), "c4": build_c4(fluid_est, DP_PAPER).event(),
+           "c4-trimmed": build_c4(fluid_est, DP_PAPER, trimmed=True).event()}
+    for kind, method in METHODS.items():
+        out[f"registry-{kind}"] = method.event(fluid_scheme, LEVEL,
+                                               method.constants(fluid_scheme, LEVEL)[0])
+    return out
+
+
+EVENT_NAMES = ("c1", "c2", "c3", "c3-hull", "c4", "c4-trimmed",
+               *(f"registry-{kind}" for kind in METHODS))
+
+
+class TestEventDescription:
+    """An event's ends: exactly one lower end and then one upper end, each a
+    tuple of terms, where a term is a float, an array shaped like t or a
+    switch (mask, inside, outside) of two such terms."""
+
+    @pytest.mark.parametrize("name", EVENT_NAMES)
+    def test_one_lower_then_one_upper_end(self, events, name):
+        t = np.array([1e-3, 0.3, 0.9, 1.0, 1.3, 9.0, 1e3])
+        f, g = np.empty(t.shape), np.empty(t.shape)
+        mask, b = np.empty(t.shape, bool), np.empty(t.shape, bool)
+
+        def is_value(x):
+            if isinstance(x, float):
+                return True
+            return isinstance(x, np.ndarray) and x.shape == t.shape and x.dtype == float
+
+        ends = 0
+        for terms in events[name].ends(t, f, g, mask, b):
+            ends += 1
+            assert type(terms) is tuple and len(terms) >= 1
+            for x in terms:
+                if type(x) is tuple:
+                    switch, inside, outside = x
+                    assert switch.shape == t.shape and switch.dtype == bool
+                    assert is_value(inside) and is_value(outside)
+                else:
+                    assert is_value(x)
+        assert ends == 2
+
+    @pytest.mark.parametrize("name", EVENT_NAMES)
+    def test_interval_reduces_each_end_before_the_next(self, events, name):
+        # the oracle reduces each end as soon as it is yielded: lo the max and
+        # hi the min of the terms, a switch read with np.where
+        t = np.geomspace(0.05, 20.0, 101)
+        ref = []
+        for terms in events[name].ends(t, np.empty(t.shape), np.empty(t.shape),
+                                       np.empty(t.shape, bool), np.empty(t.shape, bool)):
+            values = [np.where(*x) if type(x) is tuple else np.broadcast_to(x, t.shape)
+                      for x in terms]
+            ref.append((np.max if not ref else np.min)(values, axis=0))
+        lo, hi = events[name].interval(t)
+        assert np.array_equal(np.broadcast_to(lo, t.shape), ref[0])
+        assert np.array_equal(np.broadcast_to(hi, t.shape), ref[1])
+        assert np.array_equal(events[name].covers(ref[0], t), ref[0] <= ref[1])
+
+
+@pytest.mark.parametrize("t", (0.3, 0.9, 1.0, 1.3, 9.0))
+def test_interval_of_a_float_equals_its_array_form(events, t):
+    # a scale ratio given as a Python float takes the same branch of each end
+    for name, event in events.items():
+        for end, ends in zip(event.interval(t), event.interval(np.array([t]))):
+            assert float(end) == float(np.broadcast_to(ends, (1,))[0]), name
 
 
 class TestEquivarianceAndExport:
