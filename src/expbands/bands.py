@@ -4,16 +4,18 @@ censoring, plus the sup-distance statistic that powers the KS-type bands.
 Six constructions: two from the trapezoid regions, one from the
 minimum-area region, the constant-width KS band, and its two trimmed
 variants: the extrema of the cdf over the sup-distance regions, in closed
-form. A `Band` always holds its cdf boundaries; a reliability (1 - cdf) or
-last-observation marginal band is the same band shown through one
-pointwise monotone map (`Band.push`), H for a marginal band, then the
-reflection for a reliability one.
+form. Each band is location-scale equivariant, so a `Band` holds the cdf
+boundaries of its unit band, built at (0, 1), and the estimate it reads
+them at, `loc` and `scale`; a reliability (1 - cdf) or last-observation
+marginal band is the same band shown through one pointwise monotone map
+(`Band.push`), H for a marginal band, then the reflection for a
+reliability one.
 
 Boundaries are pieces: (possibly offset and clipped) exponential cdfs and
-the analytic upper envelope of the minimum-area region. Their breakpoints
-cut the line into panels, then the right tail, on each of which a piece
-is constant or live. The band metrics and `graph_contained`, the exact
-containment of a cdf graph, walk these panels (`_panels`).
+the analytic upper envelope of the unit minimum-area region. Their
+breakpoints cut the unit axis into panels, then the right tail, on each of
+which a piece is constant or live. The band metrics and `graph_contained`,
+the exact containment of a cdf graph, walk these panels (`_panels`).
 
 `METHODS` is the one table of the paper's regions (c1-c4pp) and bands
 (b1-b4pp): per method, the calibration constant it needs and its exact
@@ -48,7 +50,6 @@ from .regions import (
     Event,
     KsRegionC4,
     Region,
-    _c3_offset,
     _h_deriv,
     build_c1,
     build_c2,
@@ -59,6 +60,8 @@ from .regions import (
     ks_slopes,
 )
 from .special import check_probability
+
+_UNIT = MleEstimate(0.0, 1.0)   # bands and coverage events are built at the unit estimate
 
 # ---------------------------------------------------------------------------
 # boundary segments
@@ -92,14 +95,12 @@ class ExpCdfSegment:
 
 @dataclass(frozen=True)
 class MinAreaEnvelopeSegment:
-    """Upper envelope of the minimum-area region where the extremizing scale
-    is interior: at each x the cdf is evaluated at the boundary point whose
-    scale is (n (mu_hat - x) + m sigma_hat) / (m + 1). It is 0 up to its
-    kink, the x of scale sigma_hat exp(-1 - c_p/(m + 1)), and rises after
-    it."""
+    """Upper envelope of the unit minimum-area region where the extremizing
+    scale is interior: at each x the cdf is evaluated at the boundary point
+    whose scale is s = (m - n x) / (m + 1), at location
+    ((c_p + (m + 1) ln s) s + m) / n. It is 0 up to its kink, the x of scale
+    exp(-1 - c_p/(m + 1)), and rises after it."""
 
-    mu_hat: float
-    sigma_hat: float
     m: int
     n: float
     c_p: float
@@ -107,21 +108,21 @@ class MinAreaEnvelopeSegment:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         scale = np.maximum(self.scale_at(x), 1e-300)
-        offset = _c3_offset(scale, self.sigma_hat, self.m, self.n, self.c_p)
-        return _std_cdf((x - self.mu_hat - offset) / scale)
+        loc = ((self.c_p + (self.m + 1) * np.log(scale)) * scale + self.m) / self.n
+        return _std_cdf((x - loc) / scale)
 
     value = evaluate   # at one float x too
 
     def x_at_scale(self, scale: float) -> float:
         """The x whose extremizing scale is `scale`."""
-        return self.mu_hat + (self.m * self.sigma_hat - (self.m + 1) * scale) / self.n
+        return (self.m - (self.m + 1) * scale) / self.n
 
     def scale_at(self, x):
         """The extremizing scale at x, the inverse of `x_at_scale`."""
-        return (self.n * (self.mu_hat - x) + self.m * self.sigma_hat) / (self.m + 1)
+        return (self.m - self.n * x) / (self.m + 1)
 
     def kinks(self) -> tuple[float, ...]:
-        return (self.x_at_scale(self.sigma_hat * math.exp(-1.0 - self.c_p / (self.m + 1))),)
+        return (self.x_at_scale(math.exp(-1.0 - self.c_p / (self.m + 1))),)
 
 
 Segment = ExpCdfSegment | MinAreaEnvelopeSegment
@@ -163,8 +164,9 @@ class PiecewiseBoundary:
 class Band:
     """Evaluable confidence band with level and construction provenance.
 
-    It holds the boundaries of a cdf band and shows them through `push`: H
-    of the last-observation marginal transform when `gammas` (its
+    It holds the cdf boundaries of the unit band and reads them at
+    (x - loc)/scale, (loc, scale) the estimate, and shows them through
+    `push`: H of the last-observation marginal transform when `gammas` (its
     coefficients) is set, then 1 - . when the band is not increasing (a
     reliability band), where the boundaries swap. Both maps are monotone, so
     the shown band has the cdf band's level."""
@@ -173,6 +175,8 @@ class Band:
     cdf_lower: PiecewiseBoundary
     cdf_upper: PiecewiseBoundary
     level: float | None
+    loc: float
+    scale: float
     provenance: dict = field(default_factory=dict)
     gammas: tuple[float, ...] | None = None
     increasing: bool = True
@@ -184,16 +188,19 @@ class Band:
         return y if self.increasing else 1.0 - y
 
     def lower(self, x):
-        return self.push((self.cdf_lower if self.increasing else self.cdf_upper)(x))
+        u = (np.asarray(x, dtype=float) - self.loc) / self.scale
+        return self.push((self.cdf_lower if self.increasing else self.cdf_upper)(u))
 
     def upper(self, x):
-        return self.push((self.cdf_upper if self.increasing else self.cdf_lower)(x))
+        u = (np.asarray(x, dtype=float) - self.loc) / self.scale
+        return self.push((self.cdf_upper if self.increasing else self.cdf_lower)(u))
 
     def width(self, x):
         return self.upper(x) - self.lower(x)
 
     def breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.cdf_lower.breakpoints()) | set(self.cdf_upper.breakpoints())))
+        """The unit boundaries' breakpoints, the panels' edges, on the data axis."""
+        return tuple(sorted({self.loc + self.scale * p.a for p in _panels(self)}))
 
 
 # ---------------------------------------------------------------------------
@@ -202,36 +209,33 @@ class Band:
 
 def band_b1(est: MleEstimate, scheme: Scheme, p: float) -> Band:
     """Band induced by the scale-cut trapezoid; exact level 1-p."""
-    region = build_c1(est, scheme, p)
-    loc, s_lo, s_hi = region.location_edge, region.sigma_lo, region.sigma_hi
+    region = build_c1(_UNIT, scheme, p)
+    edge, s_lo, s_hi = region.location_edge, region.sigma_lo, region.sigma_hi
     lower = PiecewiseBoundary(
-        (ExpCdfSegment(loc(region.q2, s_lo), s_lo), ExpCdfSegment(loc(region.q2, s_hi), s_hi)),
-        breaks=(est.mu_hat,))
+        (ExpCdfSegment(edge(region.q2, s_lo), s_lo), ExpCdfSegment(edge(region.q2, s_hi), s_hi)),
+        breaks=(0.0,))
     upper = PiecewiseBoundary(
-        (ExpCdfSegment(loc(region.q1, s_hi), s_hi), ExpCdfSegment(loc(region.q1, s_lo), s_lo)),
-        breaks=(est.mu_hat,))
-    prov = {"mu_hat": est.mu_hat, "sigma_hat": est.sigma_hat, "m": scheme.m, "n": region.n,
-            "q1": region.q1, "q2": region.q2}
-    return Band("b1", lower, upper, level=1.0 - p, provenance=prov)
+        (ExpCdfSegment(edge(region.q1, s_hi), s_hi), ExpCdfSegment(edge(region.q1, s_lo), s_lo)),
+        breaks=(0.0,))
+    return Band("b1", lower, upper, level=1.0 - p, loc=est.mu_hat, scale=est.sigma_hat,
+                provenance={"m": scheme.m, "n": region.n, "q1": region.q1, "q2": region.q2})
 
 
 def band_b2(est: MleEstimate, scheme: Scheme, p: float) -> Band:
     """Band induced by the location-cut trapezoid; exact level 1-p."""
-    region = build_c2(est, scheme, p)
+    region = build_c2(_UNIT, scheme, p)
     m, n = scheme.m, scheme.effective_n
-    split = est.mu_hat + m * est.sigma_hat / n
     mu_lo, mu_hi, scale = region.mu_lo, region.mu_hi, region.scale_edge
     lower = PiecewiseBoundary(
         (ExpCdfSegment(mu_hi, scale(region.q1, mu_hi)),
          ExpCdfSegment(mu_lo, scale(region.q1, mu_lo))),
-        breaks=(split,))
+        breaks=(m / n,))
     upper = PiecewiseBoundary(
         (ExpCdfSegment(mu_lo, scale(region.q2, mu_lo)),
          ExpCdfSegment(mu_hi, scale(region.q2, mu_hi))),
-        breaks=(split,))
-    prov = {"mu_hat": est.mu_hat, "sigma_hat": est.sigma_hat, "m": m, "n": n,
-            "q1": region.q1, "q2": region.q2}
-    return Band("b2", lower, upper, level=1.0 - p, provenance=prov)
+        breaks=(m / n,))
+    return Band("b2", lower, upper, level=1.0 - p, loc=est.mu_hat, scale=est.sigma_hat,
+                provenance={"m": m, "n": n, "q1": region.q1, "q2": region.q2})
 
 
 def band_b3(est: MleEstimate, scheme: Scheme, c_p: float,
@@ -244,28 +248,28 @@ def band_b3(est: MleEstimate, scheme: Scheme, c_p: float,
     When the nominal region level 1-p is supplied the band's exact
     (strictly larger) level is computed and stored as the band level.
     """
-    region = build_c3(est, scheme, c_p)
+    region = build_c3(_UNIT, scheme, c_p)
     m, n = scheme.m, scheme.effective_n
-    mu_hat, sigma_hat = est.mu_hat, est.sigma_hat
-    envelope = MinAreaEnvelopeSegment(mu_hat, sigma_hat, m, n, c_p)
+    envelope = MinAreaEnvelopeSegment(m, n, c_p)
     # the (decreasing) envelope scale crosses the interval ends here
     upper = PiecewiseBoundary(
-        (ExpCdfSegment(mu_hat, region.z_hi), envelope, ExpCdfSegment(mu_hat, region.z_lo)),
+        (ExpCdfSegment(0.0, region.z_hi), envelope, ExpCdfSegment(0.0, region.z_lo)),
         breaks=(envelope.x_at_scale(region.z_hi), envelope.x_at_scale(region.z_lo)))
-    lower = PiecewiseBoundary((ExpCdfSegment(mu_hat, region.z_hi),))
+    lower = PiecewiseBoundary((ExpCdfSegment(0.0, region.z_hi),))
     level = None if nominal_p is None else tau_of_p(m, nominal_p, c_p)
-    prov = {"mu_hat": mu_hat, "sigma_hat": sigma_hat, "m": m, "n": n,
-            "c_p": c_p, "nominal_level_1mp": None if nominal_p is None else 1.0 - nominal_p}
-    return Band("b3", lower, upper, level=level, provenance=prov)
+    prov = {"m": m, "n": n, "c_p": c_p,
+            "nominal_level_1mp": None if nominal_p is None else 1.0 - nominal_p}
+    return Band("b3", lower, upper, level=level, loc=est.mu_hat, scale=est.sigma_hat,
+                provenance=prov)
 
 
 def band_b4(est: MleEstimate, d_p: float, level: float | None = None) -> Band:
     """Constant-width KS-type band: fitted cdf plus/minus d_p, clipped."""
     d_p = check_probability(d_p, "d_p", open_interval=True)
-    lower = PiecewiseBoundary((ExpCdfSegment(est.mu_hat, est.sigma_hat, offset=-d_p),))
-    upper = PiecewiseBoundary((ExpCdfSegment(est.mu_hat, est.sigma_hat, offset=+d_p),))
-    prov = {"mu_hat": est.mu_hat, "sigma_hat": est.sigma_hat, "d_p": d_p}
-    return Band("b4", lower, upper, level=level, provenance=prov)
+    lower = PiecewiseBoundary((ExpCdfSegment(0.0, 1.0, offset=-d_p),))
+    upper = PiecewiseBoundary((ExpCdfSegment(0.0, 1.0, offset=+d_p),))
+    return Band("b4", lower, upper, level=level, loc=est.mu_hat, scale=est.sigma_hat,
+                provenance={"d_p": d_p})
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +303,8 @@ def trim_band(b4: Band, region: KsRegionC4) -> Band:
     """Trim the constant-width band to the union of cdf graphs over the
     sup-distance region: at each x the boundaries are the extrema of
     F_theta(x) = 1 - exp(-(beta t + s)) over the region's scale ratios
-    t = sigma_hat/sigma in [t_lo, t_hi], with beta = (x - mu_hat)/sigma_hat
-    and s between the lower and upper slopes at t.
+    t = sigma_hat/sigma in [t_lo, t_hi], with beta = (x - mu_hat)/sigma_hat,
+    the unit x, and s between the lower and upper slopes at t.
 
     The slopes are h(t) on a concave (upper, t > 1) or convex (lower,
     t < 1) arc and linear in t elsewhere, so each extremum sits at a corner
@@ -312,21 +316,17 @@ def trim_band(b4: Band, region: KsRegionC4) -> Band:
     stationary point reaches an end of its arc (h'(t*) = -beta).
     """
     d_p = region.d_p
-    mu_hat, sigma_hat = region.mu_hat, region.sigma_hat
     t_lo, t_hi = region.t_lo, region.t_hi
     (lower_lo, lower_hi), (upper_lo, upper_hi) = (
         s.tolist() for s in ks_slopes(np.array([t_lo, t_hi]), d_p))
 
     def cdf_at(t: float, slope: float) -> ExpCdfSegment:
         # F_theta at scale ratio t and standardized location slope
-        return ExpCdfSegment(mu_hat - slope * sigma_hat / t, sigma_hat / t)
-
-    def x_at(beta: float) -> float:
-        return mu_hat + sigma_hat * beta
+        return ExpCdfSegment(-slope / t, 1.0 / t)
 
     upper = PiecewiseBoundary(
         (cdf_at(t_lo, upper_lo), b4.cdf_upper.segments[0], cdf_at(t_hi, upper_hi)),
-        breaks=(mu_hat, x_at(-_h_deriv(t_hi, d_p))))
+        breaks=(0.0, -_h_deriv(t_hi, d_p)))
     if region.trimmed:
         # past t_zero_lower the trimmed lower slope is 0
         left, beta_left = cdf_at(region.t_zero_lower, 0.0), -_h_deriv(region.t_zero_lower, d_p)
@@ -334,20 +334,18 @@ def trim_band(b4: Band, region: KsRegionC4) -> Band:
         left, beta_left = cdf_at(t_hi, lower_hi), -math.log(1.0 - d_p)
     lower = PiecewiseBoundary(
         (left, b4.cdf_lower.segments[0], cdf_at(t_lo, lower_lo)),
-        breaks=(x_at(beta_left), x_at(-_h_deriv(t_lo, d_p))))
+        breaks=(beta_left, -_h_deriv(t_lo, d_p)))
 
     kind = "b4pp" if region.trimmed else "b4p"
     prov = dict(b4.provenance)
     prov.update({"d_p": d_p, "t_lo": t_lo, "t_hi": t_hi})
-    return Band(kind, lower, upper, level=b4.level, provenance=prov)
+    return Band(kind, lower, upper, level=b4.level, loc=b4.loc, scale=b4.scale, provenance=prov)
 
 
 def band_b4_trimmed(est: MleEstimate, d_p: float, trimmed: bool,
                     level: float | None = None) -> Band:
     """Convenience: build the KS band and trim it over the matching region."""
-    b4 = band_b4(est, d_p, level=level)
-    region = build_c4(est, d_p, trimmed=trimmed)
-    return trim_band(b4, region)
+    return trim_band(band_b4(est, d_p, level=level), build_c4(_UNIT, d_p, trimmed=trimmed))
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +465,14 @@ def marginal_band(band: Band, gamma: Sequence[float]) -> Band:
 # panels and containment
 # ---------------------------------------------------------------------------
 
-# the gap (a, b) between consecutive edges (b = inf on the right tail) and the lower
-# and upper pieces of the cdf band on it
+# the gap (a, b) between consecutive unit edges (b = inf on the right tail) and the
+# lower and upper pieces of the unit cdf band on it
 _Panel = namedtuple("_Panel", "a b lower upper")
 
 
 def _panels(band: Band, extra: tuple[float, ...] = ()) -> list[_Panel]:
     # every piece has a kink at its location, so there is at least one edge
-    edges = sorted(set(band.breakpoints()).union(extra))
+    edges = sorted(set(band.cdf_lower.breakpoints()).union(band.cdf_upper.breakpoints(), extra))
     lower, upper = band.cdf_lower, band.cdf_upper
     panels = []
     for a, b in zip(edges, edges[1:] + [math.inf]):
@@ -499,15 +497,15 @@ def _envelope_peak(lo: ExpCdfSegment, env: MinAreaEnvelopeSegment, a: float,
                    b: float) -> float | None:
     """Interior maximum on the panel (a, b) of env - lo, for b3's plain lower
     cdf lo (location lam, scale zeta); None if there is none. 1 - env = K s^al,
-    al = (m + 1)/n, K = e^((m + 1 + c_p)/n) sigma_hat^-al, and the scale s
-    falls linearly in x. With u = beta s, beta = (m + 1)/(n zeta), the width
+    al = (m + 1)/n, K = e^((m + 1 + c_p)/n), and the scale s falls
+    linearly in x. With u = beta s, beta = (m + 1)/(n zeta), the width
     falls exactly where g(u) = u - (al - 1) ln u - L > 0, L below. For al <= 1
     (every censored sample) g rises in u: no interior maximum. For al > 1 it
     is g's one root below u = al - 1, where g falls in u."""
     m, n = env.m, env.n
     al, beta = (m + 1) / n, (m + 1) / (n * lo.scale)
-    big_l = ((m + 1 + env.c_p) / n + math.log(al) - al * math.log(beta * env.sigma_hat)
-             + (env.mu_hat - lo.loc + m * env.sigma_hat / n) / lo.scale)
+    big_l = ((m + 1 + env.c_p) / n + math.log(al) - al * math.log(beta)
+             + (m / n - lo.loc) / lo.scale)
 
     def g(u: float) -> float:
         return u - (al - 1.0) * math.log(u) - big_l
@@ -557,37 +555,32 @@ def graph_contained(band: Band, theta: LocScale) -> bool:
     """Whether the graph of F_theta, shown as the band shows its cdf
     boundaries (`Band.push`), lies between the band's boundaries, decided
     exactly, with no grid and no tolerance. `push` is strictly monotone, so
-    that is the cdf band's containment of F_theta: on each panel between the
-    band's breakpoints and theta.mu, F_theta is 0 or live, and `_gaps` reads
-    each piece minus F_theta where its sign is decided. Left of the first
-    edge all three curves are constant."""
-    f = ExpCdfSegment(theta.mu, theta.sigma)
+    that is the unit cdf band's containment of F at the standardized theta:
+    on each panel between the band's unit breakpoints and its location, F
+    is 0 or live, and `_gaps` reads each piece minus F where its sign is
+    decided. Left of the first edge all three curves are constant."""
+    f = ExpCdfSegment((theta.mu - band.loc) / band.scale, theta.sigma / band.scale)
     return all(max(_gaps(p.lower, f, p.a, p.b)) <= 0.0 <= min(_gaps(p.upper, f, p.a, p.b))
-               for p in _panels(band, (theta.mu,)))
+               for p in _panels(band, (f.loc,)))
 
 
 def default_grid(band: Band, points: int = 1024) -> np.ndarray:
-    """Default x-grid: from one fitted scale left of the fitted location to
+    """Default x-grid loc + scale u, u found on the unit band: from -1 to
     the last structural breakpoint, extended until the band width falls
     below 1e-6 with the lower boundary within 1e-6 of its right limit
     (skipped where the width does not vanish at infinity). A marginal band
     is about 0 at its cdf boundaries' breakpoints, where its width is tiny too."""
-    prov = band.provenance
-    try:
-        start = float(prov["mu_hat"]) - float(prov["sigma_hat"])
-    except KeyError:
-        start = min(band.breakpoints())
-    end = max(band.breakpoints())
-    end = max(end, start + 1e-6)
-    limit = band.lower(math.inf)
-    if band.width(math.inf) <= 1e-6:
-        step = max(end - start, 1.0)
+    unit = dataclasses.replace(band, loc=0.0, scale=1.0)
+    end = max(0.0, _panels(band)[-1].a)
+    limit = unit.lower(math.inf)
+    if unit.width(math.inf) <= 1e-6:
+        step = end + 1.0
         for _ in range(80):
-            if band.width(end) < 1e-6 and abs(band.lower(end) - limit) <= 1e-6:
+            if unit.width(end) < 1e-6 and abs(unit.lower(end) - limit) <= 1e-6:
                 break
             end += step
             step *= 1.5
-    return np.linspace(start, end, points)
+    return band.loc + band.scale * np.linspace(-1.0, end, points)
 
 
 # ---------------------------------------------------------------------------
@@ -613,21 +606,27 @@ def _boundary_from_dict(doc: dict) -> PiecewiseBoundary:
 
 
 def band_to_dict(band: Band) -> dict:
-    """JSON-ready description with kind, level, and all constants: the cdf
-    boundaries, and the map that shows them (`gammas`, `increasing`); it
-    round-trips to identical evaluations."""
+    """JSON-ready description with kind, level, and all constants: the unit
+    cdf boundaries, the estimate they are read at (`loc`, `scale`) and the
+    map that shows them (`gammas`, `increasing`); it round-trips exactly."""
     return {"kind": band.kind, "level": band.level, "provenance": band.provenance,
+            "loc": band.loc, "scale": band.scale,
             "lower": _boundary_to_dict(band.cdf_lower), "upper": _boundary_to_dict(band.cdf_upper),
             "gammas": None if band.gammas is None else list(band.gammas),
             "increasing": band.increasing}
 
 
 def band_from_dict(doc: dict) -> Band:
+    """The band `band_to_dict` describes; DomainError for a malformed
+    document, such as one without `loc` and `scale` (from before them)."""
     try:
         gammas = doc.get("gammas")
+        loc, scale = float(doc["loc"]), float(doc["scale"])
+        if not (math.isfinite(loc) and 0.0 < scale < math.inf):
+            raise ValueError(f"need a finite loc and a finite scale > 0, got {loc}, {scale}")
         return Band(kind=doc["kind"], cdf_lower=_boundary_from_dict(doc["lower"]),
                     cdf_upper=_boundary_from_dict(doc["upper"]), level=doc["level"],
-                    provenance=dict(doc.get("provenance", {})),
+                    loc=loc, scale=scale, provenance=dict(doc.get("provenance", {})),
                     gammas=None if gammas is None else tuple(float(g) for g in gammas),
                     increasing=bool(doc.get("increasing", True)))
     except (KeyError, TypeError, ValueError) as exc:
@@ -670,9 +669,6 @@ class Method:
             return {}, []
         result = lookup(CalibrationKey.exact(self.constant, scheme.m, scheme.effective_n, level))
         return result.constants, [result]
-
-
-_UNIT = MleEstimate(0.0, 1.0)   # any estimate carries a level's region constants
 
 
 def _region_event(region: str):

@@ -1,9 +1,11 @@
 """Band metrics (maximum width, area) and Monte-Carlo coverage experiments.
 
-Both metrics walk the band's panels (`bands._panels`). Left of the first
-breakpoint every piece is constant, so the width there is its left limit
-and adds no area to a band of finite area. On every panel of a cdf band
-the width is monotone or turns once, at a point in closed form (two
+Both metrics walk the panels (`bands._panels`) of the unit band, which a
+band reads at (x - loc)/scale: its maximum width is the band's, its argmax
+x* is loc + scale x*, and its area times scale is the band's. Left of the
+first breakpoint every piece is constant, so the width there is its left
+limit and adds no area to a band of finite area. On every panel of a cdf
+band the width is monotone or turns once, at a point in closed form (two
 exponential cdfs) or one root find away (against the minimum-area
 envelope, see `bands._envelope_peak`), and its integral is elementary,
 the right tail included. Only marginal bands are numeric: the width is
@@ -68,8 +70,9 @@ class CoverageReport:
 
 
 def _cdf_band(band: Band) -> Band:
-    # metrics are invariant under the reliability reflection: undo it
-    return replace(band, increasing=True)
+    # the unit cdf band: metrics are invariant under the reliability
+    # reflection, so undo it, and read the band at (loc, scale) = (0, 1)
+    return replace(band, increasing=True, loc=0.0, scale=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +85,11 @@ def max_width(band: Band) -> tuple[float, float]:
     beyond the outermost breakpoint. Where the width is flat at its maximum,
     the smallest x within a few ulps of it is reported, so that rounding of
     equal widths does not move the point along the plateau."""
-    band = _cdf_band(band)
-    panels = _panels(band)
+    unit = _cdf_band(band)
+    panels = _panels(unit)
     first, last = panels[0].a, panels[-1].a
     span = last - first
-    candidates = [(band.width(-math.inf), first - span), (band.width(math.inf), last + span)]
+    candidates = [(unit.width(-math.inf), first - span), (unit.width(math.inf), last + span)]
     probes = [p.a for p in panels]
     if band.gammas is not None:
         # scan each panel, the right tail where its slower last piece's survival
@@ -94,8 +97,8 @@ def max_width(band: Band) -> tuple[float, float]:
         xs = np.asarray([np.linspace(p.a, p.b, _SCAN_POINTS) if p.b < math.inf else
                          p.a + max(p.lower.scale, p.upper.scale) * (math.log(2.0) / 4.0)
                          * np.arange(_SCAN_POINTS) for p in panels])
-        i, rows = np.argmax(band.width(xs), axis=1), np.arange(len(panels))
-        x_ref, _ = golden_section(band.width, xs[rows, np.maximum(i - 1, 0)],
+        i, rows = np.argmax(unit.width(xs), axis=1), np.arange(len(panels))
+        x_ref, _ = golden_section(unit.width, xs[rows, np.maximum(i - 1, 0)],
                                   xs[rows, np.minimum(i + 1, _SCAN_POINTS - 1)], maximize=True)
         probes += [*xs[rows, i], *x_ref]
     else:
@@ -107,9 +110,10 @@ def max_width(band: Band) -> tuple[float, float]:
                       else _stationary_point(p.lower, p.upper))
             if x_star is not None and p.a < x_star < p.b:
                 probes.append(x_star)
-    candidates += zip(band.width(np.asarray(probes, dtype=float)).tolist(), map(float, probes))
+    candidates += zip(unit.width(np.asarray(probes, dtype=float)).tolist(), map(float, probes))
     top = max(w for w, _ in candidates)
-    return top, min(x for w, x in candidates if w >= top - _PLATEAU_ULPS * math.ulp(top))
+    x = min(x for w, x in candidates if w >= top - _PLATEAU_ULPS * math.ulp(top))
+    return top, band.loc + band.scale * x
 
 
 # ---------------------------------------------------------------------------
@@ -149,22 +153,22 @@ def _tail_area(tail: _bands._Panel, gammas) -> float:
 
 
 def area(band: Band, abs_tol: float = 1e-9) -> tuple[float, float]:
-    """Integral of the band width over the whole real line; returns
-    (area, error estimate). Structurally unbounded bands (width not
-    vanishing at infinity) report math.inf."""
-    band = _cdf_band(band)
-    if band.width(-math.inf) > _WIDTH_FLOOR or band.width(math.inf) > _WIDTH_FLOOR:
+    """Integral of the band width over the whole real line; returns (area,
+    error estimate), the unit band's integrated to abs_tol/scale. Structurally
+    unbounded bands (width not vanishing at infinity) report math.inf."""
+    unit = _cdf_band(band)
+    if unit.width(-math.inf) > _WIDTH_FLOOR or unit.width(math.inf) > _WIDTH_FLOOR:
         return math.inf, 0.0
-    *panels, tail = _panels(band)
+    *panels, tail = _panels(unit)
     total = err = 0.0
-    if band.gammas is None:
+    if unit.gammas is None:
         for p in panels:
             total += _piece_integral(p.upper, p.a, p.b)
             total -= _piece_integral(p.lower, p.a, p.b)
     elif panels:   # a marginal band: one quadrature over its finite panels
         edges = [p.a for p in panels] + [tail.a]
-        total, err = integrate_panels(band.width, edges, abs_tol=abs_tol)
-    return total + _tail_area(tail, band.gammas), err
+        total, err = integrate_panels(unit.width, edges, abs_tol=abs_tol / band.scale)
+    return band.scale * (total + _tail_area(tail, unit.gammas)), band.scale * err
 
 
 def band_metrics(band: Band) -> BandMetrics:

@@ -164,11 +164,6 @@ def _h_deriv(t: float, d_p: float) -> float:
     return math.log(d_p) + math.log(t / (t - 1.0))
 
 
-def _c3_offset(scale, sigma_hat, m, n, c_p):
-    # location offset (from mu_hat) of the minimum-area boundary at a scale
-    return ((c_p - (m + 1) * (math.log(sigma_hat) - np.log(scale))) * scale + m * sigma_hat) / n
-
-
 class Event(namedtuple("Event", "ends edges")):
     """A coverage event lo(T) <= Z <= hi(T), described once and evaluated
     two ways. ends(t, f, g, mask, b) is a generator that fills two float and

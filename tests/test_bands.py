@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -44,6 +45,15 @@ DP_PAPER = 0.249
 SESSION_SCHEME = CensoringScheme(n=150, m=100, removals=tuple(i % 2 for i in range(100)))
 
 
+UNIT = MleEstimate(0.0, 1.0)
+
+
+def unit_band(band):
+    """The unit band a band is read from at (x - loc)/scale: its boundaries
+    are held on this axis."""
+    return dataclasses.replace(band, loc=0.0, scale=1.0)
+
+
 @pytest.fixture(scope="module")
 def all_bands(fluid_est, fluid_scheme):
     return {
@@ -57,20 +67,20 @@ def all_bands(fluid_est, fluid_scheme):
 
 
 class TestClosedFormBands:
-    def test_b1_lower_zero_left_of_first_location(self, all_bands, fluid_est, fluid_scheme):
-        region = build_c1(fluid_est, fluid_scheme, P)
+    def test_b1_lower_zero_left_of_first_location(self, all_bands, fluid_scheme):
+        region = build_c1(UNIT, fluid_scheme, P)
         start = float(region.location_edge(region.q2, region.sigma_lo))
-        band = all_bands["b1"]
+        band = unit_band(all_bands["b1"])
         assert band.lower(start) == 0.0
         assert band.lower(start - 5.0) == 0.0
         assert band.lower(start + 1e-6) > 0.0
 
-    def test_b1_branches_agree_at_split(self, all_bands, fluid_est):
+    def test_b1_branches_agree_at_split(self, all_bands):
         band = all_bands["b1"]
         for boundary in (band.cdf_lower, band.cdf_upper):
             left_seg, right_seg = boundary.segments
             split = boundary.breaks[0]
-            assert split == fluid_est.mu_hat
+            assert split == 0.0   # the unit band's mu_hat
             assert float(left_seg.evaluate(np.asarray(split))) == pytest.approx(
                 float(right_seg.evaluate(np.asarray(split))), abs=1e-12)
 
@@ -81,9 +91,9 @@ class TestClosedFormBands:
         assert band.lower(fluid_est.mu_hat) == pytest.approx(1 - 0.975 ** (1 / n), abs=1e-12)
         assert band.upper(fluid_est.mu_hat) == pytest.approx(1 - 0.025 ** (1 / n), abs=1e-12)
 
-    def test_b2_branches_agree_at_split(self, all_bands, fluid_est, fluid_scheme):
+    def test_b2_branches_agree_at_split(self, all_bands, fluid_scheme):
         band = all_bands["b2"]
-        split = fluid_est.mu_hat + fluid_scheme.m * fluid_est.sigma_hat / fluid_scheme.n
+        split = fluid_scheme.m / fluid_scheme.n   # mu_hat + m sigma_hat / n on the unit axis
         for boundary in (band.cdf_lower, band.cdf_upper):
             assert boundary.breaks[0] == pytest.approx(split, abs=1e-12)
             left, right = boundary.segments
@@ -105,17 +115,19 @@ class TestClosedFormBands:
 
     def test_b3_upper_continuous_at_branch_joins(self, all_bands):
         band = all_bands["b3"]
-        for bp in band.cdf_upper.breaks:
+        for bp in band.loc + band.scale * np.asarray(band.cdf_upper.breaks):
             assert band.upper(bp - 1e-9) == pytest.approx(band.upper(bp + 1e-9), abs=1e-9)
 
-    def test_b3_envelope_kink_splits_its_panel(self, all_bands):
+    def test_b3_envelope_kink_splits_its_panel(self, all_bands, fluid_est):
         # the envelope is 0 up to its one kink and rises after it, so the
-        # kink is a breakpoint that metrics split panels at
-        band = all_bands["b3"]
+        # kink is a breakpoint that metrics split panels at; on the data
+        # axis it reads mu_hat + sigma_hat kink
+        band = unit_band(all_bands["b3"])
         (kink,) = band.cdf_upper.segments[1].kinks()
         x_enter, x_exit = band.cdf_upper.breaks
         assert x_enter < kink < x_exit
         assert kink in band.breakpoints()
+        assert fluid_est.mu_hat + fluid_est.sigma_hat * kink in all_bands["b3"].breakpoints()
         assert band.upper(kink - 1e-9) == 0.0
         assert band.upper(kink + 1e-6) > 0.0
 
@@ -767,6 +779,7 @@ class TestSerialization:
                          reliability_band(marginal), reliability_band(reliability_band(cdf_band))):
                 back = band_from_dict(band_to_dict(band))
                 assert back.kind == band.kind and back.level == band.level
+                assert (back.loc, back.scale) == (band.loc, band.scale) == (0.19, 8.635)
                 assert np.array_equal(back.lower(xs), band.lower(xs))
                 assert np.array_equal(back.upper(xs), band.upper(xs))
 
@@ -786,6 +799,19 @@ class TestSerialization:
     def test_malformed(self):
         with pytest.raises(DomainError):
             band_from_dict({"kind": "b1"})
+
+    def test_document_without_valid_estimate_refused(self, all_bands):
+        # before bands were held on the unit axis, a document had no loc and
+        # scale, and its segments were on the data axis; a scale that is not
+        # finite and positive cannot read a unit band either
+        doc = band_to_dict(all_bands["b1"])
+        for key in ("loc", "scale"):
+            old = {k: v for k, v in doc.items() if k != key}
+            with pytest.raises(DomainError):
+                band_from_dict(old)
+        for loc, scale in ((0.0, 0.0), (0.0, -1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                band_from_dict(dict(doc, loc=loc, scale=scale))
 
     def test_nested_transform_document_refused(self, all_bands):
         # boundaries used to nest their transform: {"transform": ..., "base": ...}

@@ -156,9 +156,9 @@ class TestBand:
         assert np.all((0 <= los) & (los <= his) & (his <= 1))
         doc = _load(tmp_path / "band_b4.json")
         assert doc["transform"] == "log"
-        # the fitted location on the log scale is the first log failure time
-        assert doc["provenance"]["mu_hat"] == pytest.approx(
-            math.log(pareto.x[0]), abs=1e-12)
+        # the band is read at the fitted location on the log scale, the first
+        # log failure time
+        assert doc["loc"] == pytest.approx(math.log(pareto.x[0]), abs=1e-12)
 
     def test_log_transform_svg_on_the_csv_axis(self, tmp_path):
         # the SVG used to be drawn on the log axis beside a data-axis CSV

@@ -3,8 +3,10 @@ band construction, exhaustiveness of the trapezoid regions, a found
 non-comprehensiveness witness for the minimum-area region, trimming
 inclusions, the reliability involution, the marginal transform's
 bijection properties, and the location-scale equivariance of every region
-and band.
+and band, its views, metrics and grid.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from expbands.bands import (
     band_b3,
     band_b4,
     band_b4_trimmed,
+    default_grid,
     graph_contained,
     marginal_band,
     marginal_transform_h,
     reliability_band,
 )
+from expbands.metrics import band_metrics
 from expbands.model import LocScale, MleEstimate
 from expbands.regions import build_c1, build_c2, build_c3
 
@@ -141,19 +145,78 @@ def test_marginal_transform_bijection(rng):
         assert np.all((h >= 0) & (h <= 1))
 
 
-def _same_up_to_location(got, ref, nearby, floor=1e-2):
-    """got equals ref to 1e-14 relative above the floor (1e-16 absolute below
-    it, where a band's lower boundary F - d_p cancels), give or take how far
-    ref moves over the rounding of the location in data coordinates (nearby,
-    ref at the standardized argument moved by that rounding either way)."""
-    slack = np.maximum(*(np.abs(np.asarray(v) - ref) for v in nearby))
-    return np.all(np.abs(got - ref) <= 1e-14 * np.maximum(np.abs(ref), floor) + slack)
+BAND_KINDS = ("b1", "b2", "b3", "b4", "b4p", "b4pp")
+# mu_hat/sigma_hat from 0.02 to 1e5: at 17 and 1e5 a data-axis location lost
+# digits to rounding, and sigma_hat = 1e-3 is below the old grid's 1-unit step
+ESTIMATES = ((17.0, 1.0), (1e5, 1.0), (0.19, 8.635), (5.0, 1e-3))
+
+
+@pytest.fixture(scope="module")
+def unit_bands(fluid_scheme):
+    return {kind: METHODS[kind].build(MleEstimate(0.0, 1.0), fluid_scheme, LEVEL,
+                                      METHODS[kind].constants(fluid_scheme, LEVEL)[0])
+            for kind in BAND_KINDS}
+
+
+def _views(band, gammas):
+    return {"cdf": band, "reliability": reliability_band(band),
+            "marginal": marginal_band(band, gammas)}
+
+
+def _build(kind, mu_hat, sigma_hat, scheme):
+    return METHODS[kind].build(MleEstimate(mu_hat, sigma_hat), scheme, LEVEL,
+                               METHODS[kind].constants(scheme, LEVEL)[0])
+
+
+@pytest.mark.parametrize("mu_hat, sigma_hat", ESTIMATES)
+def test_every_band_is_its_unit_band(mu_hat, sigma_hat, fluid_scheme, unit_bands):
+    """Each band at (mu_hat, sigma_hat), in its cdf, reliability and marginal
+    views, is the unit band read at (x - mu_hat)/sigma_hat, bit for bit."""
+    x = mu_hat + sigma_hat * np.linspace(-3.0, 30.0, 400)
+    z = (x - mu_hat) / sigma_hat
+    for kind in BAND_KINDS:
+        built = _views(_build(kind, mu_hat, sigma_hat, fluid_scheme), fluid_scheme.gammas)
+        for view, unit in _views(unit_bands[kind], fluid_scheme.gammas).items():
+            assert np.array_equal(built[view].lower(x), unit.lower(z)), (kind, view)
+            assert np.array_equal(built[view].upper(x), unit.upper(z)), (kind, view)
+
+
+@pytest.mark.parametrize("mu_hat, sigma_hat", ESTIMATES)
+def test_band_metrics_scale_with_the_estimate(mu_hat, sigma_hat, fluid_scheme, unit_bands):
+    """The maximum width is the unit band's, its argmax reads mu_hat +
+    sigma_hat x*, and the area is sigma_hat A, to 1 ulp in every view, since
+    the metrics run on the unit band itself. Only a marginal area is held to
+    1e-14 relative: its quadrature runs to abs_tol/sigma_hat."""
+    for kind in BAND_KINDS:
+        built = _views(_build(kind, mu_hat, sigma_hat, fluid_scheme), fluid_scheme.gammas)
+        for view, unit in _views(unit_bands[kind], fluid_scheme.gammas).items():
+            got, ref = band_metrics(built[view]), band_metrics(unit)
+            assert got.max_width == ref.max_width, (kind, view)
+            x = mu_hat + sigma_hat * ref.width_argmax
+            assert abs(got.width_argmax - x) <= math.ulp(x), (kind, view)
+            a = sigma_hat * ref.area
+            tol = 1e-14 * a if view == "marginal" else math.ulp(a)
+            assert got.area == a if math.isinf(a) else abs(got.area - a) <= tol, (kind, view)
+
+
+@pytest.mark.parametrize("sigma_hat", (1e-4, 1e-3, 1.0, 8.635, 1e3))
+def test_default_grid_is_the_unit_grid(sigma_hat, fluid_scheme, unit_bands):
+    # the grid used to step on at least one data unit, so at sigma_hat = 1e-3
+    # it ran on to 1000 sigma_hat, where the band had long closed
+    mu_hat = 0.19
+    for kind in BAND_KINDS:
+        built = _build(kind, mu_hat, sigma_hat, fluid_scheme)
+        for band, unit in ((built, unit_bands[kind]),
+                           (marginal_band(built, fluid_scheme.gammas),
+                            marginal_band(unit_bands[kind], fluid_scheme.gammas))):
+            got, want = (default_grid(band) - mu_hat) / sigma_hat, default_grid(unit)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want))), kind
 
 
 def test_location_scale_equivariance(fluid_scheme):
     """Every region and band built at (mu_hat, sigma_hat) is the unit one,
     built at (0, 1) with the same constants, read at (x - mu_hat)/sigma_hat:
-    its boundaries agree (`_same_up_to_location`), and so do membership and
+    its boundaries agree, a band's bit for bit, and so do membership and
     graph containment at the standardized theta, off the boundary."""
     pytest.importorskip("hypothesis")
     from hypothesis import assume, given, settings
@@ -163,7 +226,6 @@ def test_location_scale_equivariance(fluid_scheme):
     constants = {kind: METHODS[kind].constants(fluid_scheme, LEVEL)[0] for kind in kinds}
     unit = {kind: METHODS[kind].build(MleEstimate(0.0, 1.0), fluid_scheme, LEVEL, constants[kind])
             for kind in kinds}
-    eps = np.finfo(float).eps
     u = np.linspace(-3.0, 30.0, 200)
 
     def covers(obj, mu, sigma):
@@ -181,10 +243,8 @@ def test_location_scale_equivariance(fluid_scheme):
         if isinstance(built, Band):
             x = mu_hat + sigma_hat * u
             z = (x - mu_hat) / sigma_hat
-            dz = 8.0 * eps * (np.abs(x) + mu_hat) / sigma_hat
-            for got, want in ((built.lower, ref.lower), (built.upper, ref.upper)):
-                assert _same_up_to_location(np.asarray(got(x)), np.asarray(want(z)),
-                                            (want(z - dz), want(z + dz)))
+            assert np.array_equal(built.lower(x), ref.lower(z))
+            assert np.array_equal(built.upper(x), ref.upper(z))
         else:
             got, want = built.boundary(128), ref.boundary(128)
             assert got.shape == want.shape
