@@ -15,7 +15,11 @@ Boundaries are pieces: (possibly offset and clipped) exponential cdfs and
 the analytic upper envelope of the unit minimum-area region. Their
 breakpoints cut the unit axis into panels, then the right tail, on each of
 which a piece is constant or live. The band metrics and `graph_contained`,
-the exact containment of a cdf graph, walk these panels (`_panels`).
+the exact containment of a cdf graph, walk these panels (`_panels`), and
+each piece type answers for itself there: its value where it is constant
+(`constant`), the one point where it minus a live cdf can turn (`turn`),
+the width's interior maximum over the lower cdf (`peak`) and its integral
+where it is live (`integral`).
 
 `METHODS` is the one table of the paper's regions (c1-c4pp) and bands
 (b1-b4pp): per method, the calibration constant it needs and its exact
@@ -92,6 +96,37 @@ class ExpCdfSegment:
             pts.append(self.loc - self.scale * math.log1p(self.offset))    # leaves 0
         return tuple(pts)
 
+    def constant(self, a: float, b: float) -> float | None:
+        """The value on the panel (a, b) where it is constant there (left of
+        the location, or clipped); None where it is live."""
+        if b <= self.loc:
+            return self.value(-math.inf)
+        if self.offset > 0.0 and a >= self.kinks()[1]:
+            return 1.0
+        if self.offset < 0.0 and b <= self.kinks()[1]:
+            return 0.0
+        return None
+
+    def turn(self, f: ExpCdfSegment) -> float | None:
+        """The stationary point of f - self, both live exponential cdfs;
+        None when the difference is monotone (equal scales)."""
+        s_l, s_u = self.scale, f.scale
+        if s_l == s_u:
+            return None
+        num = math.log(s_l / s_u) + f.loc / s_u - self.loc / s_l
+        den = 1.0 / s_u - 1.0 / s_l
+        return num / den
+
+    def peak(self, lo: ExpCdfSegment, a: float, b: float) -> float | None:
+        """The candidate interior maximum of the width self - lo: its one
+        stationary point."""
+        return lo.turn(self)
+
+    def integral(self, a: float, b: float) -> float:
+        """The integral over a panel [a, b] on which the piece is live."""
+        z_a, z_b = (a - self.loc) / self.scale, (b - self.loc) / self.scale
+        return (1.0 + self.offset) * (b - a) - self.scale * (math.exp(-z_a) - math.exp(-z_b))
+
 
 @dataclass(frozen=True)
 class MinAreaEnvelopeSegment:
@@ -123,6 +158,47 @@ class MinAreaEnvelopeSegment:
 
     def kinks(self) -> tuple[float, ...]:
         return (self.x_at_scale(math.exp(-1.0 - self.c_p / (self.m + 1))),)
+
+    def constant(self, a: float, b: float) -> float | None:
+        """0 on a panel (a, b) left of the kink; None where it is live."""
+        return 0.0 if b <= self.kinks()[0] else None
+
+    def turn(self, f: ExpCdfSegment) -> float:
+        """Where self - f can change sign: log((1 - f)/(1 - self)) is a
+        constant plus al (s/sigma - ln s), al = (m + 1)/n, least at the
+        scale s = sigma of f."""
+        return self.x_at_scale(f.scale)
+
+    def peak(self, lo: ExpCdfSegment, a: float, b: float) -> float | None:
+        """Interior maximum on the panel (a, b) of self - lo, for b3's plain
+        lower cdf lo (location lam, scale zeta); None if there is none.
+        1 - self = K s^al, al = (m + 1)/n, K = e^((m + 1 + c_p)/n), and the
+        scale s falls linearly in x. With u = beta s, beta = (m + 1)/(n zeta),
+        the width falls exactly where g(u) = u - (al - 1) ln u - L > 0, L
+        below. For al <= 1 (every censored sample) g rises in u: no interior
+        maximum. For al > 1 it is g's one root below u = al - 1, where g
+        falls in u."""
+        m, n = self.m, self.n
+        al, beta = (m + 1) / n, (m + 1) / (n * lo.scale)
+        big_l = ((m + 1 + self.c_p) / n + math.log(al) - al * math.log(beta)
+                 + (m / n - lo.loc) / lo.scale)
+
+        def g(u: float) -> float:
+            return u - (al - 1.0) * math.log(u) - big_l
+
+        u_lo, u_hi = beta * self.scale_at(b), min(beta * self.scale_at(a), al - 1.0)
+        if not (0.0 < u_lo < u_hi and g(u_hi) < 0.0 < g(u_lo)):   # u_hi <= 0 if al <= 1
+            return None
+        # the width is flat at its maximum, so a relative 1e-12 in u is ample
+        return self.x_at_scale(brent_root(g, u_lo, u_hi, xtol=1e-12 * u_hi) / beta)
+
+    def integral(self, a: float, b: float) -> float:
+        """The integral over a panel [a, b] on which the piece is live, from
+        the primitive x + (m + 1)/(n + m + 1) s (1 - self): 1 - self = K s^al
+        with s linear in x (see `peak`)."""
+        s_a, s_b = self.scale_at(a), self.scale_at(b)
+        return (b - a) - (self.m + 1) / (self.n + self.m + 1) * float(
+            s_a * (1.0 - self.value(a)) - s_b * (1.0 - self.value(b)))
 
 
 Segment = ExpCdfSegment | MinAreaEnvelopeSegment
@@ -482,67 +558,14 @@ def _panels(band: Band, extra: tuple[float, ...] = ()) -> list[_Panel]:
     return panels
 
 
-def _stationary_point(lo: ExpCdfSegment, up: ExpCdfSegment) -> float | None:
-    """Interior stationary point of (up - lo) when both are live exponential
-    pieces; None when the difference is monotone."""
-    s_l, s_u = lo.scale, up.scale
-    if s_l == s_u:
-        return None
-    num = math.log(s_l / s_u) + up.loc / s_u - lo.loc / s_l
-    den = 1.0 / s_u - 1.0 / s_l
-    return num / den
-
-
-def _envelope_peak(lo: ExpCdfSegment, env: MinAreaEnvelopeSegment, a: float,
-                   b: float) -> float | None:
-    """Interior maximum on the panel (a, b) of env - lo, for b3's plain lower
-    cdf lo (location lam, scale zeta); None if there is none. 1 - env = K s^al,
-    al = (m + 1)/n, K = e^((m + 1 + c_p)/n), and the scale s falls
-    linearly in x. With u = beta s, beta = (m + 1)/(n zeta), the width
-    falls exactly where g(u) = u - (al - 1) ln u - L > 0, L below. For al <= 1
-    (every censored sample) g rises in u: no interior maximum. For al > 1 it
-    is g's one root below u = al - 1, where g falls in u."""
-    m, n = env.m, env.n
-    al, beta = (m + 1) / n, (m + 1) / (n * lo.scale)
-    big_l = ((m + 1 + env.c_p) / n + math.log(al) - al * math.log(beta)
-             + (m / n - lo.loc) / lo.scale)
-
-    def g(u: float) -> float:
-        return u - (al - 1.0) * math.log(u) - big_l
-
-    u_lo, u_hi = beta * env.scale_at(b), min(beta * env.scale_at(a), al - 1.0)
-    if not (0.0 < u_lo < u_hi and g(u_hi) < 0.0 < g(u_lo)):   # u_hi <= 0 if al <= 1
-        return None
-    # the width is flat at its maximum, so a relative 1e-12 in u is ample
-    return env.x_at_scale(brent_root(g, u_lo, u_hi, xtol=1e-12 * u_hi) / beta)
-
-
-def _constant(seg: Segment, a: float, b: float) -> float | None:
-    """A piece's value on the panel (a, b) where it is constant there (left
-    of its location or kink, or clipped); None where it is live."""
-    if isinstance(seg, MinAreaEnvelopeSegment):
-        return 0.0 if b <= seg.kinks()[0] else None
-    if b <= seg.loc:
-        return seg.value(-math.inf)
-    if seg.offset > 0.0 and a >= seg.kinks()[1]:
-        return 1.0
-    if seg.offset < 0.0 and b <= seg.kinks()[1]:
-        return 0.0
-    return None
-
-
 def _gaps(piece: Segment, f: ExpCdfSegment, a: float, b: float) -> list[float]:
     """piece - F where its sign on the panel [a, b] is decided: at both ends,
-    at the one interior point where it can turn, and at +inf on the tail.
-    Two live exponential cdfs differ by a function with one stationary point
-    at most. Against the minimum-area envelope, whose scale s falls linearly
-    in x, log((1 - F)/(1 - envelope)) is a constant plus a (s/sigma - ln s),
-    a = (m + 1)/n, least at s = sigma. At +inf the difference tends to the
-    piece's offset, or for a plain cdf takes the sign of F's survival minus
-    the piece's: the larger scale, then location, has the slower tail."""
-    level = _constant(piece, a, b)
-    turn = (piece.x_at_scale(f.scale) if isinstance(piece, MinAreaEnvelopeSegment)
-            else _stationary_point(piece, f))
+    at the one interior point where it can turn (`turn`), and at +inf on the
+    tail. At +inf the difference tends to the piece's offset, or for a plain
+    cdf takes the sign of F's survival minus the piece's: the larger scale,
+    then location, has the slower tail."""
+    level = piece.constant(a, b)
+    turn = piece.turn(f)
     xs = [x for x in (a, b, turn) if x is not None and a <= x <= b and x < math.inf]
     gaps = [(piece.value(x) if level is None else level) - f.value(x) for x in xs]
     if b == math.inf:

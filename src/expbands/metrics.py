@@ -5,21 +5,23 @@ band reads at (x - loc)/scale: its maximum width is the band's, its argmax
 x* is loc + scale x*, and its area times scale is the band's. Left of the
 first breakpoint every piece is constant, so the width there is its left
 limit and adds no area to a band of finite area. On every panel of a cdf
-band the width is monotone or turns once, at a point in closed form (two
-exponential cdfs) or one root find away (against the minimum-area
-envelope, see `bands._envelope_peak`), and its integral is elementary,
-the right tail included. Only marginal bands are numeric: the width is
-scanned, then refined by one vectorized golden-section search (the right
-tail is scanned in the quantiles of its last exponential piece, so the
-scan follows the data's scale), and the area comes from one panel
-quadrature, except on the right tail, whose area is a positive-term
-Poisson sum over the marginal transform's uniformized chain. Infinite area
-is reported only on structural grounds (the width does not vanish at
-infinity). Coverage experiments read the method registry of `bands`; the
-exact method counts each batch of pivots with the event's `covers`, which
-compares Z with each piece of the interval's ends and combines booleans
-instead of selecting values: on a 32,768-lane batch a select took about
-107 us and a comparison 6-9 us (see `regions`).
+band the width is monotone or turns once, at the upper piece's `peak`: in
+closed form for two exponential cdfs, one root find away against the
+minimum-area envelope. Its integral is elementary (each piece's
+`integral`), the right tail included. Only marginal bands are numeric: the
+width is scanned at 65 points per panel (the right tail in the quantiles
+of its last exponential piece, so the scan follows the data's scale), and
+the two scan steps around each panel's best point are rescanned, one
+vectorized width call a round, until every bracket is within 1e-10
+relative. The area comes from one panel quadrature, except on the right
+tail, whose area is a positive-term Poisson sum over the marginal
+transform's uniformized chain. Infinite area is reported only on
+structural grounds (the width does not vanish at infinity). Coverage
+experiments read the method registry of `bands`; the exact method counts
+each batch of pivots with the event's `covers`, which compares Z with each
+piece of the interval's ends and combines booleans instead of selecting
+values: on a 32,768-lane batch a select took about 107 us and a
+comparison 6-9 us (see `regions`).
 """
 
 from __future__ import annotations
@@ -30,22 +32,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bands as _bands
-from .bands import (
-    Band,
-    ExpCdfSegment,
-    _constant,
-    _marginal_chain,
-    _panels,
-    _poisson_mix,
-    _stationary_point,
-)
+from .bands import Band, ExpCdfSegment, _marginal_chain, _panels, _poisson_mix
 from .errors import DomainError, NumericError
 from .model import LocScale, MleEstimate, Scheme, check_replicates, map_pivots, simulate_mles
-from .numerics import golden_section, integrate_panels
+from .numerics import integrate_panels
 from .special import check_probability
 
 _WIDTH_FLOOR = 1e-12
-_SCAN_POINTS = 65   # per marginal panel, before the golden-section refinement
+_SCAN_POINTS = 65   # per marginal panel and scan: each rescan shrinks the bracket 32-fold
+_SCAN_ROUNDS = 12   # scans per marginal panel, the first included, before NumericError
+_SCAN_TOL = 1e-10   # a bracket ends within this times max(1, |lo| + |hi|)
 _PLATEAU_ULPS = 4   # widths this close to the maximum count as attaining it
 
 
@@ -93,21 +89,26 @@ def max_width(band: Band) -> tuple[float, float]:
     probes = [p.a for p in panels]
     if band.gammas is not None:
         # scan each panel, the right tail where its slower last piece's survival
-        # falls by 2^(-k/4), then refine by one vectorized golden-section search
+        # falls by 2^(-k/4), then rescan the two steps around each best point
         xs = np.asarray([np.linspace(p.a, p.b, _SCAN_POINTS) if p.b < math.inf else
                          p.a + max(p.lower.scale, p.upper.scale) * (math.log(2.0) / 4.0)
                          * np.arange(_SCAN_POINTS) for p in panels])
-        i, rows = np.argmax(unit.width(xs), axis=1), np.arange(len(panels))
-        x_ref, _ = golden_section(unit.width, xs[rows, np.maximum(i - 1, 0)],
-                                  xs[rows, np.minimum(i + 1, _SCAN_POINTS - 1)], maximize=True)
-        probes += [*xs[rows, i], *x_ref]
+        rows = np.arange(len(panels))
+        for _ in range(_SCAN_ROUNDS):
+            i = np.argmax(unit.width(xs), axis=1)
+            probes += xs[rows, i].tolist()
+            lo, hi = xs[rows, np.maximum(i - 1, 0)], xs[rows, np.minimum(i + 1, _SCAN_POINTS - 1)]
+            if np.all(hi - lo <= _SCAN_TOL * np.maximum(1.0, np.abs(lo) + np.abs(hi))):
+                break
+            xs = np.linspace(lo, hi, _SCAN_POINTS, axis=1)
+        else:
+            raise NumericError(f"marginal width scan did not reach tol {_SCAN_TOL:.0e} "
+                               f"in {_SCAN_ROUNDS} rounds")
     else:
         for p in panels:
             # the width is monotone unless both pieces are live, and then its
             # one stationary point or interior maximum is the only candidate
-            x_star = (_bands._envelope_peak(p.lower, p.upper, p.a, p.b)
-                      if isinstance(p.upper, _bands.MinAreaEnvelopeSegment)
-                      else _stationary_point(p.lower, p.upper))
+            x_star = p.upper.peak(p.lower, p.a, p.b)
             if x_star is not None and p.a < x_star < p.b:
                 probes.append(x_star)
     candidates += zip(unit.width(np.asarray(probes, dtype=float)).tolist(), map(float, probes))
@@ -121,18 +122,9 @@ def max_width(band: Band) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _piece_integral(seg: _bands.Segment, a: float, b: float) -> float:
-    """Integral of one piece over a panel [a, b], on which it is constant or
-    live. The minimum-area envelope has the primitive x + (m + 1)/(n + m + 1)
-    s (1 - env): 1 - env = K s^al, s linear in x (see `bands._envelope_peak`)."""
-    level = _constant(seg, a, b)
-    if level is not None:
-        return level * (b - a)
-    if isinstance(seg, _bands.MinAreaEnvelopeSegment):
-        s_a, s_b = seg.scale_at(a), seg.scale_at(b)
-        return (b - a) - (seg.m + 1) / (seg.n + seg.m + 1) * float(
-            s_a * (1.0 - seg.value(a)) - s_b * (1.0 - seg.value(b)))
-    z_a, z_b = (a - seg.loc) / seg.scale, (b - seg.loc) / seg.scale
-    return (1.0 + seg.offset) * (b - a) - seg.scale * (math.exp(-z_a) - math.exp(-z_b))
+    # a piece on a panel is constant or live (`Segment.integral`)
+    level = seg.constant(a, b)
+    return seg.integral(a, b) if level is None else level * (b - a)
 
 
 def _tail_area(tail: _bands._Panel, gammas) -> float:

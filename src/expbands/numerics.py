@@ -1,5 +1,5 @@
-"""Shared numerical kernels: adaptive Gauss-Kronrod (G7/K15) quadrature,
-vectorized golden-section search and Brent's bracketed root finder.
+"""Shared numerical kernels: adaptive Gauss-Kronrod (G7/K15) quadrature and
+Brent's bracketed root finder.
 
 `integrate_panels` is the production quadrature: it integrates a
 vectorized integrand on all live panels at once and halves each panel
@@ -8,8 +8,7 @@ bisects the interval with the largest error estimate instead; it is kept
 only as the reference kernel of `regions.comprehensive_convex_hull_delta_prob`
 and of the test oracles. Non-convergence raises NumericError with
 diagnostics instead of returning a silently bad value. The same holds for
-the root finder and the golden-section search: they meet their bracket
-tolerance or raise.
+the root finder: it meets its bracket tolerance or raises.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ _WG = (
     0.129484966168870, 0.0,
 )
 _EPS = 2.220446049250313e-16
-_GOLDEN_INV = (math.sqrt(5.0) - 1.0) / 2.0
 _BISECTIONS = 400
 
 
@@ -133,51 +131,6 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     raise NumericError(
         f"quadrature did not converge on [{a}, {b}]: "
         f"error {total_err:.3e} after {_BISECTIONS} bisections (tol {abs_tol:.1e})")
-
-
-def golden_section(f: Callable[[np.ndarray], np.ndarray], lo, hi, *, maximize: bool = False,
-                   tol: float = 1e-10, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search for the extremum of a unimodal f, one bracket
-    [lo, hi] per lane (arrays, or scalars broadcast); returns (argext, ext)
-    in the brackets' broadcast shape.
-
-    f maps a 1-d array of probe points, one per lane, to their values. A
-    lane stops once its bracket width is within tol * max(1, |lo| + |hi|);
-    the search ends when every lane has stopped, and raises NumericError if
-    that takes more than `max_iter` rounds. The endpoints and the final
-    midpoint are the candidates; ties go to the smallest x.
-    """
-    sign = -1.0 if maximize else 1.0
-    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    shape = a.shape
-    a, b = a.ravel(), b.ravel()
-    lo, hi = a, b
-    x1 = hi - _GOLDEN_INV * (hi - lo)
-    x2 = lo + _GOLDEN_INV * (hi - lo)
-    f1, f2 = sign * f(x1), sign * f(x2)
-    for _ in range(max_iter):
-        live = hi - lo > tol * np.maximum(1.0, np.abs(lo) + np.abs(hi))
-        if not live.any():
-            break
-        left = f1 <= f2                     # the extremum lies in [lo, x2]
-        to_left, to_right = live & left, live & ~left
-        hi = np.where(to_left, x2, hi)
-        lo = np.where(to_right, x1, lo)
-        x1n = np.where(to_left, hi - _GOLDEN_INV * (hi - lo), np.where(to_right, x2, x1))
-        x2n = np.where(to_right, lo + _GOLDEN_INV * (hi - lo), np.where(to_left, x1, x2))
-        # one probe per lane is fresh, the other carries over
-        fresh = sign * f(np.where(left, x1n, x2n))
-        f1, f2 = (np.where(to_left, fresh, np.where(to_right, f2, f1)),
-                  np.where(to_right, fresh, np.where(to_left, f1, f2)))
-        x1, x2 = x1n, x2n
-    else:
-        raise NumericError(f"golden-section search did not reach tol {tol:.1e} "
-                           f"in {max_iter} rounds")
-    xs = np.stack([a, 0.5 * (lo + hi), b])
-    vals = np.stack([sign * f(x) for x in xs])
-    best = np.lexsort((xs, vals), axis=0)[0]
-    lanes = np.arange(a.size)
-    return xs[best, lanes].reshape(shape), sign * vals[best, lanes].reshape(shape)
 
 
 def brent_root(f: Callable[[float], float], a: float, b: float,

@@ -376,7 +376,8 @@ class MinAreaRegionC3(_PivotRegion):
 
     @property
     def edges(self) -> tuple[float, float]:
-        return self.y / self.m, self.sigma_hat / self.z_lo
+        # both from the pivot roots alone, so the T grid does not move with sigma_hat
+        return self.y / self.m, -(self.m + 1) * lambert_interval(self.m, self.c_p)[1] / self.m
 
 
 @dataclass(frozen=True)

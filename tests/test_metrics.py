@@ -19,7 +19,8 @@ from expbands.bands import (
 )
 from expbands.calibration import exact_dp, ks_cdf
 from expbands.cli import _DEFAULTS, main
-from expbands.errors import DomainError, InfeasibleLevelError, UnsupportedCaseError
+from expbands.errors import (DomainError, InfeasibleLevelError, NumericError,
+                             UnsupportedCaseError)
 from expbands.metrics import (
     area,
     band_metrics,
@@ -123,6 +124,27 @@ class TestMaxWidth:
         xs = np.linspace(-5, 80, 3000)
         assert w >= np.max(band.width(xs)) - 1e-6
 
+    def test_every_marginal_band_reaches_a_dense_grid(self, fluid_sample):
+        # the rescanned maximum is at least the width anywhere on a dense grid
+        # and at every breakpoint, and it is the width at the reported point,
+        # up to the rounding of reading that point at (x - mu_hat)/sigma_hat
+        est = mle(fluid_sample)
+        xs = est.mu_hat + est.sigma_hat * np.linspace(-1.0, 40.0, 100_001)
+        for kind, band in _bands(fluid_sample, LEVEL).items():
+            band = marginal_band(band, fluid_sample.scheme.gammas)
+            w, argx = max_width(band)
+            grid = np.concatenate([xs, band.breakpoints()])
+            assert w >= float(np.max(band.width(grid))) - 1e-12, kind
+            assert float(band.width(argx)) == pytest.approx(w, rel=0.0, abs=1e-14), kind
+
+    def test_marginal_scan_raises_when_rounds_run_out(self, fluid_est, fluid_scheme,
+                                                      monkeypatch):
+        # two scans shrink a bracket 32-fold once, far short of the tolerance
+        monkeypatch.setattr(metrics, "_SCAN_ROUNDS", 2)
+        band = marginal_band(band_b1(fluid_est, fluid_scheme, P), fluid_scheme.gammas)
+        with pytest.raises(NumericError):
+            max_width(band)
+
 
 class TestMaxWidthOracle:
     @pytest.mark.parametrize("name, level", [
@@ -179,7 +201,8 @@ class TestArea:
         def refuse(*args, **kwargs):
             raise AssertionError("numeric path reached by a cdf band")
 
-        monkeypatch.setattr(metrics, "golden_section", refuse)
+        # with no scan rounds left, a band that reached the scan would raise
+        monkeypatch.setattr(metrics, "_SCAN_ROUNDS", 0)
         monkeypatch.setattr(metrics, "integrate_panels", refuse)
         for kind, band in _bands(fluid_sample, LEVEL).items():
             bm = band_metrics(band)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from expbands.errors import NumericError
-from expbands.numerics import brent_root, golden_section, integrate, integrate_panels
+from expbands.numerics import brent_root, integrate, integrate_panels
 from expbands.special import gamma_cdf
 
 
@@ -63,52 +63,6 @@ class TestIntegratePanels:
             integrate_panels(np.sin, [0.0, math.inf])
         with pytest.raises(NumericError):
             integrate_panels(np.sin, [0.0])
-
-
-class TestGoldenSection:
-    def test_interior_maximum(self):
-        x, v = golden_section(lambda t: np.sin(t), 0.0, 3.0, maximize=True)
-        assert x == pytest.approx(math.pi / 2.0, abs=1e-7)
-        assert v == pytest.approx(1.0, abs=1e-14)
-
-    def test_interior_minimum(self):
-        x, v = golden_section(lambda t: (t - 0.3) ** 2 + 2.0, -1.0, 4.0)
-        assert x == pytest.approx(0.3, abs=1e-7) and v == pytest.approx(2.0, abs=1e-14)
-
-    def test_lanes_with_different_brackets(self):
-        # one lane per bracket; peaks of exp(-|t - c|) at c = 0.25, 7.7, -30
-        centers = np.array([0.25, 7.7, -30.0])
-        lo = np.array([0.0, 5.0, -100.0])
-        hi = np.array([1.0, 40.0, 20.0])
-        x, v = golden_section(lambda t: np.exp(-np.abs(t - centers)), lo, hi, maximize=True)
-        assert x.shape == (3,)
-        assert np.allclose(x, centers, rtol=0.0, atol=1e-8)
-        assert np.allclose(v, 1.0, atol=1e-8)
-
-    def test_lanes_agree_with_single_lane_searches(self):
-        lo, hi = np.array([0.0, 0.0, -2.0]), np.array([1.0, 3.0, 4.0])
-        f = lambda t: -(t - 0.6) ** 2
-        x, v = golden_section(f, lo, hi, maximize=True)
-        for i in range(3):
-            xi, vi = golden_section(f, lo[i], hi[i], maximize=True)
-            assert (x[i], v[i]) == (float(xi), float(vi))
-
-    def test_maxima_at_endpoints(self):
-        lo, hi = np.array([0.0, -3.0]), np.array([2.0, 5.0])
-        x, v = golden_section(lambda t: t, lo, hi, maximize=True)
-        assert np.array_equal(x, hi) and np.array_equal(v, hi)
-        x, v = golden_section(lambda t: t, lo, hi)
-        assert np.array_equal(x, lo) and np.array_equal(v, lo)
-
-    def test_bracket_meets_tolerance(self):
-        # the returned midpoint is within half the final bracket of the peak
-        tol = 1e-6
-        x, _ = golden_section(lambda t: -np.abs(t - 1.234), 0.0, 10.0, maximize=True, tol=tol)
-        assert abs(float(x) - 1.234) <= tol * (2.0 * 1.234 + 1.0)
-
-    def test_raises_when_rounds_run_out(self):
-        with pytest.raises(NumericError):
-            golden_section(np.sin, 0.0, 3.0, maximize=True, max_iter=5)
 
 
 # increasing f on a bracket [a, b], f(a) < 0 < f(b)

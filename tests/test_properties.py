@@ -213,6 +213,27 @@ def test_default_grid_is_the_unit_grid(sigma_hat, fluid_scheme, unit_bands):
             assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want))), kind
 
 
+def _assert_boundary_is_unit(built, ref, mu_hat, sigma_hat):
+    got, want = built.boundary(128), ref.boundary(128)
+    assert got.shape == want.shape
+    # mu to 1e-14 of its terms, the unit location taken at least 1e-2
+    # sigma: the ends cancel to 0 at the outer scale edges
+    terms = mu_hat + sigma_hat * np.maximum(np.abs(want[:, 0]), 1e-2 * want[:, 1])
+    assert np.all(np.abs(got[:, 0] - (mu_hat + sigma_hat * want[:, 0])) <= 1e-14 * terms)
+    assert np.allclose(got[:, 1], sigma_hat * want[:, 1], rtol=1e-14, atol=0.0)
+
+
+def test_c3_boundary_is_its_unit_boundary_near_the_lambert_edge(fluid_scheme):
+    # at this estimate an upper T edge taken as sigma_hat/z_lo moved the
+    # boundary's T grid by an ulp, and near the Lambert edge, where the ends
+    # cancel, mu moved by 1.3 times the bound; the edge now comes from the
+    # pivot roots alone
+    c_p = METHODS["c3"].constants(fluid_scheme, LEVEL)[0]["c_p"]
+    built = build_c3(MleEstimate(1.0, 583.765625), fluid_scheme, c_p)
+    _assert_boundary_is_unit(built, build_c3(MleEstimate(0.0, 1.0), fluid_scheme, c_p),
+                             1.0, 583.765625)
+
+
 def test_location_scale_equivariance(fluid_scheme):
     """Every region and band built at (mu_hat, sigma_hat) is the unit one,
     built at (0, 1) with the same constants, read at (x - mu_hat)/sigma_hat:
@@ -246,13 +267,7 @@ def test_location_scale_equivariance(fluid_scheme):
             assert np.array_equal(built.lower(x), ref.lower(z))
             assert np.array_equal(built.upper(x), ref.upper(z))
         else:
-            got, want = built.boundary(128), ref.boundary(128)
-            assert got.shape == want.shape
-            # mu to 1e-14 of its terms, the unit location taken at least 1e-2
-            # sigma: the ends cancel to 0 at the outer scale edges
-            terms = mu_hat + sigma_hat * np.maximum(np.abs(want[:, 0]), 1e-2 * want[:, 1])
-            assert np.all(np.abs(got[:, 0] - (mu_hat + sigma_hat * want[:, 0])) <= 1e-14 * terms)
-            assert np.allclose(got[:, 1], sigma_hat * want[:, 1], rtol=1e-14, atol=0.0)
+            _assert_boundary_is_unit(built, ref, mu_hat, sigma_hat)
         theta = LocScale(mu_hat + sigma_hat * a, sigma_hat * s)
         std = ((theta.mu - mu_hat) / sigma_hat, theta.sigma / sigma_hat)
         # off the boundary by far more than the standardization's rounding
