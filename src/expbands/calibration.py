@@ -15,11 +15,12 @@ place in its output with no select) applied, one half batch at a time, to
 the contiguous Z and T arrays that `model.map_pivots` draws on its thread
 pool (per batch, one `standard_exponential` call for Z and one
 `standard_gamma(m-1)`/m call for T, each on its own stream).
-Quantiles are order statistics taken by selection (`ndarray.partition`),
-not by a full sort, except along the level inversion, which reads the
-whole quantile curve. Every Monte-Carlo result carries a sectioning
-standard error and a provenance key with its size and seed. These
-samplers are the independent oracle for the exact kernels.
+Each calibrator holds one array, the draws, and works on it in place.
+Quantiles are order statistics taken by selection (`ndarray.partition`);
+the level inversion sorts them in place after it reads the sections' spreads.
+Every Monte-Carlo result carries a sectioning standard error and a
+provenance key with its size and seed. These samplers are the independent
+oracle for the exact kernels.
 
 The three exact kernels (`exact_cp`, `exact_dp`, `exact_p_of_tau`) are
 memoized per process in bounded LRU caches (`cache_clear()` empties one)
@@ -118,17 +119,38 @@ def _select_quantile(draws: np.ndarray, q: float) -> float:
     return float(draws[idx])
 
 
+def _sections(draws: np.ndarray) -> np.ndarray:
+    """The draws as rows of at most 100 equal sections, less the remainder."""
+    k = min(_SECTIONS, draws.shape[0])
+    return draws[:k * (draws.shape[0] // k)].reshape(k, -1)
+
+
 def _section_std_error(draws: np.ndarray, q: float) -> float:
-    """Quantile standard error by sectioning the raw (unsorted) draws into
-    100 batches."""
-    n = draws.shape[0]
-    k = min(_SECTIONS, n)
-    size = n // k
+    """Quantile standard error by sectioning; partitions every section of
+    `draws` in place at the quantile's index."""
+    sec = _sections(draws)
+    k, size = sec.shape
     if size < 2:
         return float("nan")
     idx = _order_index(q, size)
-    qs = [np.partition(section, idx)[idx] for section in draws[:k * size].reshape(k, size)]
-    return float(np.std(qs, ddof=1) / math.sqrt(k))
+    sec.partition(idx, axis=1)
+    return float(np.std(sec[:, idx], ddof=1) / math.sqrt(k))
+
+
+def _section_std_errors(draws: np.ndarray) -> np.ndarray:
+    """`_section_std_error` at every section index; sorts each section of
+    `draws` in place. A column's `np.std` is taken as a contiguous row, in
+    the one-index form's summation order, which `np.std(axis=0)` is not."""
+    sec = _sections(draws)
+    k, size = sec.shape
+    if size < 2:
+        return np.full(size, math.nan)
+    sec.sort(axis=1)
+    out = np.empty(size)
+    step = BATCH_SIZE // k   # a batch of draws a block: a copy below the sampler's peak
+    for j in range(0, size, step):
+        out[j:j + step] = np.std(sec[:, j:j + step].T.copy(), axis=1, ddof=1)
+    return out / math.sqrt(k)
 
 
 def _draw(m: int, reps: int, seed: int, pivot) -> np.ndarray:
@@ -351,12 +373,15 @@ def p_of_tau(m: int, tau: float, reps: int, seed: int) -> CalibrationResult:
 
     One fixed Monte-Carlo draw set provides the empirical quantile function
     p -> c_p, along which the level is monotone in p; bisection then solves
-    for p. Returns p as the value with c in `extra`.
+    for p. Returns p as the value with c in `extra`; `mc_std_error` is c's
+    sectioning error, the same number as `extra["c_std_error"]`.
     """
     tau = check_probability(tau, "tau", open_interval=True)
-    raw = draw_cp_statistic(m, reps, seed)
-    p, c = invert_level_on_draws(m, tau, np.sort(raw))
-    se_c = _section_std_error(raw, p)
+    draws = draw_cp_statistic(m, reps, seed)
+    errors = _section_std_errors(draws)   # before the sort, which p needs
+    draws.sort()
+    p, c = invert_level_on_draws(m, tau, draws)
+    se_c = float(errors[_order_index(p, errors.size)])
     key = CalibrationKey("p_of_tau", m=m, n=0, level=tau, reps=reps, seed=seed)
     return CalibrationResult(value=p, mc_std_error=se_c, key=key,
                              extra={"c": c, "c_std_error": se_c})

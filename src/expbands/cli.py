@@ -191,14 +191,12 @@ def _band_methods(spec: str | None) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def _load_data(args, cfg) -> tuple:
-    sample = read_sample_csv(args.data)
     transform = MonotoneTransform(cfg["transform"])
-    working = g_transform(sample, transform)
-    return sample, working, transform
+    return g_transform(read_sample_csv(args.data), transform), transform
 
 
 def cmd_fit(args, cfg) -> int:
-    _, working, transform = _load_data(args, cfg)
+    working, transform = _load_data(args, cfg)
     est = mle(working)
     mu_t, sigma_t = umvue(est, working.scheme)
     scheme = working.scheme
@@ -216,7 +214,7 @@ def cmd_fit(args, cfg) -> int:
 
 
 def cmd_region(args, cfg) -> int:
-    _, working, transform = _load_data(args, cfg)
+    working, transform = _load_data(args, cfg)
     est = mle(working)
     level = cfg["level"]
     constants, provenance = _resolve_constants(args.method, level, working.scheme, cfg)
@@ -234,7 +232,7 @@ def cmd_region(args, cfg) -> int:
 
 
 def cmd_band(args, cfg) -> int:
-    _, working, transform = _load_data(args, cfg)
+    working, transform = _load_data(args, cfg)
     est = mle(working)
     level = cfg["level"]
     constants, provenance = _resolve_constants(args.method, level, working.scheme, cfg)
@@ -273,7 +271,7 @@ def cmd_band(args, cfg) -> int:
 
 
 def cmd_metrics(args, cfg) -> int:
-    _, working, transform = _load_data(args, cfg)
+    working, transform = _load_data(args, cfg)
     est = mle(working)
     level = cfg["level"]
     rows = []

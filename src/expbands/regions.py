@@ -105,10 +105,10 @@ def _ks_ends(t, h, tail, below, b, d_p, n, trimmed):
     yield (np.less_equal(t, 1.0 / (1.0 - d_p), out=below), n * -ln1md, h),
 
 
-def ks_slopes(t, d_p, n=1.0):
-    """The lower and upper slopes (l(t), o(t)) of the sup-distance region,
-    times n: at scale ratio t it is l(t) <= (mu_hat - mu)/sigma <= o(t)."""
-    return Event(partial(_ks_ends, d_p=d_p, n=n, trimmed=False), ()).interval(t)
+def ks_slopes(t, d_p):
+    """The lower and upper slopes (l(t), o(t)) of the sup-distance region:
+    at scale ratio t it is l(t) <= (mu_hat - mu)/sigma <= o(t)."""
+    return Event(partial(_ks_ends, d_p=d_p, n=1.0, trimmed=False), ()).interval(t)
 
 
 def ks_distance_xy(mu, sigma):
@@ -402,11 +402,11 @@ class KsRegionC4:
         return Event(partial(_ks_ends, d_p=d, n=n, trimmed=self.trimmed), (
             self.t_lo, self.t_zero_lower, 1.0 - d, 1.0, 1.0 / (1.0 - d), self.t_zero_upper))
 
-    def slopes(self, t, n=1.0):
-        return self.event(n).interval(t)
+    def slopes(self, t):
+        return self.event().interval(t)
 
-    def covers(self, z, t, n=1.0):
-        return self.event(n).covers(z, t)
+    def covers(self, z, t):
+        return self.event().covers(z, t)
 
     def contains(self, mu, sigma):
         sigma = np.asarray(sigma, dtype=float)

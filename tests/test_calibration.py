@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from expbands.numerics import integrate
 from expbands.reproduce import reproduce_paper
 from expbands.regions import _h_scalar, c4_scale_limits, cp_supremum
 from expbands.special import gamma_cdf, gamma_logpdf
+from expbands.streams import BATCH_SIZE
 
 
 def _sorted_quantile_and_se(draws: np.ndarray, q: float) -> tuple[float, float]:
@@ -59,6 +61,39 @@ def test_monte_carlo_calibrators_pinned():
     tau = p_of_tau(8, 0.9025, 10**6, seed=3)
     assert (tau.value, tau.mc_std_error) == (0.12697530266698648, 0.003914643293640567)
     assert tau.extra == {"c": -11.587908058130843, "c_std_error": 0.003914643293640567}
+
+
+@pytest.mark.parametrize("reps", (10**5 + 37, 200, 199))
+def test_section_errors_at_every_index_match_one_index_form(reps):
+    # p_of_tau reads the sectioning error at every section index at once,
+    # before it sorts its draws in place: each equals the one-index form, the
+    # remainder past 100 equal sections left out, sections of 2 still giving
+    # an error and sections of 1 NaN
+    draws = draw_cp_statistic(8, reps, seed=2)
+    size = reps // 100
+    errors = calibration._section_std_errors(draws.copy())
+    one_index = [calibration._section_std_error(draws.copy(), (j + 0.5) / size)
+                 for j in range(size)]
+    assert [e.hex() for e in errors.tolist()] == [e.hex() for e in one_index]
+    assert math.isnan(errors[0]) == (reps == 199)
+
+
+def test_level_inversion_holds_one_draw_array():
+    # p_of_tau sorts its one draw array in place, as calibrate_cp selects in
+    # it, so both peak at the sampler's working set; a sorted copy of the
+    # draws put p_of_tau at twice the draws' bytes
+    peaks = []
+    for calibrate in (lambda reps: calibrate_cp(8, 0.0975, reps, seed=4),
+                      lambda reps: p_of_tau(8, 0.9025, reps, seed=4)):
+        calibrate(2 * BATCH_SIZE)   # the pool and its imports, on first use
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            calibrate(2**20)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 class TestCpQuantile:
