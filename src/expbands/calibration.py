@@ -15,9 +15,15 @@ place in its output with no select) applied, one half batch at a time, to
 the contiguous Z and T arrays that `model.map_pivots` draws on its thread
 pool (per batch, one `standard_exponential` call for Z and one
 `standard_gamma(m-1)`/m call for T, each on its own stream).
-Each calibrator holds one array, the draws, and works on it in place.
-Quantiles are order statistics taken by selection (`ndarray.partition`);
-the level inversion sorts them in place after it reads the sections' spreads.
+Quantiles are order statistics taken by selection (`ndarray.partition`).
+Past one batch, the quantile calibrators hold no array of draws: the run's
+first draws bracket the quantile, each batch keeps only its draws inside
+the bracket and counts, per section, those below it, and every order
+statistic is selected among the kept draws, bit for bit the one of the held
+draws; up to one batch, or should an order statistic leave the bracket,
+they hold the draws and select in them in place. The level inversion reads
+quantiles at adaptive p, so it holds one array, the draws: it reads the
+sections' spreads, then sorts the draws in place.
 Every Monte-Carlo result carries a sectioning standard error and a
 provenance key with its size and seed. These samplers are the independent
 oracle for the exact kernels.
@@ -147,7 +153,9 @@ def _section_std_errors(draws: np.ndarray) -> np.ndarray:
         return np.full(size, math.nan)
     sec.sort(axis=1)
     out = np.empty(size)
-    step = BATCH_SIZE // k   # a batch of draws a block: a copy below the sampler's peak
+    # a quarter batch of draws a block: its copy and np.std's temporaries
+    # add about 0.2 MB to the draws
+    step = BATCH_SIZE // (4 * k)
     for j in range(0, size, step):
         out[j:j + step] = np.std(sec[:, j:j + step].T.copy(), axis=1, ddof=1)
     return out / math.sqrt(k)
@@ -168,39 +176,133 @@ def _draw(m: int, reps: int, seed: int, pivot) -> np.ndarray:
     return out
 
 
+def _cp_pivot(m: int):
+    """The log-likelihood pivot as a function of map_pivots' (Z, T)."""
+    if m < 2:
+        raise DomainError("need m >= 2")
+    return lambda z, t: cp_pivot(z, m * t, m)
+
+
+def _ks_pivot(m: int, n: int):
+    """The sup-distance pivot as a function of map_pivots' (Z, T)."""
+    if m < 2 or n < m:
+        raise DomainError("need m >= 2 and n >= m")
+    return lambda z, t: ks_distance_xy(z / n, t)
+
+
 def draw_cp_statistic(m: int, reps: int, seed: int) -> np.ndarray:
     """Draws of the log-likelihood pivot W = (m+1) ln(T) - m T - Z, the
     `cp_pivot` at the (Z, T) of `map_pivots`."""
-    if m < 2:
-        raise DomainError("need m >= 2")
-    return _draw(m, reps, seed, lambda z, t: cp_pivot(z, m * t, m))
+    return _draw(m, reps, seed, _cp_pivot(m))
 
 
 def draw_ks_statistic(m: int, n: int, reps: int, seed: int) -> np.ndarray:
     """Draws of the sup-distance pivot: `ks_distance_xy` at (Z/n, T) from
     `map_pivots`."""
-    if m < 2 or n < m:
-        raise DomainError("need m >= 2 and n >= m")
-    return _draw(m, reps, seed, lambda z, t: ks_distance_xy(z / n, t))
+    return _draw(m, reps, seed, _ks_pivot(m, n))
 
 
-def _quantile_result(raw: np.ndarray, q: float, key: CalibrationKey) -> CalibrationResult:
-    # the sectioning error first: the selection reorders raw
-    se = _section_std_error(raw, q)
-    return CalibrationResult(value=_select_quantile(raw, q), mc_std_error=se, key=key)
+_PILOT = 4096    # draws that place the streamed order statistics' bracket
+_BRACKET = 8.0   # its half-width, in binomial standard errors of a quantile
+
+
+def _streamed_quantile(m: int, reps: int, seed: int, pivot, q: float) -> tuple[float, float] | None:
+    """The q-quantile of `reps` > BATCH_SIZE draws and its sectioning error,
+    bit for bit those of the held draws, without holding them; None when an
+    order statistic falls outside the bracket or a batch overflows its slot.
+
+    The run's first `_PILOT` draws bracket the quantile by their order
+    statistics at q -/+ w (open at 0 and 1): w is `_BRACKET` binomial
+    standard errors among n draws, n the smaller of the pilot and a section,
+    plus the Chernoff margin `_BRACKET`^2/(2n) for tails where a section
+    expects few draws below the quantile. Each batch counts, per section,
+    its draws below the bracket and keeps those inside it in its slot of one
+    array; an order statistic is the one of its section's kept draws at its
+    index less the count below."""
+    k, size = _SECTIONS, reps // _SECTIONS
+    pilot = _draw(m, _PILOT, seed, pivot)   # the run's own first draws
+    pilot.sort()
+    n = min(_PILOT, size)
+    w = _BRACKET * math.sqrt(q * (1.0 - q) / n) + 0.5 * _BRACKET**2 / n
+    lo = empirical_quantile(pilot, q - w) if q - w > 0.0 else -math.inf
+    hi = empirical_quantile(pilot, q + w) if q + w < 1.0 else math.inf
+    # a slot holds the bracket's mass among the pilot draws, plus `_BRACKET`
+    # standard errors of that mass and of a batch's count
+    mass = np.count_nonzero((pilot >= lo) & (pilot <= hi)) / _PILOT
+    sd = math.sqrt(mass * (1.0 - mass) / _PILOT) + math.sqrt(mass / BATCH_SIZE)
+    slot = min(BATCH_SIZE, math.ceil(BATCH_SIZE * (mass + _BRACKET * sd)))
+    kept = np.empty(-(-reps // BATCH_SIZE) * slot)
+    half = BATCH_SIZE // 2
+
+    def scan(batch: slice, z: np.ndarray, t: np.ndarray):
+        # the draws into z; the batch's pieces of sections first..last, where
+        # section k is the remainder past k equal sections
+        for i in range(0, z.size, half):
+            z[i:i + half] = pivot(z[i:i + half], t[i:i + half])
+        first, last = min(batch.start // size, k), min((batch.stop - 1) // size, k)
+        bounds = [min(max(s * size, batch.start), batch.stop) - batch.start
+                  for s in range(first, last + 2)]
+        below = z < lo
+        inside = z <= hi
+        inside ^= below   # lo <= z <= hi, as z < lo implies z <= hi
+        inside = np.flatnonzero(inside)
+        if inside.size > slot:
+            return None
+        at = batch.start // BATCH_SIZE * slot
+        np.take(z, inside, out=kept[at:at + inside.size])
+        edges = np.searchsorted(inside, bounds)
+        # a piece counts at most BATCH_SIZE = 2^15 draws
+        return first, np.add.reduceat(below, bounds[:-1], dtype=np.uint16), edges[1:] - edges[:-1]
+
+    below, counts = np.zeros(k + 1, dtype=np.intp), np.zeros(k + 1, dtype=np.intp)
+    total = 0
+    for b, found in enumerate(map_pivots(m, reps, seed, scan)):
+        if found is None:
+            return None
+        first, below_b, counts_b = found
+        below[first:first + below_b.size] += below_b
+        counts[first:first + counts_b.size] += counts_b
+        size_b = int(counts_b.sum())
+        kept[total:total + size_b] = kept[b * slot:b * slot + size_b]
+        total += size_b
+    kept = kept[:total]   # packed in replicate order, so section by section
+    ends = np.cumsum(counts)
+    ranks = [_order_index(q, size) - int(b) for b in below[:k]]
+    top = _order_index(q, reps) - int(below.sum())
+    if not (all(0 <= j < c for j, c in zip(ranks, counts)) and 0 <= top < total):
+        return None
+    picks = np.empty(k)
+    for s, j in enumerate(ranks):
+        section = kept[ends[s] - counts[s]:ends[s]]
+        section.partition(j)
+        picks[s] = section[j]
+    kept.partition(top)
+    return float(kept[top]), float(np.std(picks, ddof=1) / math.sqrt(k))
+
+
+def _quantile_result(m: int, reps: int, seed: int, pivot, q: float,
+                     key: CalibrationKey) -> CalibrationResult:
+    # streamed past one batch; else, or when the bracket misses, by holding
+    # every draw: the sectioning error first, as the selection reorders them
+    found = _streamed_quantile(m, reps, seed, pivot, q) if reps > BATCH_SIZE else None
+    if found is None:
+        raw = _draw(m, reps, seed, pivot)
+        se = _section_std_error(raw, q)
+        found = _select_quantile(raw, q), se
+    return CalibrationResult(value=found[0], mc_std_error=found[1], key=key)
 
 
 def calibrate_cp(m: int, p: float, reps: int, seed: int) -> CalibrationResult:
     """p-quantile of the log-likelihood pivot; depends only on p and m."""
     p = check_probability(p, "p", open_interval=True)
-    return _quantile_result(draw_cp_statistic(m, reps, seed), p,
+    return _quantile_result(m, reps, seed, _cp_pivot(m), p,
                             CalibrationKey("c_p", m=m, n=0, level=p, reps=reps, seed=seed))
 
 
 def calibrate_dp(m: int, n: int, p: float, reps: int, seed: int) -> CalibrationResult:
     """(1-p)-quantile of the sup-distance pivot for the KS-type band."""
     p = check_probability(p, "p", open_interval=True)
-    return _quantile_result(draw_ks_statistic(m, n, reps, seed), 1.0 - p,
+    return _quantile_result(m, reps, seed, _ks_pivot(m, n), 1.0 - p,
                             CalibrationKey("d_p", m=m, n=n, level=p, reps=reps, seed=seed))
 
 

@@ -127,8 +127,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         raise DomainError(f"level must lie in (0, 1), got {cfg['level']}")
     if cfg["reps"] < 1 or cfg["replicates"] < 1:
         raise DomainError("reps and replicates must be >= 1")
-    if cfg["grid_points"] < 2:
-        raise DomainError(f"grid points must be >= 2, got {cfg['grid_points']}")
+    for key in ("grid_points", "boundary_points"):
+        if cfg[key] < 2:
+            raise DomainError(f"{key.replace('_', ' ')} must be >= 2, got {cfg[key]}")
     cfg["config_hash"] = _config_hash(args, cfg)
     return cfg
 

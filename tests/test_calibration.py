@@ -78,22 +78,66 @@ def test_section_errors_at_every_index_match_one_index_form(reps):
     assert math.isnan(errors[0]) == (reps == 199)
 
 
+@pytest.fixture()
+def streamed(monkeypatch):
+    """What each `_streamed_quantile` call of the test returned: None where
+    the quantile calibrator fell back to holding every draw."""
+    results = []
+    stream = calibration._streamed_quantile
+
+    def record(*args):
+        results.append(stream(*args))
+        return results[-1]
+
+    monkeypatch.setattr(calibration, "_streamed_quantile", record)
+    return results
+
+
+# one batch (held), one draw past it (sections of 327), sections longer than
+# a batch, and both tails, where the bracket is open at one end
+@pytest.mark.parametrize("reps, p", ((BATCH_SIZE, 0.0975), (BATCH_SIZE + 1, 0.0975),
+                                     (100 * BATCH_SIZE + 7, 0.0975),
+                                     (BATCH_SIZE + 1, 1e-4), (BATCH_SIZE + 1, 1 - 1e-4),
+                                     (10**6, 1e-4), (10**6, 1 - 1e-4)))
+def test_streamed_quantiles_match_sorted_reference(streamed, reps, p):
+    cp = calibrate_cp(8, p, reps, seed=5)
+    assert (cp.value, cp.mc_std_error) == _sorted_quantile_and_se(
+        draw_cp_statistic(8, reps, seed=5), p)
+    dp = calibrate_dp(8, 19, p, reps, seed=5)
+    assert (dp.value, dp.mc_std_error) == _sorted_quantile_and_se(
+        draw_ks_statistic(8, 19, reps, seed=5), 1.0 - p)
+    assert len(streamed) == (2 if reps > BATCH_SIZE else 0) and None not in streamed
+
+
+def test_streamed_quantile_falls_back_to_held_draws(streamed, monkeypatch):
+    # a bracket of width 0 holds no section's order statistic
+    monkeypatch.setattr(calibration, "_BRACKET", 0.0)
+    reps = 3 * BATCH_SIZE + 5
+    cp = calibrate_cp(8, 0.0975, reps, seed=5)
+    assert streamed == [None]
+    assert (cp.value, cp.mc_std_error) == _sorted_quantile_and_se(
+        draw_cp_statistic(8, reps, seed=5), 0.0975)
+
+
 def test_level_inversion_holds_one_draw_array():
-    # p_of_tau sorts its one draw array in place, as calibrate_cp selects in
-    # it, so both peak at the sampler's working set; a sorted copy of the
-    # draws put p_of_tau at twice the draws' bytes
-    peaks = []
-    for calibrate in (lambda reps: calibrate_cp(8, 0.0975, reps, seed=4),
-                      lambda reps: p_of_tau(8, 0.9025, reps, seed=4)):
+    # p_of_tau sorts its one draw array in place, so it peaks with the array
+    # that draw_cp_statistic returns (a sorted copy of the draws put it at
+    # twice that); the quantile calibrators hold no draw array at all
+    peaks = {}
+    for name, calibrate in (("draws", lambda reps: draw_cp_statistic(8, reps, seed=4)),
+                            ("p_of_tau", lambda reps: p_of_tau(8, 0.9025, reps, seed=4)),
+                            ("c_p", lambda reps: calibrate_cp(8, 0.0975, reps, seed=4)),
+                            ("d_p", lambda reps: calibrate_dp(8, 19, 0.0975, reps, seed=4))):
         calibrate(2 * BATCH_SIZE)   # the pool and its imports, on first use
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             calibrate(2**20)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.05 * peaks[0]
+    assert peaks["p_of_tau"] <= 1.05 * peaks["draws"]
+    assert max(peaks["c_p"], peaks["d_p"]) <= 0.5 * peaks["draws"]
 
 
 class TestCpQuantile:

@@ -459,6 +459,15 @@ class TestErrorsAndConfig:
         assert json.loads(capsys.readouterr().err)["error"] == "domain"
         assert not out.exists()
 
+    @pytest.mark.parametrize("points", ("0", "1", "-3"))
+    def test_boundary_points_below_two_rejected(self, data_csv, tmp_path, capsys, points):
+        # exited 0 with a four-point sliver for a boundary
+        out = tmp_path / "out"
+        assert _run("region", "--data", data_csv, "--method", "c3",
+                    "--boundary-points", points, "--output-dir", out) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "domain"
+        assert not out.exists()
+
     def test_config_file_precedence(self, data_csv, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"level": 0.8, "seed": 123,

@@ -206,6 +206,33 @@ def _draw_three_batches(seed: int) -> np.ndarray:
     return draw_cp_statistic(8, 3 * BATCH_SIZE, seed)
 
 
+def _stream_three_batches(seed: int) -> np.ndarray:
+    cp = calibrate_cp(8, 0.0975, 3 * BATCH_SIZE, seed)
+    return np.array([cp.value, cp.mc_std_error])
+
+
+def _assert_concurrent_calls_are_serial(call) -> None:
+    # call(seed) for six seeds on six threads, switching often: each must
+    # return exactly what it returns alone
+    seeds = range(6)
+    expected = {seed: call(seed) for seed in seeds}
+    got = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=lambda s=seed: got.__setitem__(s, call(s)))
+                   for seed in seeds]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert got.keys() == expected.keys()
+    assert all(np.array_equal(got[seed], expected[seed]) for seed in seeds)
+
+
 class TestSimulation:
     def test_sample_sorted_and_above_location(self, fluid_scheme, rng):
         theta = LocScale(2.0, 3.0)
@@ -275,23 +302,12 @@ class TestSimulation:
     def test_concurrent_callers_share_the_pool(self):
         # more calling threads than cores, switching often: each caller
         # still gets exactly its own serial draws
-        seeds = range(6)
-        expected = {seed: _draw_three_batches(seed) for seed in seeds}
-        got = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [threading.Thread(target=lambda s=seed: got.__setitem__(
-                s, _draw_three_batches(s))) for seed in seeds]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(caller.is_alive() for caller in callers)
-        assert got.keys() == expected.keys()
-        assert all(np.array_equal(got[seed], expected[seed]) for seed in seeds)
+        _assert_concurrent_calls_are_serial(_draw_three_batches)
+
+    def test_concurrent_streamed_quantiles(self):
+        # each caller's workers draw into their own arrays and keep the
+        # draws inside the bracket in their own slots of the caller's array
+        _assert_concurrent_calls_are_serial(_stream_three_batches)
 
     @pytest.mark.parametrize("call, reps", [
         pytest.param(call, reps, id=name if reps == 0 else f"{name}-negative")
