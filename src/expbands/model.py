@@ -228,24 +228,17 @@ def map_pivots(m: int, reps: int, seed: int, fn: Callable) -> list:
     on its T stream, divided by m in place (`streams`); nothing beyond `count`
     is drawn. Every draw is therefore a function of (seed, replicate) alone:
     a longer run extends a shorter one replicate for replicate, and neither
-    the number of workers nor the schedule changes a value. Each worker
-    draws every batch of a call into the same Z and T arrays, which the call
-    frees when it returns, so `fn` may overwrite z and t but must not keep
-    them (or a view of them) past its own call. `fn` runs on worker threads,
-    so it may only write to the slice of a shared array it is given, and it
-    must not call map_pivots itself. An exception raised in `fn` reaches the
-    caller.
+    the number of workers nor the schedule changes a value. `fn` runs on
+    worker threads, so it may only write to the slice of a shared array it
+    is given, and it must not call map_pivots itself. An exception raised in
+    `fn` reaches the caller.
     """
     check_replicates(reps)
-    worker = threading.local()   # this call's (Z, T) arrays, one pair a thread
 
     def task(first: int):
         count = min(BATCH_SIZE, reps - first)
-        if not hasattr(worker, "pivots"):
-            worker.pivots = np.empty(min(BATCH_SIZE, reps)), np.empty(min(BATCH_SIZE, reps))
-        z, t = (a[:count] for a in worker.pivots)
-        batch_generator(seed, first // BATCH_SIZE, 0).standard_exponential(out=z)
-        batch_generator(seed, first // BATCH_SIZE, 1).standard_gamma(m - 1.0, out=t)
+        z = batch_generator(seed, first // BATCH_SIZE, 0).standard_exponential(count)
+        t = batch_generator(seed, first // BATCH_SIZE, 1).standard_gamma(m - 1.0, count)
         t /= m
         return fn(slice(first, first + count), z, t)
 

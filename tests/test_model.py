@@ -305,8 +305,8 @@ class TestSimulation:
         _assert_concurrent_calls_are_serial(_draw_three_batches)
 
     def test_concurrent_streamed_quantiles(self):
-        # each caller's workers draw into their own arrays and keep the
-        # draws inside the bracket in their own slots of the caller's array
+        # each caller's batches keep their draws inside the bracket in
+        # their own slots of the caller's array
         _assert_concurrent_calls_are_serial(_stream_three_batches)
 
     @pytest.mark.parametrize("call, reps", [
